@@ -10,6 +10,7 @@ converted to shuffle type for output.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import DivergentInput, GuardViolation, ZeroVariable
 from .model import MplExpr, MplTerm, ZTerm, is_convergent
@@ -122,3 +123,8 @@ def boundary_reduce(t: ZTerm) -> MplExpr:
             )
             items.append((t.coef, harmonic_to_shuffle(term)))
     return MplExpr.of(items)
+
+
+def boundary_reduce_all(terms: Iterable[ZTerm]) -> MplExpr:
+    """Sum of the polylog expansions of arity-1 terms, normalized once."""
+    return MplExpr.of(item for t in terms for item in boundary_reduce(t).terms)

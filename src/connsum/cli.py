@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import serialize
@@ -96,14 +95,7 @@ def cmd_verify(args) -> int:
 
 def cmd_examples(args) -> int:
     names = [args.name] if args.name else list(EXAMPLE_NAMES)
-    if args.jobs > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(
-                lambda n: run_example(n, bound=args.bound, tol=args.tol), names))
-    else:
-        results = [run_example(n, bound=args.bound, tol=args.tol) for n in names]
+    results = [run_example(n, bound=args.bound, tol=args.tol) for n in names]
     for res in results:
         if args.json:
             continue
@@ -125,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reduce multivariable connected sums to polylogarithms "
                     "and certify the emitted identities numerically.",
     )
-    ap.add_argument("--seed", type=int, default=20240801,
-                    help="seed for any randomized checks")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker threads for batch numeric work")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--text", dest="json", action="store_false",
                     help="human-readable output (default)")
@@ -170,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except StepPreconditionFailed as exc:

@@ -24,6 +24,7 @@ from .model import (
     Pair,
     is_admissible,
 )
+from .records import Relation
 from .scalars import ONE, Scalar
 
 
@@ -151,10 +152,8 @@ def normalize_to_dual_basis(expr: MplExpr) -> MplExpr:
     return MplExpr.of(items)
 
 
-def duality_relation(p: Pair):
+def duality_relation(p: Pair) -> Relation:
     """Two-sided relation Li(p) = sign * Li(p†) as shuffle polylog expressions."""
-    from .records import Relation  # local import avoids a cycle
-
     sign, dual = dagger(p)
     lhs = MplExpr.single(MplTerm("shuffle", p.k, p.z))
     rhs = MplExpr.single(MplTerm("shuffle", dual.k, dual.z), Fraction(sign))

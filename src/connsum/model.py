@@ -326,12 +326,6 @@ class ZExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "ZExpr") -> "ZExpr":
-        return ZExpr.of(self.as_terms() + other.as_terms())
-
-    def scaled(self, c) -> "ZExpr":
-        return ZExpr.of([t.scaled(_coef(c)) for t in self.as_terms()])
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

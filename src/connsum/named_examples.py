@@ -224,26 +224,31 @@ def run_eight_term(tol: float = 1e-6) -> ExampleResult:
 
 def run_example(name: str, bound: Optional[int] = None,
                 tol: Optional[float] = None) -> ExampleResult:
-    """Dispatch by name; amtagpa:n and dilcher:k carry a parameter."""
+    """Dispatch by name; amtagpa:n and dilcher:k carry a parameter.
+
+    Only the arguments given are passed on, so each runner's own defaults
+    apply; runners without a bound ignore it.
+    """
+    tol_kw = {} if tol is None else {"tol": tol}
+    kw = tol_kw if bound is None else dict(tol_kw, bound=bound)
     if name == "cloitre":
-        return run_cloitre(bound=bound or 400, tol=tol or 1e-4)
+        return run_cloitre(**kw)
     if name == "oloa":
-        return run_oloa(bound=bound or 400, tol=tol or 1e-4)
+        return run_oloa(**kw)
     if name == "zeta4":
-        return run_zeta4(bound=bound or 400, tol=tol or 1e-4)
+        return run_zeta4(**kw)
     if name == "triple":
-        return run_triple(bound=bound or 400, tol=tol or 1e-3)
+        return run_triple(**kw)
     if name.startswith("amtagpa:"):
-        return run_amtagpa(int(name.split(":", 1)[1]), bound=bound or 200,
-                           tol=tol or 1e-3)
+        return run_amtagpa(int(name.split(":", 1)[1]), **kw)
     if name.startswith("dilcher:"):
-        return run_dilcher(int(name.split(":", 1)[1]), tol=tol or 3e-4)
+        return run_dilcher(int(name.split(":", 1)[1]), **tol_kw)
     if name == "dilog":
-        return run_dilog(tol=tol or 1e-6)
+        return run_dilog(**tol_kw)
     if name == "kummer-newman":
-        return run_kummer_newman(tol=tol or 1e-6)
+        return run_kummer_newman(**tol_kw)
     if name == "eight-term":
-        return run_eight_term(tol=tol or 1e-6)
+        return run_eight_term(**tol_kw)
     raise PreconditionViolated(f"unknown example {name!r}")
 
 

@@ -22,7 +22,7 @@ from scipy.special import digamma, gammaln
 from scipy.special import zeta as hurwitz_zeta
 
 from .boundary import harmonic_to_shuffle
-from .errors import DivergentInput, HypothesisViolated, NotConverged
+from .errors import DivergentInput, DomainError, HypothesisViolated, NotConverged
 from .model import (
     MplTerm,
     Pair,
@@ -60,37 +60,29 @@ def _harmonic(n: int) -> float:
     return float(digamma(n + 1)) + float(np.euler_gamma)
 
 
-def _strict_layers(p: Pair, bound: int) -> list[np.ndarray]:
-    """Chain layers over top values 0..bound; layer[i][m] sums the depth-i
-    strict chains of the component ending at m."""
-    layers = [np.zeros(bound + 1, dtype=np.complex128)]
-    layers[0][0] = 1.0
+def _chain(letters, bound: int, weak: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Chain mass over top values 0..bound: (last layer, the layer below it).
+
+    layer[m] sums the chains of the letters so far whose top index is m, each
+    slot weighted by v^gap / m^e.  Indices strictly increase; weak lets every
+    slot after the first repeat the index below it (the bar chain).
+    """
+    layer = np.zeros(bound + 1, dtype=np.complex128)
+    layer[0] = 1.0
+    below = layer
     ms = np.arange(bound + 1, dtype=np.float64)
-    for v, e in p.letters():
+    for i, (v, e) in enumerate(letters):
         z = complex(v)
-        prev = layers[-1]
-        acc = lfilter([0.0, z], [1.0, -z], prev)
-        nxt = np.zeros_like(prev)
-        nxt[1:] = acc[1:] / ms[1:] ** e
-        layers.append(nxt)
-    return layers
-
-
-def _bar_weight(bar: Pair, bound: int) -> np.ndarray:
-    """W[T] = T * (bar-chain mass ending exactly at T); first slot strict,
-    later slots weak."""
-    d = np.zeros(bound + 1, dtype=np.complex128)
-    d[0] = 1.0
-    ts = np.arange(bound + 1, dtype=np.float64)
-    for i, (v, e) in enumerate(bar.letters()):
-        w = complex(v)
-        if i == 0:
-            acc = lfilter([0.0, w], [1.0, -w], d)
+        below = layer
+        if weak and i > 0:
+            acc = lfilter([1.0], [1.0, -z], below)
         else:
-            acc = lfilter([1.0], [1.0, -w], d)
-        d = np.zeros_like(d)
-        d[1:] = acc[1:] / ts[1:] ** e
-    return d * ts
+            acc = lfilter([0.0, z], [1.0, -z], below)
+        layer = np.zeros_like(below)
+        # dividing in place keeps the peak at three layers although below
+        # stays alive
+        np.divide(acc[1:], ms[1:] ** e, out=layer[1:])
+    return layer, below
 
 
 def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int) -> np.ndarray:
@@ -155,6 +147,8 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
     the qualifying single-escape rows are summed past the cap; without it the
     raw truncated value is returned (useful for monotone bracketing).
     """
+    if bound < 1:
+        raise DomainError(f"truncation bound must be >= 1, got {bound}")
     if t.is_structurally_zero():
         return EvalReport(0j, bound, 0.0, True)
     t = drop_all_empty_components(t)  # arity reduction, value-preserving
@@ -165,10 +159,11 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
     cap = bound
     r_cut = max(2, int(45.0 / max(math.log(cap), 1.0))) + n
     t_ext = n * cap + _KERNEL_WINDOW + r_cut + 2
-    w = _bar_weight(t.bar, t_ext)
+    # W[T] = T * (bar-chain mass ending exactly at T)
+    w = _chain(t.bar.letters(), t_ext, weak=True)[0] * np.arange(t_ext + 1, dtype=np.float64)
 
-    all_layers = [_strict_layers(p, cap) for p in t.components]
-    tops = [ls[-1] for ls in all_layers]
+    chains = [_chain(p.letters(), cap) for p in t.components]
+    tops = [top for top, _ in chains]
     g = tops[0].copy()
     for a in tops[1:]:
         g = _binom_conv(g, a, cap)
@@ -182,7 +177,7 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
         if abs(az) < 1.0 - 1e-12:
             tail += abs(az) ** cap
             continue
-        inner = all_layers[j][-2]
+        inner = chains[j][1]
         zpow = np.power(np.conj(az), np.arange(cap, dtype=np.float64))
         ghat = complex(np.sum(inner[:cap] * zpow))
         ghat_half = complex(np.sum(inner[:cap // 2] * zpow[:cap // 2]))
@@ -241,33 +236,23 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
 # polylogarithm evaluation
 
 
-def _mpl_terms_by_top(term: MplTerm, bound: int) -> np.ndarray:
-    # gap powers z^(m_i - m_{i-1}) stay bounded for |z| <= 1, so harmonic
-    # inputs are evaluated through their shuffle form
-    if term.kind == "harmonic":
-        term = harmonic_to_shuffle(term)
-    prev = np.zeros(bound + 1, dtype=np.complex128)
-    prev[0] = 1.0
-    ms = np.arange(bound + 1, dtype=np.float64)
-    for v, e in zip(term.z, term.k):
-        z = complex(v)
-        acc = lfilter([0.0, z], [1.0, -z], prev)
-        prev = np.zeros_like(prev)
-        prev[1:] = acc[1:] / ms[1:] ** e
-    return prev
-
-
 def eval_mpl(m: MplTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     """Direct nested summation with outer index <= bound.
 
     An alternating outer tail is sharpened by averaging the last two partial
     sums; the tail estimate is heuristic.
     """
+    if bound < 1:
+        raise DomainError(f"truncation bound must be >= 1, got {bound}")
     if not m.guard_ok():
         raise DivergentInput(f"{m} violates its convergence guard")
     if m.dep == 0:
         return EvalReport(1 + 0j, bound, 0.0, True)
-    terms = _mpl_terms_by_top(m, bound)
+    # gap powers z^(m_i - m_{i-1}) stay bounded for |z| <= 1, so harmonic
+    # inputs are evaluated through their shuffle form
+    if m.kind == "harmonic":
+        m = harmonic_to_shuffle(m)
+    terms = _chain(zip(m.z, m.k), bound)[0]
     s_full = complex(np.sum(terms))
     a_last = complex(terms[-1])
     a_prev = complex(terms[-2]) if bound >= 2 else 0j
@@ -387,24 +372,42 @@ def eval_mpl_auto(m: MplTerm, tol: float, nmax: int = 1 << 21) -> tuple[complex,
 # exact partial sums (oracles)
 
 
+def _exact_chain(letters, bound: int, kind: str = "strict") -> dict[int, Scalar]:
+    """Exact chain mass by top index: entry m sums, over the chains of the
+    letters whose top index is m <= bound, the slot weights v^gap / m^e.
+
+    kind "strict": indices strictly increase; "weak": every slot after the
+    first may repeat the index below it (the bar chain); "harmonic": indices
+    strictly increase and each variable is raised to its own index instead of
+    the gap.  Shares no code with the float evaluators.
+    """
+    layer: dict[int, Scalar] = {0: ONE}
+    for i, (v, e) in enumerate(letters):
+        weak = kind == "weak" and i > 0
+        nxt: dict[int, Scalar] = {}
+        for m in range(1, bound + 1):
+            below = m + 1 if weak else m  # lower indices mp < below feed m
+            acc = sc(0)
+            if kind == "harmonic":
+                for mp, val in layer.items():
+                    if mp < below:
+                        acc = acc + val
+                acc = acc * v ** m
+            else:
+                for mp, val in layer.items():
+                    if mp < below:
+                        acc = acc + val * v ** (m - mp)
+            if not acc.is_zero():
+                nxt[m] = acc * sc(Fraction(1, m ** e))
+        layer = nxt
+    return layer
+
+
 def eval_zterm_partial_exact(t: ZTerm, bound: int) -> Scalar:
     """Exact rational-complex partial sum over component tops <= bound."""
     if t.is_structurally_zero():
         return sc(0)
-    comp_layers = []
-    for p in t.components:
-        layer: dict[int, Scalar] = {0: ONE}
-        for v, e in p.letters():
-            nxt: dict[int, Scalar] = {}
-            for m in range(1, bound + 1):
-                acc = sc(0)
-                for mp, val in layer.items():
-                    if mp < m:
-                        acc = acc + val * v ** (m - mp)
-                if not acc.is_zero():
-                    nxt[m] = acc * sc(Fraction(1, m ** e))
-            layer = nxt
-        comp_layers.append(layer)
+    comp_layers = [_exact_chain(p.letters(), bound) for p in t.components]
 
     totals: dict[int, Scalar] = {}
 
@@ -422,19 +425,7 @@ def eval_zterm_partial_exact(t: ZTerm, bound: int) -> Scalar:
     if not totals:
         return sc(0)
 
-    t_max = max(totals)
-    bar_layer: dict[int, Scalar] = {0: ONE}
-    for i, (v, e) in enumerate(t.bar.letters()):
-        nxt = {}
-        for q in range(1, t_max + 1):
-            acc = sc(0)
-            for qp, val in bar_layer.items():
-                if qp < q or (i > 0 and qp == q):
-                    acc = acc + val * v ** (q - qp)
-            if not acc.is_zero():
-                nxt[q] = acc * sc(Fraction(1, q ** e))
-        bar_layer = nxt
-
+    bar_layer = _exact_chain(t.bar.letters(), max(totals), "weak")
     out = sc(0)
     for tot, val in totals.items():
         wq = bar_layer.get(tot)
@@ -445,24 +436,9 @@ def eval_zterm_partial_exact(t: ZTerm, bound: int) -> Scalar:
 
 def eval_mpl_partial_exact(m: MplTerm, bound: int) -> Scalar:
     """Exact rational-complex partial sum with outer index <= bound."""
-    layer: dict[int, Scalar] = {0: ONE}
-    for v, e in zip(m.z, m.k):
-        nxt: dict[int, Scalar] = {}
-        for mm in range(1, bound + 1):
-            acc = sc(0)
-            for mp, val in layer.items():
-                if mp < mm:
-                    if m.kind == "shuffle":
-                        acc = acc + val * v ** (mm - mp)
-                    else:
-                        acc = acc + val
-            if m.kind == "harmonic":
-                acc = acc * v ** mm
-            if not acc.is_zero():
-                nxt[mm] = acc * sc(Fraction(1, mm ** e))
-        layer = nxt
+    kind = "harmonic" if m.kind == "harmonic" else "strict"
     out = sc(0)
-    for val in layer.values():
+    for val in _exact_chain(zip(m.z, m.k), bound, kind).values():
         out = out + val
     return out
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .boundary import boundary_reduce
+from .boundary import boundary_reduce_all
 from .duality import dagger, dual_condition, iota
 from .errors import (
     AlphabetViolation,
@@ -23,9 +23,9 @@ from .errors import (
     PreconditionViolated,
     TruncationTooSmall,
 )
-from .model import MplExpr, MplTerm, Pair, ZExpr, zterm
+from .model import MplExpr, MplTerm, Pair, zterm
 from .records import Relation
-from .scalars import ONE, Scalar, sc
+from .scalars import ONE, Scalar, reciprocal_sum
 from .transport import reduce_to_z1
 
 
@@ -266,10 +266,6 @@ def apply_map(name: str, s: HSeries) -> HSeries:
     return out
 
 
-def apply_map_word(name: str, w: Word, order: int) -> HSeries:
-    return apply_map(name, HSeries.from_word(w, order))
-
-
 def words_to_mpl(poly: Poly) -> MplExpr:
     """Interpret a word combination through the polylog evaluation map."""
     items = []
@@ -388,11 +384,12 @@ def ohno_relation(p: Pair, h: int) -> Relation:
     d = iota(p.z)
     sign, dual = dagger(p)
     lhs = lift_sum(p, h)
-    rhs = MplExpr.zero()
-    for i in range(h + 1):
-        for bs in _compositions(i, d):
-            rhs = rhs + lift_sum(insert_lift(dual, bs), h - i)
-    rhs = rhs.scaled(sign)
+    rhs = MplExpr.of(
+        (sign * c, term)
+        for i in range(h + 1)
+        for bs in _compositions(i, d)
+        for c, term in lift_sum(insert_lift(dual, bs), h - i).terms
+    )
     return Relation(lhs=lhs, rhs=rhs, provenance={
         "route": "ohno",
         "pair": str(p),
@@ -462,8 +459,6 @@ def multi_term_relations(zs: Sequence[Scalar]) -> Relation:
             raise PreconditionViolated(f"|z{i + 1}| < 1 fails")
         if not z.re_lt_half():
             raise PreconditionViolated(f"Re(z{i + 1}) < 1/2 fails")
-    from .scalars import reciprocal_sum
-
     if reciprocal_sum(zs) != ONE:
         raise PreconditionViolated("sum of reciprocals must equal 1")
     if n == 4:
@@ -472,20 +467,17 @@ def multi_term_relations(zs: Sequence[Scalar]) -> Relation:
             if not _g(a, b).in_closed_disk():
                 raise PreconditionViolated(f"|g(z{i + 1}, z{(i + 1) % 4 + 1})| <= 1 fails")
 
-    total = MplExpr.zero()
     windows = []
-    if n == 3:
-        for i in range(3):
+    z1_terms = []
+    for i in range(n):
+        if n == 3:
             window = (zs[(i + 1) % 3], zs[i])
-            windows.append([str(v) for v in window])
-            term = zterm([Pair((1,), (v,)) for v in window])
-            total = total + _mpl_of_z1(reduce_to_z1(term, j=1))
-    else:
-        for i in range(4):
+        else:
             window = (zs[i], zs[(i + 1) % 4], zs[(i + 2) % 4])
-            windows.append([str(v) for v in window])
-            term = zterm([Pair((1,), (v,)) for v in window])
-            total = total + _mpl_of_z1(reduce_to_z1(term, j=2))
+        windows.append([str(v) for v in window])
+        term = zterm([Pair((1,), (v,)) for v in window])
+        z1_terms.extend(reduce_to_z1(term, j=n - 2).as_terms())
+    total = boundary_reduce_all(z1_terms)
     if total.terms and total.terms[0][0] < 0:
         total = total.scaled(-1)
     return Relation(lhs=total, rhs=MplExpr.zero(), provenance={
@@ -493,10 +485,3 @@ def multi_term_relations(zs: Sequence[Scalar]) -> Relation:
         "variables": [str(z) for z in zs],
         "windows": windows,
     })
-
-
-def _mpl_of_z1(expr: ZExpr) -> MplExpr:
-    items = []
-    for term in expr.as_terms():
-        items.extend(boundary_reduce(term).terms)
-    return MplExpr.of(items)

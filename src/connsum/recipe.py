@@ -10,19 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .boundary import boundary_reduce
+from .boundary import boundary_reduce_all
 from .errors import PreconditionViolated
 from .model import (
     EMPTY_PAIR,
-    MplExpr,
     Pair,
-    ZExpr,
     ZTerm,
     is_admissible,
 )
 from .records import Relation
-from .scalars import ZERO, in_reciprocal_ball
-from .transport import reduce_to_z1, transport_step
+from .scalars import ZERO
+from .transport import condition_violation, reduce_to_z1, transport_step
 
 
 @dataclass(frozen=True)
@@ -60,47 +58,15 @@ def check_recipe_assumptions(data: RecipeData) -> Optional[str]:
         if nonadm_sum == ZERO:
             return "non-admissible reciprocal sum vanishes"
 
-    import itertools
-
-    targets = list(bar.z)
-    if any(e != 1 for e in bar.k):
-        targets.append(ZERO)
-    m = len(comps)
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            for combo in itertools.product(*[range(comps[i].dep) for i in subset]):
-                vs = [comps[i].z[a] for i, a in zip(subset, combo)]
-                for tau in targets:
-                    if not in_reciprocal_ball(vs, tau):
-                        return (
-                            f"variables {[str(v) for v in vs]} leave the "
-                            f"reciprocal ball at {tau}"
-                        )
-    for w in bar.z:
-        if w.abs_eq_one():
-            for i, p in enumerate(comps):
-                if (w - p.z[0].inv()).abs_eq_one():
-                    return f"|w - 1/z| = 1 for bar value {w} and component {i + 1}"
+    violation = condition_violation(comps, bar)
+    if violation is not None:
+        return violation
     if data.n == 2:
         p = comps[0]
         if not is_admissible(p.k) and not is_admissible(bar.k):
             if not (p.z[-1].in_open_disk() or bar.z[-1].in_open_disk()):
                 return "arity-2 case needs |z_r| < 1 or |w_s| < 1"
-    if any(any(e >= 2 for e in p.k) for p in comps):
-        for tau in bar.z:
-            if not (tau.is_zero() or tau.abs_eq_one()):
-                return (
-                    f"a vertical move can face bar value {tau} strictly inside "
-                    "the punctured disk"
-                )
     return None
-
-
-def _to_mpl(expr: ZExpr) -> MplExpr:
-    items = []
-    for term in expr.as_terms():
-        items.extend(boundary_reduce(term).terms)
-    return MplExpr.of(items)
 
 
 def recipe_relation(data: RecipeData, trace=None) -> Relation:
@@ -110,17 +76,13 @@ def recipe_relation(data: RecipeData, trace=None) -> Relation:
         raise PreconditionViolated(violation)
 
     direct = ZTerm(1, data.components, data.bar)
-    if direct.arity == 1:
-        lhs = boundary_reduce(direct)
-    else:
-        lhs = _to_mpl(reduce_to_z1(direct, trace=trace))
+    lhs = boundary_reduce_all(reduce_to_z1(direct, trace=trace).as_terms())
 
     appended = ZTerm(1, data.components + (EMPTY_PAIR,), data.bar)
     first = transport_step(appended, trace)
-    rhs_items = []
-    for term in first.as_terms():
-        rhs_items.extend(_to_mpl(reduce_to_z1(term, trace=trace)).terms)
-    rhs = MplExpr.of(rhs_items)
+    rhs = boundary_reduce_all(
+        u for term in first.as_terms() for u in reduce_to_z1(term, trace=trace).as_terms()
+    )
 
     return Relation(lhs=lhs, rhs=rhs, provenance={
         "route": "recipe",

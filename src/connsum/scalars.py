@@ -192,14 +192,6 @@ def sc(re: RationalLike, im: RationalLike = 0) -> Scalar:
     return Scalar.of(re, im)
 
 
-def in_unit_ball_of(v: Scalar, t: Scalar) -> bool:
-    """Exact membership of a single arrow value in the reciprocal ball at t.
-
-    v qualifies when 1/v equals t or lies at distance >= 1 from t.
-    """
-    return in_reciprocal_ball([v], t)
-
-
 def in_reciprocal_ball(vs: Sequence[Scalar], t: Scalar) -> bool:
     """Whether (v_1, ..., v_m) has sum of reciprocals equal to t or >= 1 away.
 

@@ -10,9 +10,10 @@ receiving slot is one less than the input's, so reduction terminates.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import serialize
+from .boundary import boundary_reduce_all
 from .duality import dual_condition
 from .errors import (
     DivergentInput,
@@ -102,24 +103,47 @@ def transport_step(t: ZTerm, trace: Optional[Trace] = None) -> ZExpr:
     return ZExpr.of(out)
 
 
-def _bar_targets(t: ZTerm) -> list[Scalar]:
-    """Bar values a rewrite chain can aim at: each w_k, plus 0 when some bar
-    exponent exceeds 1 (vertical bar moves exist)."""
-    targets = list(t.bar.z)
-    if any(e >= 2 for e in t.bar.k):
+def condition_violation(others: Sequence[Pair], bar: Pair) -> Optional[str]:
+    """First violated transportability bullet for the non-receiving
+    components others against bar, or None when all hold.
+
+    The bullets: every coordinate pick from every non-empty subset of others
+    lies in the reciprocal ball at every bar target (each bar value, plus 0
+    when some bar exponent exceeds 1 and vertical bar moves exist); no first
+    variable z has |w - 1/z| = 1 for a bar value w on the unit circle; and
+    when some component can present a vertical move, no bar value lies
+    strictly inside the punctured disk.
+    """
+    targets = list(bar.z)
+    if any(e >= 2 for e in bar.k):
         targets.append(ZERO)
-    return targets
+    for size in range(1, len(others) + 1):
+        for subset in itertools.combinations(others, size):
+            for vs in itertools.product(*(p.z for p in subset)):
+                for tau in targets:
+                    if not in_reciprocal_ball(vs, tau):
+                        return (
+                            f"variables {[str(v) for v in vs]} leave the "
+                            f"reciprocal ball at {tau}"
+                        )
+    for w in bar.z:
+        if w.abs_eq_one():
+            for i, p in enumerate(others):
+                if (w - p.z[0].inv()).abs_eq_one():
+                    return f"|w - 1/z| = 1 for bar value {w} and component {i + 1}"
+    if any(any(e >= 2 for e in p.k) for p in others):
+        for tau in bar.z:
+            if not (tau.is_zero() or tau.abs_eq_one()):
+                return (
+                    f"a vertical move can face bar value {tau} strictly inside "
+                    "the punctured disk"
+                )
+    return None
 
 
 def is_transportable(t: ZTerm, j: int) -> bool:
-    """Whether receiving slot j guarantees every rewrite along the reduction.
-
-    Checks the variable condition (every coordinate pick from every non-empty
-    subset of the other components lies in the reciprocal ball at every bar
-    target) and the unit-circle first-variable condition, plus the closure
-    needed when some non-receiving component can present a vertical move
-    against a bar value strictly inside the punctured disk.
-    """
+    """Whether receiving slot j guarantees every rewrite along the reduction
+    (see condition_violation for the bullets checked)."""
     t = drop_all_empty_components(t)
     if t.is_structurally_zero():
         return True
@@ -128,28 +152,8 @@ def is_transportable(t: ZTerm, j: int) -> bool:
         return False
     if n == 1:
         return True
-    others = [i for i in range(n) if i != j]
-    targets = _bar_targets(t)
-
-    for size in range(1, len(others) + 1):
-        for subset in itertools.combinations(others, size):
-            picks = [range(t.components[i].dep) for i in subset]
-            for combo in itertools.product(*picks):
-                vs = [t.components[i].z[a] for i, a in zip(subset, combo)]
-                for tau in targets:
-                    if not in_reciprocal_ball(vs, tau):
-                        return False
-    for w in t.bar.z:
-        if w.abs_eq_one():
-            for i in others:
-                first = t.components[i].z[0]
-                if (w - first.inv()).abs_eq_one():
-                    return False
-    if any(any(e >= 2 for e in t.components[i].k) for i in others):
-        for tau in t.bar.z:
-            if not (tau.is_zero() or tau.abs_eq_one()):
-                return False
-    return True
+    others = t.components[:j] + t.components[j + 1:]
+    return condition_violation(others, t.bar) is None
 
 
 def transportable_pick(t: ZTerm) -> Optional[int]:
@@ -216,13 +220,7 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
 def reduce_to_mpl(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = None):
     """Full pipeline: reduce to arity 1, then expand every term into
     shuffle-type polylogarithms."""
-    from .boundary import boundary_reduce
-    from .model import MplExpr
-
-    items = []
-    for term in reduce_to_z1(t, j=j, trace=trace).as_terms():
-        items.extend(boundary_reduce(term).terms)
-    return MplExpr.of(items)
+    return boundary_reduce_all(reduce_to_z1(t, j=j, trace=trace).as_terms())
 
 
 def reduce_duality(p: Pair) -> tuple[int, Pair]:

@@ -89,6 +89,8 @@ def test_examples_command(capsys):
     assert main(["--json", "examples", "--name", "cloitre"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out[0]["ok"] is True
+    assert main(["examples", "--name", "cloitre", "--bound", "0"]) == 2
+    capsys.readouterr()
 
 
 def test_emitted_json_reparses(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import inspect
 import math
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
 
-from connsum.errors import DivergentInput, HypothesisViolated, NotConverged
+from connsum import numeric
+from connsum.errors import DivergentInput, DomainError, HypothesisViolated, NotConverged
 from connsum.model import MplExpr, MplTerm, Pair, zterm
 from connsum.numeric import (
     connector,
@@ -122,6 +125,55 @@ def test_divergent_inputs_rejected():
         eval_zterm(zterm([Pair.ones((1, 1))], Pair.ones((1, 1))), 50)
     with pytest.raises(DivergentInput):
         eval_mpl(MplTerm("shuffle", (1,), (ONE,)), 50)
+
+
+def test_bound_below_one_rejected():
+    t = zterm([Pair.ones((1,)), Pair.ones((1,))])
+    for bound in (0, -1):
+        with pytest.raises(DomainError):
+            eval_zterm(t, bound)
+        with pytest.raises(DomainError):
+            eval_mpl(MplTerm("shuffle", (2,), (ONE,)), bound)
+
+
+def _reached(fn):
+    """(name, object) for every global name in fn's code, following the
+    connsum functions it names transitively."""
+    found, seen = [], set()
+    todo = [(fn.__code__, fn.__globals__)]
+    while todo:
+        code, glb = todo.pop()
+        todo.extend((c, glb) for c in code.co_consts if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            if name not in glb:
+                continue
+            obj = glb[name]
+            found.append((name, obj))
+            if inspect.isfunction(obj) and obj.__module__.startswith("connsum") \
+                    and obj not in seen:
+                seen.add(obj)
+                todo.append((obj.__code__, obj.__globals__))
+    return found
+
+
+def _float_code(reached):
+    out = []
+    for name, obj in reached:
+        origin = obj.__name__ if inspect.ismodule(obj) else getattr(obj, "__module__", None)
+        if name in ("np", "lfilter", "scipy") or obj is numeric._chain \
+                or str(origin).split(".")[0] in ("numpy", "scipy"):
+            out.append(name)
+    return out
+
+
+def test_exact_oracles_share_no_float_code():
+    # a certificate means something only while the exact oracles stay
+    # independent of the float evaluators they check
+    for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact, numeric._exact_chain):
+        assert _float_code(_reached(fn)) == [], fn.__name__
+    for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact):
+        assert any(obj is numeric._exact_chain for _, obj in _reached(fn))
+    assert "lfilter" in _float_code(_reached(eval_mpl))
 
 
 def test_monotone_refinement_brackets():
