@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import PreconditionViolated
+from .errors import DomainError, PreconditionViolated
 from .model import MplExpr, MplTerm, Pair, ZExpr, zterm
 from .numeric import verify_relation
 from .ohno import multi_term_relations
@@ -148,13 +148,13 @@ def run_triple(bound: int = 400, tol: float = 1e-3) -> ExampleResult:
     return result
 
 
-def run_dilcher(k: int, tol: float = 3e-4) -> ExampleResult:
+def run_dilcher(k: int, bound: int = 400, tol: float = 3e-4) -> ExampleResult:
     """Alternating expansion of zeta(k) from the all-ones recipe data."""
     if k < 2:
         raise PreconditionViolated("dilcher needs k >= 2")
     data = RecipeData((Pair.ones((1,) * (k - 1)),), Pair.ones((2,)))
     rel = recipe_relation(data)
-    report = verify_relation(rel, bound=400, tol=tol)
+    report = verify_relation(rel, bound=bound, tol=tol)
     result = ExampleResult(f"dilcher:{k}", report.ok, report, rel)
     shape_ok = len(rel.lhs.terms) == 1 and len(rel.rhs.terms) == k - 1
     result.ok = result.ok and shape_ok
@@ -227,8 +227,12 @@ def run_example(name: str, bound: Optional[int] = None,
     """Dispatch by name; amtagpa:n and dilcher:k carry a parameter.
 
     Only the arguments given are passed on, so each runner's own defaults
-    apply; runners without a bound ignore it.
+    apply.  A bound below 1 is rejected for every name; dilog, kummer-newman
+    and eight-term have pure-polylog sides, which take no bound, so they
+    ignore it.
     """
+    if bound is not None and bound < 1:
+        raise DomainError(f"truncation bound must be >= 1, got {bound}")
     tol_kw = {} if tol is None else {"tol": tol}
     kw = tol_kw if bound is None else dict(tol_kw, bound=bound)
     if name == "cloitre":
@@ -242,7 +246,7 @@ def run_example(name: str, bound: Optional[int] = None,
     if name.startswith("amtagpa:"):
         return run_amtagpa(int(name.split(":", 1)[1]), **kw)
     if name.startswith("dilcher:"):
-        return run_dilcher(int(name.split(":", 1)[1]), **tol_kw)
+        return run_dilcher(int(name.split(":", 1)[1]), **kw)
     if name == "dilog":
         return run_dilog(**tol_kw)
     if name == "kummer-newman":

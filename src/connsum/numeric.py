@@ -240,10 +240,13 @@ def eval_mpl(m: MplTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     """Direct nested summation with outer index <= bound.
 
     An alternating outer tail is sharpened by averaging the last two partial
-    sums; the tail estimate is heuristic.
+    sums; the tail estimate is heuristic.  A bound below the depth leaves no
+    index chain at all, so it is rejected like a bound below 1.
     """
     if bound < 1:
         raise DomainError(f"truncation bound must be >= 1, got {bound}")
+    if bound < m.dep:
+        raise DomainError(f"truncation bound {bound} is below the depth {m.dep}")
     if not m.guard_ok():
         raise DivergentInput(f"{m} violates its convergence guard")
     if m.dep == 0:
@@ -379,26 +382,44 @@ def _exact_chain(letters, bound: int, kind: str = "strict") -> dict[int, Scalar]
     kind "strict": indices strictly increase; "weak": every slot after the
     first may repeat the index below it (the bar chain); "harmonic": indices
     strictly increase and each variable is raised to its own index instead of
-    the gap.  Shares no code with the float evaluators.
+    the gap.  Each letter is one pass over m with a running accumulator;
+    entry m of the new layer is acc_m / m^e, with `layer` the one below:
+
+        strict:    acc_m = v (acc_{m-1} + layer_{m-1}),  acc_0 = 0;
+        weak:      acc_m = v acc_{m-1} + layer_m,        acc_0 = 0;
+        harmonic:  acc_m = v^m (layer_0 + ... + layer_{m-1}), a prefix sum
+                   times a running power;
+
+    so a chain costs O(bound * depth) Scalar operations.  This is the exact
+    twin of the float path's lfilter, but shares no code with it.
     """
     layer: dict[int, Scalar] = {0: ONE}
     for i, (v, e) in enumerate(letters):
-        weak = kind == "weak" and i > 0
+        weak = kind == "weak" and i > 0  # so layer has no entry at 0
         nxt: dict[int, Scalar] = {}
+        acc = sc(0)
+        vpow = ONE  # v^m, harmonic only
         for m in range(1, bound + 1):
-            below = m + 1 if weak else m  # lower indices mp < below feed m
-            acc = sc(0)
             if kind == "harmonic":
-                for mp, val in layer.items():
-                    if mp < below:
-                        acc = acc + val
-                acc = acc * v ** m
+                low = layer.get(m - 1)
+                if low is not None:
+                    acc = acc + low
+                vpow = vpow * v
+                val = acc * vpow
+            elif weak:
+                acc = v * acc
+                low = layer.get(m)
+                if low is not None:
+                    acc = acc + low
+                val = acc
             else:
-                for mp, val in layer.items():
-                    if mp < below:
-                        acc = acc + val * v ** (m - mp)
-            if not acc.is_zero():
-                nxt[m] = acc * sc(Fraction(1, m ** e))
+                low = layer.get(m - 1)
+                if low is not None:
+                    acc = acc + low
+                acc = v * acc
+                val = acc
+            if not val.is_zero():
+                nxt[m] = val * sc(Fraction(1, m ** e))
         layer = nxt
     return layer
 
@@ -490,12 +511,23 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
                 continue
             yield tuple(a), total
 
+    def powers(x: Scalar) -> list[Scalar]:
+        """x^0 .. x^bound, with 0**0 = 1."""
+        out = [ONE]
+        for _ in range(bound):
+            out.append(out[-1] * x)
+        return out
+
+    # every exponent below lies in 0..bound
+    t_pow = powers(t)
+    v_pow = [powers(v) for v in vs]
+
     def prod_term(a: tuple[int, ...], skip: Optional[int]) -> Scalar:
         out = ONE
         for kk in range(d):
             if kk == skip:
                 continue
-            out = out * vs[kk] ** (a[kk] - m_minus[kk]) * sc(Fraction(1, a[kk]))
+            out = out * v_pow[kk][a[kk] - m_minus[kk]] * sc(Fraction(1, a[kk]))
         return out
 
     def conn(a: tuple[int, ...]) -> Scalar:
@@ -506,14 +538,14 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
         part = sc(0)
         for a, total in shells([kk for kk in range(d) if kk != i],
                                {i: m_minus[i]}, q, bound, include_hi=False):
-            part = part + conn(a) * prod_term(a, i) * t ** (total - q)
+            part = part + conn(a) * prod_term(a, i) * t_pow[total - q]
         lhs = lhs + part
     lhs = lhs * inv_mp
 
     for i in range(n - d):
         part = sc(0)
         for a, total in shells(list(range(d)), {}, q, bound, include_hi=False):
-            part = part + conn(a) * prod_term(a, None) * t ** (total - q)
+            part = part + conn(a) * prod_term(a, None) * t_pow[total - q]
         lhs = lhs - part * sc(Fraction(m_plus[i], prod_mp))
 
     rhs = sc(0)
@@ -523,7 +555,7 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
 
     boundary = sc(0)
     for a, total in shells(list(range(d)), {}, bound, bound, include_hi=True):
-        boundary = boundary + conn(a) * prod_term(a, None) * t ** (bound - q)
+        boundary = boundary + conn(a) * prod_term(a, None) * t_pow[bound - q]
     rhs = rhs + boundary * sc(Fraction(bound, prod_mp))
 
     return lhs == rhs

@@ -90,6 +90,8 @@ def test_examples_command(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out[0]["ok"] is True
     assert main(["examples", "--name", "cloitre", "--bound", "0"]) == 2
+    # dilog's sides are pure polylogs and take no bound, yet 0 is still rejected
+    assert main(["examples", "--name", "dilog", "--bound", "0"]) == 2
     capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 import types
@@ -134,6 +135,56 @@ def test_bound_below_one_rejected():
             eval_zterm(t, bound)
         with pytest.raises(DomainError):
             eval_mpl(MplTerm("shuffle", (2,), (ONE,)), bound)
+    # a bound below the depth leaves no index chain: zeta(1,2) would read 0
+    with pytest.raises(DomainError):
+        eval_mpl(MplTerm("shuffle", (1, 2), (ONE, ONE)), 1)
+
+
+def _nested_sum(letters, bound, kind):
+    """Brute-force chain mass by top index, one index tuple at a time."""
+    depth = len(letters)
+    tuples = (itertools.combinations_with_replacement if kind == "weak"
+              else itertools.combinations)(range(1, bound + 1), depth)
+    out = {}
+    for idx in tuples:
+        val, prev = ONE, 0
+        for (v, e), m in zip(letters, idx):
+            val = val * v ** (m if kind == "harmonic" else m - prev) * sc(F(1, m ** e))
+            prev = m
+        out[idx[-1]] = out.get(idx[-1], sc(0)) + val
+    return {m: val for m, val in out.items() if not val.is_zero()}
+
+
+def test_exact_chain_matches_nested_sum():
+    rng = random.Random(808)
+    pool = [sc(-1), sc(0, 1), sc(F(3, 5), F(4, 5)), ONE, sc(F(1, 2)), sc(F(-1, 3), F(1, 3))]
+    for kind in ("strict", "weak", "harmonic"):
+        for depth in (1, 2, 3):
+            for _ in range(4):
+                letters = [(rng.choice(pool), rng.randint(1, 2)) for _ in range(depth)]
+                bound = rng.randint(depth, 8)
+                assert numeric._exact_chain(letters, bound, kind) == \
+                    _nested_sum(letters, bound, kind), (kind, letters, bound)
+
+
+def test_exact_chain_linear_in_bound(monkeypatch):
+    # the running sum does O(bound * depth) multiplications; a pairwise sum
+    # over levels would grow about fourfold when the bound doubles
+    calls = [0]
+    mul = Scalar.__mul__
+
+    def counting_mul(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    term = MplTerm("shuffle", (1, 2, 1), (sc(F(1, 2)), sc(-1), sc(F(3, 5), F(4, 5))))
+    counts = []
+    for bound in (30, 60):
+        calls[0] = 0
+        eval_mpl_partial_exact(term, bound)
+        counts.append(calls[0])
+    assert counts[1] <= 2.5 * counts[0], counts
 
 
 def _reached(fn):
@@ -169,7 +220,8 @@ def _float_code(reached):
 def test_exact_oracles_share_no_float_code():
     # a certificate means something only while the exact oracles stay
     # independent of the float evaluators they check
-    for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact, numeric._exact_chain):
+    for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact, numeric._exact_chain,
+               telescoping_check):
         assert _float_code(_reached(fn)) == [], fn.__name__
     for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact):
         assert any(obj is numeric._exact_chain for _, obj in _reached(fn))
