@@ -6,8 +6,11 @@ convolution so no factorial ever overflows, and closed with the bar-chain
 weight.  For components whose outermost letter is (1, k) over an all-ones
 bar, the single-escape rows beyond the cap admit closed-form or windowed
 tail sums built from exact factorial telescoping; those corrections are
-folded into the value and their residuals into the tail estimate.  All other
-tail estimates are heuristic and reported as such.
+folded into the value and their residuals into the tail estimate.  The
+convolution keeps only the connector weights near its two edges; the mass
+it drops, and that of the rows no escape correction covers (two tops past
+the cap, or one past it while the others total more than the escape
+cut-off), enter the tail through proved bounds.  All other tail estimates are heuristic and reported as such.
 """
 from __future__ import annotations
 
@@ -35,6 +38,9 @@ from .records import EvalReport, Relation, VerifyReport
 from .scalars import ONE, Scalar, reciprocal_sum, sc
 
 _KERNEL_WINDOW = 20_000  # escape-row window before the telescoped remainder
+# connector weights kept at each edge of a convolution: the dropped middle
+# weighs at most 1/C(2B+2, B+1), about 4e-36, and is bounded in the tail
+_BAND = 60
 
 
 def connector(a: Sequence[int]) -> Fraction:
@@ -78,65 +84,165 @@ def _chain(letters, bound: int, weak: bool = False) -> tuple[np.ndarray, np.ndar
             acc = lfilter([1.0], [1.0, -z], below)
         else:
             acc = lfilter([0.0, z], [1.0, -z], below)
-        layer = np.zeros_like(below)
-        # dividing in place keeps the peak at three layers although below
-        # stays alive
-        np.divide(acc[1:], ms[1:] ** e, out=layer[1:])
+        # the filter output, divided in place, becomes the new layer: no
+        # further full-length array, although below stays alive
+        acc[0] = 0.0
+        np.divide(acc[1:], ms[1:] ** e, out=acc[1:])
+        layer = acc
     return layer, below
 
 
-def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int) -> np.ndarray:
-    """out[T] = sum_m g[T-m] a[m] (T-m)! m! / T!, m = 1..cap."""
-    glf_g = _glf(np.arange(g.size))
-    glf_a = _glf(np.arange(a.size))
-    out = np.zeros(g.size + cap, dtype=np.complex128)
-    glf_t = _glf(np.arange(out.size))
-    for t in range(2, out.size):
-        lo, hi = max(1, t - g.size + 1), min(cap, t - 1)
-        if lo > hi:
-            continue
-        m = np.arange(lo, hi + 1)
-        weights = np.exp(glf_g[t - m] + glf_a[m] - glf_t[t])
-        out[t] = np.sum(g[t - m] * a[m] * weights)
+def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int, lf: np.ndarray,
+                size: Optional[int] = None) -> tuple[np.ndarray, float]:
+    """Banded out[T] = sum_m g[T-m] a[m] (T-m)! m! / T!, m = 1..cap, T < size.
+
+    Only the splits with m <= B or T-m <= B (B = _BAND) are summed, one edge
+    offset at a time and vectorised over T, so the cost is O(size * B).  A
+    dropped split has both parts above B, so its weight is at most
+    1/C(T, B+1), and it needs T >= 2B+2.  Returns (out, k): the mass dropped
+    at T is at most k * _past_edges(lf, B+1, out.size)[T], with
+    k = max_{s>B} |g[s]| * sum_{m>B} |a[m]|.  a has cap+1 entries; lf[x] =
+    log(x!) for every x < out.size.
+    """
+    n_out = g.size + cap if size is None else min(size, g.size + cap)
+    out = np.zeros(n_out, dtype=np.complex128)
+    # the m <= B edge: T = s + m over every s >= 1
+    for m in range(1, min(cap, _BAND, n_out - 2) + 1):
+        s = slice(1, min(g.size, n_out - m))
+        ts = slice(1 + m, s.stop + m)
+        out[ts] += g[s] * a[m] * np.exp((lf[s] + lf[m]) - lf[ts])
+    # the s <= B edge over the m > B not summed above
+    for s in range(1, min(g.size - 1, _BAND, n_out - _BAND - 2) + 1):
+        m = slice(_BAND + 1, min(cap + 1, n_out - s))
+        ts = slice(m.start + s, m.stop + s)
+        out[ts] += g[s] * a[m] * np.exp((lf[s] + lf[m]) - lf[ts])
+    k = float(np.max(np.abs(g[_BAND + 1:]), initial=0.0)) * \
+        float(np.sum(np.abs(a[_BAND + 1:cap + 1])))
+    return out, k
+
+
+def _past_edges(lf: np.ndarray, j: int, size: int) -> np.ndarray:
+    """1/C(T, j) for T < size, zero for T < 2j.
+
+    A split T = s + m with both parts >= j has connector weight at most
+    1/C(T, j), and it exists only for T >= 2j.  lf[x] = log(x!) for x < size.
+    """
+    out = np.zeros(size, dtype=np.float64)
+    if size > 2 * j:
+        out[2 * j:] = np.exp((lf[j] + lf[j:size - j]) - lf[2 * j:size])
     return out
 
 
-def _phi(m: int, r: int) -> float:
+def _connect(tops: Sequence[np.ndarray], cap: int, lf: np.ndarray,
+             size: Optional[int] = None) -> tuple[np.ndarray, float]:
+    """Connector-weighted convolution of the component arrays, T < size.
+
+    Returns (out, k): out[T] is off by at most
+    k * _past_edges(lf, B+1, out.size)[T].
+    An input error e[s] <= k / C(s, B+1) stays of that form through the next
+    weight 1/C(T, m): C(T, m) C(T-m, B+1) = C(T, B+1) C(T-B-1, m) >=
+    C(T, B+1), so it adds at most k * sum|a| / C(T, B+1).
+    """
+    out, k = tops[0][:size], 0.0
+    for a in tops[1:]:
+        out, drop = _binom_conv(out, a, cap, lf, size)
+        k = k * float(np.sum(np.abs(a))) + drop
+    return out, k
+
+
+def _phi(lf: np.ndarray, m: int, r: int) -> float:
     """sum_{u>m} (u-1)!/(u+r)! = m!/(r (m+r)!), exact telescoping (r >= 1)."""
-    return math.exp(float(_glf(m) - _glf(m + r))) / r
+    return math.exp(float(lf[m] - lf[m + r])) / r
 
 
-def _escape_kernel(bar: Pair, w_ext: np.ndarray, cap: int, r_other: int,
+def _escape_kernel(bar: Pair, w_ext: np.ndarray, lf: np.ndarray, cap: int, r_other: int,
                    k_top: int, z: complex) -> tuple[complex, float]:
     """(value, residual bound) for sum_{m>cap} (m-1)! r!/(m+r)! z^m W(m+r)/m^(k-1).
 
     For z = 1 the all-ones bars of shapes (1) and (1,1) with k = 1 have exact
     closed forms; every other case is a phase-carrying window plus a frozen-W
     telescoped remainder (added to the value only when z = 1, where the
-    remainder terms share one sign).
+    remainder terms share one sign).  lf[x] = log(x!) covers w_ext's indices.
     """
     r = r_other
-    rfac = math.exp(float(_glf(r)))
+    rfac = math.exp(float(lf[r]))
     ones = all(v.is_one() for v in bar.z)
     if z == 1 and k_top == 1 and ones and bar.k == (1,):
-        return complex(rfac * _phi(cap, r)), 0.0
+        return complex(rfac * _phi(lf, cap, r)), 0.0
     if z == 1 and k_top == 1 and ones and bar.k == (1, 1):
-        val = rfac * (_phi(cap, r) * _harmonic(cap + r + 1) + _phi(cap + 1, r) / r)
+        val = rfac * (_phi(lf, cap, r) * _harmonic(cap + r + 1) + _phi(lf, cap + 1, r) / r)
         return complex(val), 0.0
     b = cap + _KERNEL_WINDOW
-    m = np.arange(cap + 1, b + 1, dtype=np.float64)
-    logs = _glf(m - 1) + float(_glf(r)) - _glf(m + r)
-    terms = np.exp(logs) * w_ext[(m + r).astype(np.int64)] / m ** (k_top - 1)
+    mi = np.arange(cap + 1, b + 1)
+    m = mi.astype(np.float64)
+    logs = lf[mi - 1] + lf[r] - lf[mi + r]
+    terms = np.exp(logs) * w_ext[mi + r] / m ** (k_top - 1)
     if z != 1:
         terms = terms * np.power(z, m)
     val = complex(np.sum(terms))
     w_end = complex(w_ext[min(b + r, w_ext.size - 1)])
     w_probe = complex(w_ext[min(2 * b // 3 + r, w_ext.size - 1)])
-    rem = rfac * _phi(b, r) * w_end / float(b) ** (k_top - 1)
-    resid = rfac * _phi(b, r) * (abs(w_end - w_probe) + abs(w_end) / b)
+    rem = rfac * _phi(lf, b, r) * w_end / float(b) ** (k_top - 1)
+    resid = rfac * _phi(lf, b, r) * (abs(w_end - w_probe) + abs(w_end) / b)
     if z == 1:
         return val + rem, float(resid)
     return val, float(abs(rem)) + float(resid)
+
+
+def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, lf: np.ndarray,
+                     w: np.ndarray) -> float:
+    """Bound on the rows that neither the capped sum nor the escape rows cover.
+
+    Those are (a) the rows where two or more component tops exceed cap, and
+    (b) the rows where one top m_j exceeds cap and the others, each at most
+    cap, total more than r_cut.  In both, T splits into two parts of at least
+    J (J = cap+1 in (a), min(cap, r_cut)+1 in (b)), so the connector weight
+    is at most 1/C(T, J) (_past_edges).  With every variable in the closed
+    disk and every exponent >= 1, a component top of depth d at m <= T is at
+    most H_T^(d-1) / m.  Writing 1/(m_1...m_n) = (m_1+...+m_n)/(T m_1...m_n)
+    and summing each free top over its range (D = sum of the depths, H = H_T):
+
+      (a) one pair escaped, tops in (cap, T-cap-1] with harmonic mass
+          delta = H_(T-cap-1) - H_cap:  H^(D-3) (delta/T) (2H + (n-2) delta);
+      (b) one top escaped, in (cap, T-r_cut-1] (mass delta_b), the others'
+          mass S <= H_cap^(n-1) - H_(r_cut div (n-1))^(n-1):
+          H^(D-n) (S + (n-1) delta_b H_cap^(n-2)) / T;
+
+    times |W[T]|, over the C(n, 2) pairs and the n tops; rows are summed for
+    T < 2 lo + 64 (lo the least row total of the region).  Past that the
+    bar weight is at most T^(1-e) H_T^(d-1) (e its top exponent, d its
+    depth), so each row total is at most n (1 + ln T)^q / T with
+    q = D + d - 2, which decreases once ln T >= q - 1; the reciprocal
+    binomials sum in closed form, sum_{T>=N} 1/C(T, J) = J/((J-1) C(N-1, J-1)).
+    """
+    n = t.arity
+    depth = sum(p.dep for p in t.components)
+    q = depth + t.bar.dep - 2
+
+    def region(j: int, lo: int, rows) -> float:
+        end = min(w.size, 2 * lo + 64)
+        harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, end, dtype=np.float64))))
+        ts = np.arange(lo, end)
+        inside = np.sum(rows(ts, harm) * np.abs(w[lo:end]) * _past_edges(lf, j, end)[lo:])
+        x = max(float(end), math.exp(q - 1))
+        far = n * (1.0 + math.log(x)) ** q / x * \
+            j / (j - 1) * math.exp(lf[j - 1] + lf[end - j] - lf[end - 1])
+        return float(inside) + far
+
+    def pair_rows(ts, harm):
+        h, delta = harm[ts], harm[ts - cap - 1] - harm[cap]
+        return h ** (depth - 3) * (delta / ts) * (2.0 * h + (n - 2) * delta)
+
+    def one_rows(ts, harm):
+        h_cap = harm[cap]
+        mass = h_cap ** (n - 1) - harm[r_cut // (n - 1)] ** (n - 1)
+        delta = harm[ts - r_cut - 1] - h_cap
+        return harm[ts] ** (depth - n) * (mass + (n - 1) * delta * h_cap ** (n - 2)) / ts
+
+    out = math.comb(n, 2) * region(cap + 1, 2 * cap + 2, pair_rows)
+    if (n - 1) * cap > r_cut:
+        out += n * region(min(cap, r_cut) + 1, cap + r_cut + 2, one_rows)
+    return out
 
 
 def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
@@ -159,18 +265,19 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
     cap = bound
     r_cut = max(2, int(45.0 / max(math.log(cap), 1.0))) + n
     t_ext = n * cap + _KERNEL_WINDOW + r_cut + 2
+    lf = _glf(np.arange(t_ext + 1))  # log(x!) for every index below
     # W[T] = T * (bar-chain mass ending exactly at T)
     w = _chain(t.bar.letters(), t_ext, weak=True)[0] * np.arange(t_ext + 1, dtype=np.float64)
 
     chains = [_chain(p.letters(), cap) for p in t.components]
     tops = [top for top, _ in chains]
-    g = tops[0].copy()
-    for a in tops[1:]:
-        g = _binom_conv(g, a, cap)
+    g, k = _connect(tops, cap, lf)
     raw = complex(np.sum(g * w[:g.size]))
 
     value = raw
-    tail = 0.0
+    tail = k * float(np.sum(np.abs(w[:g.size]) * _past_edges(lf, _BAND + 1, g.size)))
+    if n >= 2:
+        tail += _uncovered_bound(t, cap, r_cut, lf, w)
     for j, p in enumerate(t.components):
         z_top, k_top = p.z[-1], p.k[-1]
         az = complex(z_top)
@@ -207,18 +314,17 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
                 tail += abs(row) + rem_est
             continue
 
-        others = tops[:j] + tops[j + 1:]
-        o = others[0].copy()
-        for a in others[1:]:
-            o = _binom_conv(o, a, cap)
+        # the escape rows read the other components' product only up to r_cut
+        o, k_o = _connect(tops[:j] + tops[j + 1:], cap, lf, r_cut + 1)
+        o_err = k_o * _past_edges(lf, _BAND + 1, o.size)
         correction = 0j
         resid = 0.0
         for r in range(max(1, n - 1), min(r_cut, o.size - 1) + 1):
-            if o[r] == 0:
+            if o[r] == 0 and o_err[r] == 0:
                 continue
-            kv, kr = _escape_kernel(t.bar, w, cap, r, k_top, az)
+            kv, kr = _escape_kernel(t.bar, w, lf, cap, r, k_top, az)
             correction += o[r] * ghat * kv
-            resid += abs(o[r]) * abs(ghat) * kr
+            resid += (abs(o[r]) * kr + o_err[r] * abs(kv)) * abs(ghat)
         if tail_completion:
             value += correction
             scale = abs(correction) / abs(ghat) if ghat != 0 else 0.0

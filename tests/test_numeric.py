@@ -5,6 +5,7 @@ import random
 import types
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from connsum import numeric
@@ -185,6 +186,85 @@ def test_exact_chain_linear_in_bound(monkeypatch):
         eval_mpl_partial_exact(term, bound)
         counts.append(calls[0])
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+def _binom_conv_reference(g, a, cap):
+    """The full per-T loop: out[T] = sum_m g[T-m] a[m] (T-m)! m! / T!, m = 1..cap."""
+    out = np.zeros(g.size + cap, dtype=np.complex128)
+    for t in range(2, out.size):
+        m = np.arange(max(1, t - g.size + 1), min(cap, t - 1) + 1)
+        weights = np.exp(numeric._glf(t - m) + numeric._glf(m) - numeric._glf(t))
+        out[t] = np.sum(g[t - m] * a[m] * weights)
+    return out
+
+
+def test_binom_conv_matches_full_loop():
+    rng = np.random.default_rng(404)
+    band = numeric._BAND
+    lf = numeric._glf(np.arange(8 * band))
+    seen_drop = False
+    for g_size, cap, middle in [(2 * band + 2, 2 * band + 1, False), (3 * band, band + 7, False),
+                                (band - 3, 2 * band + 2, False), (2 * band + 5, band - 5, False),
+                                (band - 1, band - 2, False), (3 * band, 2 * band, True)]:
+        g = rng.normal(size=g_size) + 1j * rng.normal(size=g_size)
+        a = rng.normal(size=cap + 1) + 1j * rng.normal(size=cap + 1)
+        g[0] = a[0] = 0
+        if middle:  # only splits with both parts above the band: all dropped
+            g[:band + 1] = 0
+            a[:band + 1] = 0
+        out, k = numeric._binom_conv(g, a, cap, lf)
+        ref = _binom_conv_reference(g, a, cap)
+        scale = np.abs(_binom_conv_reference(np.abs(g), np.abs(a), cap))
+        drop = k * numeric._past_edges(lf, band + 1, out.size)
+        assert out.size == ref.size
+        assert np.all(drop[:2 * band + 2] == 0)
+        assert np.all(np.abs(out - ref) <= drop + 1e-13 * scale), (g_size, cap)
+        seen_drop |= bool(np.any(np.abs(ref) > 1e-13 * scale + 1e-300) and middle)
+        for size in (1, band, 2 * band + 3):
+            head, _ = numeric._binom_conv(g, a, cap, lf, size)
+            assert np.array_equal(head, out[:size])
+    assert seen_drop
+
+
+def test_connector_convolution_linear_in_bound(monkeypatch):
+    # the full convolution evaluates one connector weight per (T, m) pair, so
+    # its cost grows with the square of the cap; the banded one grows linearly
+    counted, inside = [0], [False]
+    exp, conv = np.exp, numeric._binom_conv
+
+    def counting_exp(x, *args, **kwargs):
+        if inside[0]:
+            counted[0] += np.size(x)
+        return exp(x, *args, **kwargs)
+
+    def counting_conv(*args, **kwargs):
+        inside[0] = True
+        try:
+            return conv(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    monkeypatch.setattr(numeric, "_binom_conv", counting_conv)
+    term = zterm([Pair.ones((1,))] * 3, Pair.ones((1, 1)))
+    counts = []
+    for bound in (400, 1600):
+        counted[0] = 0
+        eval_zterm(term, bound)
+        counts.append(counted[0])
+    assert counts[1] <= 4.5 * counts[0], counts
+
+
+def test_zterm_tail_covers_the_error():
+    # rows with two tops above the cap, or one above it and the others past
+    # r_cut, are left out of the value and must be bounded in the tail
+    comps = [Pair.ones((1,)), Pair.ones((1,))]
+    for bar in ((1,), (1, 1), (2, 1)):
+        t = zterm(comps, Pair.ones(bar))
+        ref = PI ** 2 / 6 if bar == (1,) else eval_zterm(t, 1600).value
+        for bound in range(1, 61):
+            rep = eval_zterm(t, bound)
+            assert abs(rep.value - ref) <= rep.tail_estimate, (bar, bound)
 
 
 def _reached(fn):
