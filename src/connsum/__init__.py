@@ -43,7 +43,6 @@ from .transport import (
 )
 from .ohno import (
     HSeries,
-    LiftBlocks,
     X,
     algebraic_ohno_check,
     apply_map,
@@ -51,7 +50,6 @@ from .ohno import (
     in_a0,
     in_a1,
     insert_lift,
-    lift_blocks,
     lift_sum,
     multi_term_relations,
     ohno_relation,
@@ -60,7 +58,6 @@ from .ohno import (
 )
 from .numeric import (
     connector,
-    connector_log,
     eval_mpl,
     eval_mpl_auto,
     eval_mpl_partial_exact,

@@ -34,9 +34,9 @@ def iota(z: tuple[Scalar, ...]) -> int:
 
 
 def in_ball_at_one(v: Scalar) -> bool:
-    if v.is_inf:
-        return True
-    if v.is_zero() or not v.in_closed_disk():
+    """Finite nonzero v with |v| <= 1 and Re(v) <= 1/2, or v = 1: the pair
+    variables of the dual condition and the letters e_v of the word algebra."""
+    if v.is_inf or v.is_zero() or not v.in_closed_disk():
         return False
     return v.re_leq_half() or v.is_one()
 

@@ -10,7 +10,10 @@ folded into the value and their residuals into the tail estimate.  The
 convolution keeps only the connector weights near its two edges; the mass
 it drops, and that of the rows no escape correction covers (two tops past
 the cap, or one past it while the others total more than the escape
-cut-off), enter the tail through proved bounds.  All other tail estimates are heuristic and reported as such.
+cut-off), enter the tail through proved bounds.  So do the arity-1 rows past
+the escape window wherever the component and bar exponents make their
+majorant summable.  All other tail estimates are heuristic and reported as
+such.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaincc, gammaln
 from scipy.special import zeta as hurwitz_zeta
 
 from .boundary import harmonic_to_shuffle
@@ -50,11 +53,6 @@ def connector(a: Sequence[int]) -> Fraction:
     for x in a:
         num *= math.factorial(x)
     return Fraction(num, math.factorial(total))
-
-
-def connector_log(a: Sequence[int]) -> float:
-    """log of the connector, safe for arguments far beyond factorial range."""
-    return float(sum(gammaln(x + 1) for x in a) - gammaln(sum(a) + 1))
 
 
 def _glf(x):
@@ -245,6 +243,27 @@ def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, lf: np.ndarray,
     return out
 
 
+def _rows_past(depth: int, k: int, bar: Pair, b: int) -> Optional[float]:
+    """Proved bound on the arity-1 rows past b, or None where none is derived.
+
+    A component top of depth d_c at m is at most H_m^(d_c-1) / m^k, and the
+    bar weight |W[m]| is at most m^(1-e) H_m^(d_b-1) (e the bar's top
+    exponent, d_b its depth), so row m is at most (1 + ln m)^q m^(-s) with
+    q = d_c + d_b - 2, s = k + e - 1.  For s > 1, where that decreases past b
+    (q < s (1 + ln b)), the rows sum to at most the integral from b:
+    e^(s-1) (s-1)^(-q-1) Gamma(q+1, (s-1)(1 + ln b)).
+    """
+    q = depth + bar.dep - 2
+    s = k + bar.k[-1] - 1
+    lb = 1.0 + math.log(b)
+    if s <= 1 or q >= s * lb:
+        return None
+    upper = float(gammaincc(q + 1, (s - 1) * lb))  # regularised: Gamma(q+1, x) / q!
+    if upper == 0.0:
+        return 0.0
+    return math.exp(s - 1 - (q + 1) * math.log(s - 1) + math.lgamma(q + 1) + math.log(upper))
+
+
 def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
                tail_completion: bool = True) -> EvalReport:
     """Evaluate a connected-sum term with every component top capped at bound.
@@ -258,6 +277,9 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
     if t.is_structurally_zero():
         return EvalReport(0j, bound, 0.0, True)
     t = drop_all_empty_components(t)  # arity reduction, value-preserving
+    depth = max(p.dep for p in t.components)
+    if bound < depth:
+        raise DomainError(f"truncation bound {bound} is below the component depth {depth}")
     if not is_convergent(t):
         raise DivergentInput(f"{t} does not converge absolutely")
     coef = complex(float(t.coef))
@@ -295,8 +317,10 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
             m = np.arange(cap + 1, b + 1, dtype=np.float64)
             zs = np.power(az, m)
             row = complex(np.sum(zs * w[m.astype(np.int64)] / m ** k_top)) * ghat
-            keff = max(k_top - 1, 1)
-            rem_est = abs(ghat) * abs(w[b]) / (keff * float(b) ** keff)
+            rem_est = _rows_past(p.dep, k_top, t.bar, b)
+            if rem_est is None:
+                keff = max(k_top - 1, 1)
+                rem_est = abs(ghat) * abs(w[b]) / (keff * float(b) ** keff)
             if tail_completion:
                 value += row
                 tail += drift * (abs(row) / abs(ghat) if ghat != 0 else 0.0)

@@ -1,10 +1,12 @@
 """Word algebra over letters {x, e_z} with truncated t-power series.
 
 Words encode polylog arguments: e_{z_1} x^{k_1-1} ... e_{z_r} x^{k_r-1}
-corresponds to the pair (z, k).  Two automorphisms and two anti-automorphisms
-act on the series ring by geometric-series substitution on letters; composing
-them turns the transport/boundary machinery into lift-by-h relations, checked
-both through the series route and through a direct combinatorial expansion.
+corresponds to the pair (z, k).  A series is one sparse map from
+(degree, word) to a nonzero rational coefficient, truncated at its order.
+Two automorphisms and two anti-automorphisms act on the series ring by
+geometric-series substitution on letters; composing them turns the
+transport/boundary machinery into lift-by-h relations, checked both through
+the series route and through a direct combinatorial expansion.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .boundary import boundary_reduce_all
-from .duality import dagger, dual_condition, iota
+from .duality import dagger, dual_condition, in_ball_at_one, iota
 from .errors import (
     AlphabetViolation,
     DualConditionViolated,
@@ -48,16 +50,9 @@ Letter = Union[_XLetter, Scalar]
 Word = tuple[Letter, ...]
 
 
-def letter_allowed(z: Scalar) -> bool:
-    """e_z exists for finite nonzero z with |z| <= 1 and Re(z) <= 1/2, or z = 1."""
-    if z.is_inf or z.is_zero() or not z.in_closed_disk():
-        return False
-    return z.re_leq_half() or z.is_one()
-
-
 def _check_word(w: Word) -> None:
     for letter in w:
-        if isinstance(letter, Scalar) and not letter_allowed(letter):
+        if isinstance(letter, Scalar) and not in_ball_at_one(letter):
             raise AlphabetViolation(f"letter variable {letter} outside the alphabet")
 
 
@@ -82,7 +77,7 @@ def in_a0(w: Word) -> bool:
 def word_of_pair(p: Pair) -> Word:
     out: list[Letter] = []
     for v, e in p.letters():
-        if not letter_allowed(v):
+        if not in_ball_at_one(v):
             raise AlphabetViolation(f"pair variable {v} outside the alphabet")
         out.append(v)
         out.extend([X] * (e - 1))
@@ -107,128 +102,89 @@ Poly = dict[Word, Fraction]
 
 @dataclass(frozen=True)
 class HSeries:
-    """Truncated formal t-power series with word-combination coefficients."""
+    """Truncated formal t-power series with word-combination coefficients.
+
+    terms maps (degree, word) to its coefficient.  Every degree is at most
+    order and no coefficient is zero, so == is series equality.
+    """
 
     order: int
-    coeffs: tuple[tuple[int, tuple[tuple[Word, Fraction], ...]], ...]
+    terms: dict[tuple[int, Word], Fraction]
 
     @staticmethod
-    def make(order: int, data: dict[int, Poly]) -> "HSeries":
+    def make(order: int, items: Iterable[tuple[tuple[int, Word], Fraction]]) -> "HSeries":
+        """Sum the items, dropping degrees past order and zero coefficients."""
         if order < 0:
             raise TruncationTooSmall("truncation order must be >= 0")
-        rows = []
-        for deg in sorted(data):
-            if deg > order:
-                continue
-            row = tuple(sorted(
-                ((w, c) for w, c in data[deg].items() if c != 0),
-                key=lambda wc: (len(wc[0]), repr(wc[0])),
-            ))
-            if row:
-                rows.append((deg, row))
-        return HSeries(order, tuple(rows))
-
-    def data(self) -> dict[int, Poly]:
-        return {deg: dict(row) for deg, row in self.coeffs}
-
-    @staticmethod
-    def zero(order: int) -> "HSeries":
-        return HSeries.make(order, {})
-
-    @staticmethod
-    def one(order: int) -> "HSeries":
-        return HSeries.make(order, {0: {(): Fraction(1)}})
+        terms: dict[tuple[int, Word], Fraction] = {}
+        for key, c in items:
+            if key[0] <= order:
+                terms[key] = terms.get(key, 0) + c
+        return HSeries(order, {key: c for key, c in terms.items() if c != 0})
 
     @staticmethod
     def from_word(w: Word, order: int, deg: int = 0, coef=1) -> "HSeries":
         _check_word(w)
-        return HSeries.make(order, {deg: {tuple(w): Fraction(coef)}})
+        return HSeries.make(order, [((deg, tuple(w)), Fraction(coef))])
 
     def __add__(self, other: "HSeries") -> "HSeries":
-        out = self.data()
-        for deg, row in other.data().items():
-            dst = out.setdefault(deg, {})
-            for w, c in row.items():
-                dst[w] = dst.get(w, Fraction(0)) + c
-        return HSeries.make(self.order, out)
+        return HSeries.make(self.order, itertools.chain(self.terms.items(), other.terms.items()))
 
     def scaled(self, c) -> "HSeries":
         c = Fraction(c)
-        return HSeries.make(self.order, {
-            deg: {w: co * c for w, co in row.items()} for deg, row in self.data().items()
-        })
+        return HSeries.make(self.order, ((key, co * c) for key, co in self.terms.items()))
 
     def __mul__(self, other: "HSeries") -> "HSeries":
-        out: dict[int, Poly] = {}
-        for d1, row1 in self.data().items():
-            for d2, row2 in other.data().items():
-                if d1 + d2 > self.order:
-                    continue
-                dst = out.setdefault(d1 + d2, {})
-                for w1, c1 in row1.items():
-                    for w2, c2 in row2.items():
-                        w = w1 + w2
-                        dst[w] = dst.get(w, Fraction(0)) + c1 * c2
-        return HSeries.make(self.order, out)
+        return HSeries.make(self.order, (
+            ((d1 + d2, w1 + w2), c1 * c2)
+            for (d1, w1), c1 in self.terms.items()
+            for (d2, w2), c2 in other.terms.items()
+            if d1 + d2 <= self.order
+        ))
 
     def degree_words(self, deg: int) -> Poly:
-        for d, row in self.coeffs:
-            if d == deg:
-                return dict(row)
-        return {}
+        return {w: c for (d, w), c in self.terms.items() if d == deg}
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         chunks = []
-        for deg, row in self.coeffs:
-            for w, c in row:
-                word = "".join(repr(l) if isinstance(l, _XLetter) else f"e[{l}]" for l in w) or "1"
-                chunks.append(f"{c}*{word}*t^{deg}" if deg else f"{c}*{word}")
+        for (deg, w), c in sorted(self.terms.items(),
+                                  key=lambda kc: (kc[0][0], len(kc[0][1]), repr(kc[0][1]))):
+            word = "".join(repr(l) if isinstance(l, _XLetter) else f"e[{l}]" for l in w) or "1"
+            chunks.append(f"{c}*{word}*t^{deg}" if deg else f"{c}*{word}")
         return " + ".join(chunks)
 
 
 def _geometric(letter: Letter, order: int, sign: int, outer: Letter) -> HSeries:
     """outer * (1 - sign * letter * t)^(-1) truncated: sum sign^j outer letter^j t^j."""
-    data: dict[int, Poly] = {}
-    for j in range(order + 1):
-        data[j] = {(outer,) + (letter,) * j: Fraction(sign ** j)}
-    return HSeries.make(order, data)
+    return HSeries.make(order, [((j, (outer,) + (letter,) * j), Fraction(sign ** j))
+                                for j in range(order + 1)])
 
 
-def _image_x(name: str, order: int) -> HSeries:
-    if name in ("sigma", "rho", "sigma_inv", "rho_inv"):
+def _image(name: str, letter: Letter, order: int) -> HSeries:
+    """Image of one letter under a map of MAP_NAMES, truncated at order."""
+    if letter is X:
+        if name == "tau":
+            return HSeries.from_word((ONE,), order)
+        if name == "tau_prime":
+            return _geometric(ONE, order, -1, ONE)
         return HSeries.from_word((X,), order)
-    if name == "tau":
-        return HSeries.from_word((ONE,), order)
-    if name == "tau_prime":
-        return _geometric(ONE, order, -1, ONE)
-    raise AlphabetViolation(f"unknown map {name!r}")
-
-
-def _image_e(name: str, z: Scalar, order: int) -> HSeries:
+    z = letter
+    _check_word((z,))
     if name == "sigma":
         return _geometric(X, order, 1, z)
     if name == "sigma_inv":
-        data = {0: {(z,): Fraction(1)}}
-        if order >= 1:
-            data[1] = {(z, X): Fraction(-1)}
-        return HSeries.make(order, data)
+        return HSeries.make(order, [((0, (z,)), Fraction(1)), ((1, (z, X)), Fraction(-1))])
     if name == "rho":
         return _geometric(z, order, 1, z)
     if name == "rho_inv":
         return _geometric(z, order, -1, z)
-    if name == "tau":
-        if z.is_one():
-            return HSeries.from_word((X,), order)
-        zz = z.mobius()
-        return _geometric(zz, order, 1, zz).scaled(-1)
-    if name == "tau_prime":
-        if z.is_one():
-            return _geometric(X, order, 1, X)
-        zz = z.mobius()
-        return _geometric(zz, order, -1, zz).scaled(-1)
-    raise AlphabetViolation(f"unknown map {name!r}")
+    # tau and tau_prime: the anti-automorphisms, through z -> z/(z-1) off z = 1
+    if z.is_one():
+        return HSeries.from_word((X,), order) if name == "tau" else _geometric(X, order, 1, X)
+    zz = z.mobius()
+    return _geometric(zz, order, 1 if name == "tau" else -1, zz).scaled(-1)
 
 
 _ANTI = {"tau", "tau_prime"}
@@ -236,34 +192,24 @@ MAP_NAMES = ("sigma", "rho", "tau", "tau_prime", "sigma_inv", "rho_inv")
 
 
 def apply_map(name: str, s: HSeries) -> HSeries:
-    """Extend the named (anti-)automorphism from letters to a whole series."""
+    """Extend the named (anti-)automorphism from letters to a whole series.
+
+    Each term c t^deg w becomes c t^deg times the product of its letters'
+    images (reversed for the anti-automorphisms); one make sums them all.
+    """
     if name not in MAP_NAMES:
         raise AlphabetViolation(f"unknown map {name!r}")
     order = s.order
     cache: dict[Letter, HSeries] = {}
-
-    def image(letter: Letter) -> HSeries:
-        if letter not in cache:
-            if isinstance(letter, _XLetter):
-                cache[letter] = _image_x(name, order)
-            else:
-                if not letter_allowed(letter):
-                    raise AlphabetViolation(f"letter {letter} outside the alphabet")
-                cache[letter] = _image_e(name, letter, order)
-        return cache[letter]
-
-    out = HSeries.zero(order)
-    for deg, row in s.data().items():
-        for w, c in row.items():
-            letters = tuple(reversed(w)) if name in _ANTI else w
-            prod = HSeries.one(order)
-            for letter in letters:
-                prod = prod * image(letter)
-            shifted = HSeries.make(order, {
-                d + deg: p for d, p in prod.data().items() if d + deg <= order
-            })
-            out = out + shifted.scaled(c)
-    return out
+    items: list[tuple[tuple[int, Word], Fraction]] = []
+    for (deg, w), c in s.terms.items():
+        prod = HSeries.make(order, [((deg, ()), c)])
+        for letter in (reversed(w) if name in _ANTI else w):
+            if letter not in cache:
+                cache[letter] = _image(name, letter, order)
+            prod = prod * cache[letter]
+        items.extend(prod.terms.items())
+    return HSeries.make(order, items)
 
 
 def words_to_mpl(poly: Poly) -> MplExpr:
@@ -322,55 +268,17 @@ def lift_sum(p: Pair, h: int) -> MplExpr:
     return MplExpr.of(items)
 
 
-@dataclass(frozen=True)
-class LiftBlocks:
-    """Unique split of a pair at its non-1 variables.
-
-    blocks[i] = (all-ones letters, exceptional variable z_i, its exponent
-    l_i); tail holds the closing all-ones letters.  Reassembly is exact and
-    the number of blocks equals the count of non-1 variables.
-    """
-
-    blocks: tuple[tuple[tuple[tuple[Scalar, int], ...], Scalar, int], ...]
-    tail: tuple[tuple[Scalar, int], ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.blocks)
-
-    def reassemble(self) -> Pair:
-        return self.insert((0,) * self.d)
-
-    def insert(self, bs: Sequence[int]) -> Pair:
-        """Prefix each exceptional letter with b_i depth-1 copies of itself."""
-        if len(bs) != self.d:
-            raise PreconditionViolated(
-                f"need {self.d} insertion counts, got {len(bs)}"
-            )
-        letters: list[tuple[Scalar, int]] = []
-        for (ones, v, e), b in zip(self.blocks, bs):
-            letters.extend(ones)
-            letters.extend([(v, 1)] * b)
-            letters.append((v, e))
-        letters.extend(self.tail)
-        return Pair.from_letters(letters)
-
-
-def lift_blocks(p: Pair) -> LiftBlocks:
-    blocks = []
-    ones: list[tuple[Scalar, int]] = []
-    for v, e in p.letters():
-        if v.is_one():
-            ones.append((v, e))
-        else:
-            blocks.append((tuple(ones), v, e))
-            ones = []
-    return LiftBlocks(tuple(blocks), tuple(ones))
-
-
 def insert_lift(p: Pair, bs: Sequence[int]) -> Pair:
-    """Insert b_i depth-1 copies of each exceptional variable before its letter."""
-    return lift_blocks(p).insert(bs)
+    """Insert b_i depth-1 copies of the i-th variable other than 1 before its letter."""
+    if len(bs) != iota(p.z):
+        raise PreconditionViolated(f"need {iota(p.z)} insertion counts, got {len(bs)}")
+    counts = iter(bs)
+    letters: list[tuple[Scalar, int]] = []
+    for v, e in p.letters():
+        if not v.is_one():
+            letters.extend([(v, 1)] * next(counts))
+        letters.append((v, e))
+    return Pair.from_letters(letters)
 
 
 def ohno_relation(p: Pair, h: int) -> Relation:

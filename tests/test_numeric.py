@@ -13,7 +13,6 @@ from connsum.errors import DivergentInput, DomainError, HypothesisViolated, NotC
 from connsum.model import MplExpr, MplTerm, Pair, zterm
 from connsum.numeric import (
     connector,
-    connector_log,
     eval_mpl,
     eval_mpl_auto,
     eval_mpl_partial_exact,
@@ -50,7 +49,6 @@ def test_connector_symmetry_and_bound():
             for x in a:
                 prod *= x
             assert connector(a) <= F(1, prod)
-        assert abs(connector_log(a) - math.log(float(connector(a)))) < 1e-9
 
 
 def test_eval_cloitre():
@@ -139,6 +137,9 @@ def test_bound_below_one_rejected():
     # a bound below the depth leaves no index chain: zeta(1,2) would read 0
     with pytest.raises(DomainError):
         eval_mpl(MplTerm("shuffle", (1, 2), (ONE, ONE)), 1)
+    # likewise for a component deeper than the bound: Z1((1,1)|(2)) = zeta(3)
+    with pytest.raises(DomainError):
+        eval_zterm(zterm([Pair.ones((1, 1))], Pair.ones((2,))), 1)
 
 
 def _nested_sum(letters, bound, kind):
@@ -263,6 +264,16 @@ def test_zterm_tail_covers_the_error():
         t = zterm(comps, Pair.ones(bar))
         ref = PI ** 2 / 6 if bar == (1,) else eval_zterm(t, 1600).value
         for bound in range(1, 61):
+            rep = eval_zterm(t, bound)
+            assert abs(rep.value - ref) <= rep.tail_estimate, (bar, bound)
+
+
+def test_arity_one_tail_covers_the_error():
+    # the rows past the escape window weigh about 1/b over bar (2) and
+    # 1/(2 b^2) over bar (3); the tail must hold them, not a flat-weight guess
+    for bar, ref in (((2,), PI ** 2 / 6), ((3,), Z3)):
+        t = zterm([Pair.ones((1,))], Pair.ones(bar))
+        for bound in range(1, 101):
             rep = eval_zterm(t, bound)
             assert abs(rep.value - ref) <= rep.tail_estimate, (bar, bound)
 

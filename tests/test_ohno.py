@@ -11,6 +11,7 @@ from connsum.errors import (
     GuardViolation,
     NotA0,
     PreconditionViolated,
+    TruncationTooSmall,
 )
 from connsum.model import MplExpr, MplTerm, Pair
 from connsum.numeric import eval_zterm, verify_relation
@@ -108,13 +109,37 @@ def test_map_inverses_and_involutions():
         assert apply_map("tau_prime", apply_map("tau_prime", s)) == s
 
 
+def test_negative_order_rejected():
+    with pytest.raises(TruncationTooSmall):
+        HSeries.from_word((ONE, X), -1)
+
+
+def _assert_invariant(s):
+    assert all(d <= s.order for d, _ in s.terms), s
+    assert all(c != 0 for c in s.terms.values()), s
+
+
+def test_series_invariant_after_cancellation_and_truncation():
+    for _ in range(30):
+        s = HSeries.from_word(rand_word(), 3)
+        # tau is an involution: every intermediate word cancels
+        back = apply_map("tau", apply_map("tau", s))
+        _assert_invariant(back)
+        assert back == s
+        sig = apply_map("sigma", s)
+        prod = sig * sig  # degrees up to 6 before truncation at order 3
+        _assert_invariant(prod)
+        assert prod.degree_words(3) and not prod.degree_words(4)
+        _assert_invariant(sig + sig.scaled(-1))
+        assert (sig + sig.scaled(-1)).terms == {}
+
+
 def test_rho_inv_preserves_a0():
     for _ in range(40):
         w = rand_a0_word()
         out = apply_map("rho_inv", HSeries.from_word(w, 3))
-        for deg, row in out.coeffs:
-            for word, _ in row:
-                assert in_a0(word), (w, word)
+        for deg, word in out.terms:
+            assert in_a0(word), (w, word)
 
 
 def test_sigma_expansion_is_lift():
@@ -275,16 +300,14 @@ def test_eight_term_relation():
 
 
 def test_lift_blocks_reassembly():
+    # inserting nothing before each variable other than 1 gives the pair back
     from connsum.duality import iota
-    from connsum.ohno import lift_blocks
 
     for _ in range(60):
         r = random.randint(0, 5)
         p = Pair(tuple(random.randint(1, 3) for _ in range(r)),
                  tuple(random.choice(LETTER_POOL) for _ in range(r)))
-        blocks = lift_blocks(p)
-        assert blocks.reassemble() == p
-        assert blocks.d == iota(p.z)
+        assert insert_lift(p, (0,) * iota(p.z)) == p
 
 
 def test_boundary_series_word_mass():
