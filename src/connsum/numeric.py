@@ -12,8 +12,14 @@ it drops, and that of the rows no escape correction covers (two tops past
 the cap, or one past it while the others total more than the escape
 cut-off), enter the tail through proved bounds.  So do the arity-1 rows past
 the escape window wherever the component and bar exponents make their
-majorant summable.  All other tail estimates are heuristic and reported as
-such.
+majorant summable.
+
+Every chain above, and every polylogarithm, comes from one kernel, _chain:
+one lfilter recurrence per letter, in float64 when every variable is real and
+complex128 otherwise.  Its returned filter memory lets a polylog sum continue
+through its checkpoints instead of restarting; pure zeta values of depth >= 3
+add the Hurwitz completion (sum of the layer below the top) * zeta(k_r, n+1).
+The other tail estimates are heuristic and not yet labelled as such.
 """
 from __future__ import annotations
 
@@ -44,6 +50,9 @@ _KERNEL_WINDOW = 20_000  # escape-row window before the telescoped remainder
 # connector weights kept at each edge of a convolution: the dropped middle
 # weighs at most 1/C(2B+2, B+1), about 4e-36, and is bounded in the tail
 _BAND = 60
+_MPL_FIRST, _MPL_LAST = 1 << 12, 1 << 21  # eval_mpl_auto's first and last checkpoint
+_DEEP_CHECKPOINTS = (1 << 21, 1 << 23, 1 << 25)  # all-ones depth >= 3
+_DEEP_BLOCK = 1 << 21  # indices per chain block there, to bound memory
 
 
 def connector(a: Sequence[int]) -> Fraction:
@@ -64,30 +73,36 @@ def _harmonic(n: int) -> float:
     return float(digamma(n + 1)) + float(np.euler_gamma)
 
 
-def _chain(letters, bound: int, weak: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Chain mass over top values 0..bound: (last layer, the layer below it).
+def _chain(letters, bound: int, weak: bool = False,
+           resume: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Chain mass over top values start..bound: (last layer, the layer below it, state).
 
-    layer[m] sums the chains of the letters so far whose top index is m, each
-    slot weighted by v^gap / m^e.  Indices strictly increase; weak lets every
-    slot after the first repeat the index below it (the bar chain).
+    layer[m - start] sums the chains of the letters so far whose top index is
+    m, each slot weighted by v^gap / m^e.  Indices strictly increase; weak lets
+    every slot after the first repeat the index below it (the bar chain).
+    start is 0, or with resume (a state returned before) the index after that
+    call's bound: the state holds each letter's lfilter memory.
     """
-    layer = np.zeros(bound + 1, dtype=np.complex128)
-    layer[0] = 1.0
+    letters = list(letters)
+    zs = np.array([complex(v) for v, _ in letters], dtype=np.complex128)
+    if not np.any(zs.imag):
+        zs = zs.real
+    start, memory = resume or (0, [np.zeros(1, zs.dtype)] * len(letters))
+    layer = np.zeros(bound + 1 - start, dtype=zs.dtype)
+    ms = np.arange(start, bound + 1, dtype=np.float64)
+    if start == 0:  # index 0 holds the empty chain; every later layer is 0 there
+        layer[0] = ms[0] = 1.0
     below = layer
-    ms = np.arange(bound + 1, dtype=np.float64)
-    for i, (v, e) in enumerate(letters):
-        z = complex(v)
+    carried = []
+    for i, (z, (_, e), zi) in enumerate(zip(zs, letters, memory)):
         below = layer
-        if weak and i > 0:
-            acc = lfilter([1.0], [1.0, -z], below)
-        else:
-            acc = lfilter([0.0, z], [1.0, -z], below)
+        num = [1.0] if weak and i > 0 else [0.0, z]
+        layer, zf = lfilter(num, [1.0, -z], below, zi=zi)
+        carried.append(zf)
         # the filter output, divided in place, becomes the new layer: no
         # further full-length array, although below stays alive
-        acc[0] = 0.0
-        np.divide(acc[1:], ms[1:] ** e, out=acc[1:])
-        layer = acc
-    return layer, below
+        np.divide(layer, ms ** e, out=layer)
+    return layer, below, (bound + 1, carried)
 
 
 def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int, lf: np.ndarray,
@@ -292,11 +307,9 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
     w = _chain(t.bar.letters(), t_ext, weak=True)[0] * np.arange(t_ext + 1, dtype=np.float64)
 
     chains = [_chain(p.letters(), cap) for p in t.components]
-    tops = [top for top, _ in chains]
+    tops = [c[0] for c in chains]
     g, k = _connect(tops, cap, lf)
-    raw = complex(np.sum(g * w[:g.size]))
-
-    value = raw
+    value = complex(np.sum(g * w[:g.size]))
     tail = k * float(np.sum(np.abs(w[:g.size]) * _past_edges(lf, _BAND + 1, g.size)))
     if n >= 2:
         tail += _uncovered_bound(t, cap, r_cut, lf, w)
@@ -324,14 +337,13 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
             if tail_completion:
                 value += row
                 tail += drift * (abs(row) / abs(ghat) if ghat != 0 else 0.0)
-                if z_top.is_one() and k_top >= 2:
+                if z_top.is_one() and k_top >= 2 and t.bar.z[-1].is_one():
                     # frozen-W remainder; the leftover is one log-slope of the
                     # bar weight per e-fold, estimated from a half-way probe
-                    rem = ghat * complex(w[b]) * float(hurwitz_zeta(k_top, b + 1))
-                    value += rem
+                    hz = float(hurwitz_zeta(k_top, b + 1))
                     slope = abs(complex(w[b]) - complex(w[b // 2])) / math.log(2)
-                    tail += abs(ghat) * (slope + abs(w[b]) / b) * \
-                        float(hurwitz_zeta(k_top, b + 1))
+                    value += ghat * complex(w[b]) * hz
+                    tail += abs(ghat) * (slope + abs(w[b]) / b) * hz
                 else:
                     tail += rem_est
             else:
@@ -356,22 +368,35 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
         else:
             tail += abs(correction) + resid
 
-    report_tail = float(tail) + 1e-13 * (1.0 + abs(value))
-    report_tail = float(abs(coef)) * report_tail
-    return EvalReport(complex(coef * value), bound, report_tail,
-                      bool(report_tail <= tol))
+    report_tail = abs(coef) * float(tail + 1e-13 * (1.0 + abs(value)))
+    return EvalReport(complex(coef * value), bound, report_tail, report_tail <= tol)
 
 
 # ---------------------------------------------------------------------------
 # polylogarithm evaluation
 
 
+def _outer_tail(partial: complex, terms: np.ndarray, n: int) -> tuple[complex, float]:
+    """(value, heuristic tail) of a sum cut at outer index n >= 1.
+
+    partial sums the terms to n; terms ends with those at n-1 and n.  An
+    alternating tail is sharpened by averaging the last two partial sums; any
+    other is extrapolated from the ratio of the last two terms.
+    """
+    a_last, a_prev = complex(terms[-1]), complex(terms[-2])
+    ratio = abs(a_last) / abs(a_prev) if a_prev else 1.0
+    if abs(a_last + a_prev) < 0.5 * (abs(a_last) + abs(a_prev)):  # alternating
+        partial, tail = partial - a_last / 2, abs(a_last) / 2
+    else:
+        tail = abs(a_last) * (ratio / (1.0 - ratio) if ratio < 0.999 else n)
+    return partial, float(tail + 1e-15 * (1.0 + abs(partial)))
+
+
 def eval_mpl(m: MplTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     """Direct nested summation with outer index <= bound.
 
-    An alternating outer tail is sharpened by averaging the last two partial
-    sums; the tail estimate is heuristic.  A bound below the depth leaves no
-    index chain at all, so it is rejected like a bound below 1.
+    The outer tail is estimated by _outer_tail.  A bound below the depth
+    leaves no index chain at all, so it is rejected like a bound below 1.
     """
     if bound < 1:
         raise DomainError(f"truncation bound must be >= 1, got {bound}")
@@ -386,29 +411,11 @@ def eval_mpl(m: MplTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     if m.kind == "harmonic":
         m = harmonic_to_shuffle(m)
     terms = _chain(zip(m.z, m.k), bound)[0]
-    s_full = complex(np.sum(terms))
-    a_last = complex(terms[-1])
-    a_prev = complex(terms[-2]) if bound >= 2 else 0j
-    alternating = (
-        abs(a_last) > 0
-        and abs(a_prev) > 0
-        and abs(a_last + a_prev) < 0.5 * (abs(a_last) + abs(a_prev))
-    )
-    if alternating:
-        value = s_full - a_last / 2
-        tail = abs(a_last) / 2
-    else:
-        value = s_full
-        ratio = abs(a_last) / abs(a_prev) if abs(a_prev) > 0 else 1.0
-        if ratio < 0.999:
-            tail = abs(a_last) * ratio / (1.0 - ratio)
-        else:
-            tail = abs(a_last) * bound
-    tail += 1e-15 * (1.0 + abs(value))
-    return EvalReport(complex(value), bound, float(tail), bool(float(tail) <= tol))
+    value, tail = _outer_tail(complex(np.sum(terms)), terms, bound)
+    return EvalReport(value, bound, tail, tail <= tol)
 
 
-def _mzv_depth2(a: int, b: int) -> tuple[float, float]:
+def _mzv_depth2(a: int, b: int) -> tuple[complex, float]:
     """zeta(a, b) at all-ones variables to near machine precision.
 
     The tail past the partial sum is rebuilt exactly: the inner chain splits
@@ -420,85 +427,77 @@ def _mzv_depth2(a: int, b: int) -> tuple[float, float]:
         raise DivergentInput("depth-2 value needs an admissible top")
     n0 = 100_000
     window = 200_000
-    ms = np.arange(1, n0 + 1, dtype=np.float64)
-    inv_a = ms ** (-float(a))
-    h_prev = np.concatenate(([0.0], np.cumsum(inv_a)[:-1]))
-    partial = float(np.sum(h_prev / ms ** float(b)))
+    top, inner, _ = _chain([(1, a), (1, b)], n0)
+    partial = float(np.sum(top))
     js = np.arange(n0 + 1, n0 + window + 1, dtype=np.float64)
     end = float(js[-1])
     if a == 1:
-        h_n0 = float(np.sum(inv_a))
+        h_n0 = float(np.sum(inner))  # H_n0
         second = float(np.sum(hurwitz_zeta(b, js + 1) / js))
         lead = 1.0 / (b - 1) ** 2
         for c in range(1, b):
             lead /= end + c
         value = partial + h_n0 * float(hurwitz_zeta(b, n0 + 1)) + second + lead
         residual = end ** (-float(b)) + 1e-13
-        return value, residual
+        return complex(value), residual
     za = float(hurwitz_zeta(a, 1))
     cross = float(np.sum(hurwitz_zeta(a, js) / js ** float(b)))
     value = partial + za * float(hurwitz_zeta(b, n0 + 1)) - cross
     residual = 1.5 * float(hurwitz_zeta(a + b - 1, end + 1)) / (a - 1) + 1e-13
-    return value, residual
-
-
-def _all_ones_deep(k: tuple[int, ...], bound: int) -> tuple[float, float]:
-    """Chunked large-bound partial sum for a pure zeta value of depth >= 3.
-
-    The outer tail is completed at the frozen inner partial sum (exact swap
-    at the cut, Hurwitz zeta for the remaining single sum); what is left is
-    the inner chain's growth past the cut, reported as the estimate.
-    """
-    r = len(k)
-    carry = np.zeros(r - 1, dtype=np.float64)
-    total = 0.0
-    chunk = 1 << 21
-    start = 1
-    while start <= bound:
-        stop = min(bound, start + chunk - 1)
-        ms = np.arange(start, stop + 1, dtype=np.float64)
-        layer = ms ** (-float(k[0]))
-        for i in range(1, r):
-            excl = np.concatenate(([0.0], np.cumsum(layer)[:-1]))
-            layer_sum = float(np.sum(layer))
-            layer = (carry[i - 1] + excl) / ms ** float(k[i])
-            carry[i - 1] += layer_sum
-        total += float(np.sum(layer))
-        start = stop + 1
-    completion = carry[r - 2] * float(hurwitz_zeta(k[-1], bound + 1))
-    tail = abs(completion) * min(1.0, 3.0 * (r - 1) / math.log(bound))
-    return total + completion, tail
+    return complex(value), residual
 
 
 def _all_ones_mzv(k: tuple[int, ...], tol: float) -> tuple[complex, float]:
+    """zeta(k) with every variable 1: (value, tail estimate).
+
+    Depth >= 3 continues one chain to the first checkpoint n whose tail is
+    within tol.  The outer tail is completed at the frozen inner sum; the
+    estimate is the inner chain's growth past n, which is left out.
+    """
     r = len(k)
     if r == 1:
         return complex(float(hurwitz_zeta(k[0], 1))), 1e-15
     if r == 2:
-        v, e = _mzv_depth2(k[0], k[1])
-        return complex(v), e
-    bound = 1 << 21
-    value, tail = _all_ones_deep(k, bound)
-    while tail > tol and bound < (1 << 25):
-        bound <<= 2
-        value, tail = _all_ones_deep(k, bound)
-    return complex(value), tail
+        return _mzv_depth2(k[0], k[1])
+    letters = [(1, e) for e in k]
+    total, inner, n, state = 0.0, 0.0, 0, None
+    for checkpoint in _DEEP_CHECKPOINTS:
+        while n < checkpoint:
+            n = min(checkpoint, n + _DEEP_BLOCK)
+            top, below, state = _chain(letters, n, resume=state)
+            total += float(np.sum(top))
+            inner += float(np.sum(below))
+            del top, below  # freed before the next block is built
+        completion = inner * float(hurwitz_zeta(k[-1], n + 1))
+        tail = abs(completion) * min(1.0, 3.0 * (r - 1) / math.log(n))
+        if tail <= tol:
+            break
+    return complex(total + completion), tail
 
 
-def eval_mpl_auto(m: MplTerm, tol: float, nmax: int = 1 << 21) -> tuple[complex, float]:
-    """Adaptive evaluation used by the verifier: returns (value, tail estimate)."""
+def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
+    """Adaptive evaluation used by the verifier: returns (value, tail estimate).
+
+    One chain continues through n = 4096, 8192, ... up to 2^21 and stops at
+    the first n whose outer tail is within tol / 2.
+    """
+    if not m.guard_ok():
+        raise DivergentInput(f"{m} violates its convergence guard")
     if m.kind == "harmonic":
         m = harmonic_to_shuffle(m)
     if m.dep == 0:
         return 1 + 0j, 0.0
     if all(v.is_one() for v in m.z):
         return _all_ones_mzv(m.k, tol)
-    n = 4096
-    report = eval_mpl(m, n, tol)
-    while report.tail_estimate > tol / 2 and n < nmax:
+    letters = list(zip(m.z, m.k))
+    total, state, n = 0j, None, _MPL_FIRST
+    while True:
+        terms, _, state = _chain(letters, n, resume=state)
+        total += complex(np.sum(terms))
+        value, tail = _outer_tail(total, terms, n)
+        if tail <= tol / 2 or n >= _MPL_LAST:
+            return value, tail
         n <<= 1
-        report = eval_mpl(m, n, tol)
-    return report.value, report.tail_estimate
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,43 @@ def test_eval_mpl_auto_all_ones():
     assert abs(v.real - PI ** 4 / 90) < 2e-5
 
 
+def test_chain_resumes_where_it_stopped():
+    # a chain over [0, a) continued over [a, b) equals one pass over [0, b),
+    # in float64 for real variables and complex128 otherwise
+    real = ((ONE, 2), (sc(-1), 1), (sc(F(1, 2)), 3))
+    cplx = ((sc(0, 1), 1), (sc(F(3, 5), F(4, 5)), 2), (ONE, 2))
+    for letters, dtype in ((real, np.float64), (cplx, np.complex128)):
+        for weak in (False, True):
+            whole = numeric._chain(letters, 999, weak)
+            head = numeric._chain(letters, 299, weak)
+            rest = numeric._chain(letters, 999, weak, resume=head[2])
+            for j in (0, 1):
+                joined = np.concatenate((head[j], rest[j]))
+                assert whole[j].dtype == joined.dtype == dtype
+                assert np.allclose(joined, whole[j], rtol=1e-13, atol=0), (letters, weak)
+
+
+def test_eval_mpl_auto_sums_each_index_once(monkeypatch):
+    # the adaptive loop continues one chain through its checkpoints; summing
+    # again from m = 1 at every doubling would filter about twice as many
+    term = MplTerm("shuffle", (1, 2), (sc(F(1, 2)), sc(-1)))
+    tol = 1e-9
+    n = 4096
+    while eval_mpl(term, n).tail_estimate > tol / 2:
+        n <<= 1
+    assert n >= 1 << 15
+    counted = [0]
+    lfilter = numeric.lfilter
+
+    def counting_lfilter(b, a, x, *args, **kwargs):
+        counted[0] += np.size(x)
+        return lfilter(b, a, x, *args, **kwargs)
+
+    monkeypatch.setattr(numeric, "lfilter", counting_lfilter)
+    eval_mpl_auto(term, tol)
+    assert counted[0] <= (n + 1) * term.dep + 4096 * term.dep, (counted[0], n)
+
+
 def test_divergent_inputs_rejected():
     with pytest.raises(DivergentInput):
         eval_zterm(zterm([Pair.ones((1, 1))], Pair.ones((1, 1))), 50)
@@ -270,12 +307,16 @@ def test_zterm_tail_covers_the_error():
 
 def test_arity_one_tail_covers_the_error():
     # the rows past the escape window weigh about 1/b over bar (2) and
-    # 1/(2 b^2) over bar (3); the tail must hold them, not a flat-weight guess
-    for bar, ref in (((2,), PI ** 2 / 6), ((3,), Z3)):
-        t = zterm([Pair.ones((1,))], Pair.ones(bar))
-        for bound in range(1, 101):
+    # 1/(2 b^2) over bar (3); the tail must hold them, not a flat-weight guess.
+    # Over the alternating bar (-1) the bar weight is not slowly varying, so
+    # no frozen-weight remainder may be added to Z1((2)|(-1)) = -zeta(2)/2
+    for comp, bar, ref in (((1,), Pair.ones((2,)), PI ** 2 / 6),
+                           ((1,), Pair.ones((3,)), Z3),
+                           ((2,), Pair((1,), (sc(-1),)), -PI ** 2 / 12)):
+        t = zterm([Pair.ones(comp)], bar)
+        for bound in [*range(1, 101), 400]:
             rep = eval_zterm(t, bound)
-            assert abs(rep.value - ref) <= rep.tail_estimate, (bar, bound)
+            assert abs(rep.value - ref) <= rep.tail_estimate, (comp, bar, bound)
 
 
 def _reached(fn):
