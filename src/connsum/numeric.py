@@ -16,15 +16,24 @@ majorant summable.
 
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
 one lfilter recurrence per letter, in float64 when every variable is real and
-complex128 otherwise.  Its returned filter memory lets a polylog sum continue
-through its checkpoints instead of restarting; pure zeta values of depth >= 3
-add the Hurwitz completion (sum of the layer below the top) * zeta(k_r, n+1).
-The other tail estimates are heuristic and not yet labelled as such.
+complex128 otherwise.  eval_mpl sums a polylogarithm directly, with a
+heuristic outer tail.  eval_mpl_auto, which the verifier uses, is a Hölder
+convolution.  With letters (z_i, k_i) innermost first, the value is
+(-1)^r G(b; 1) for the word b = (0^(k_r-1), 1/z_r, ..., 0^(k_1-1), 1/z_1), and
+
+  G(b; 1) = sum_j (-1)^j G(1-b_j, ..., 1-b_1; 1-lam) G(b_(j+1), ..., b_w; lam).
+
+lam = d0/(d0+d1), with d0 = min |b| over b != 0 and d1 = min |1-b| over
+b != 1, gives every piece a ratio of at most 1/(d0+d1) < 1.  Each piece is
+cut at the least N whose proved remainder is within tol / (4 (w+1)), and
+carries a proved rounding bound; one that would need more than 2^21 terms
+stops there with its bound.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -44,15 +53,14 @@ from .model import (
     is_convergent,
 )
 from .records import EvalReport, Relation, VerifyReport
-from .scalars import ONE, Scalar, reciprocal_sum, sc
+from .scalars import ONE, ZERO, Scalar, reciprocal_sum, sc
 
 _KERNEL_WINDOW = 20_000  # escape-row window before the telescoped remainder
 # connector weights kept at each edge of a convolution: the dropped middle
 # weighs at most 1/C(2B+2, B+1), about 4e-36, and is bounded in the tail
 _BAND = 60
-_MPL_FIRST, _MPL_LAST = 1 << 12, 1 << 21  # eval_mpl_auto's first and last checkpoint
-_DEEP_CHECKPOINTS = (1 << 21, 1 << 23, 1 << 25)  # all-ones depth >= 3
-_DEEP_BLOCK = 1 << 21  # indices per chain block there, to bound memory
+_CAP = 1 << 21  # outer index past which no Hölder piece is summed
+_U = 2.0 ** -53  # unit roundoff of float64
 
 
 def connector(a: Sequence[int]) -> Fraction:
@@ -69,40 +77,33 @@ def _glf(x):
     return gammaln(np.asarray(x, dtype=np.float64) + 1.0)
 
 
-def _harmonic(n: int) -> float:
-    return float(digamma(n + 1)) + float(np.euler_gamma)
+def _harmonic(n):
+    """H_n elementwise."""
+    return digamma(np.asarray(n, dtype=np.float64) + 1.0) + np.euler_gamma
 
 
-def _chain(letters, bound: int, weak: bool = False,
-           resume: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Chain mass over top values start..bound: (last layer, the layer below it, state).
+def _chain(letters, bound: int, weak: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Chain mass by top index 0..bound: (last layer, the layer below it).
 
-    layer[m - start] sums the chains of the letters so far whose top index is
-    m, each slot weighted by v^gap / m^e.  Indices strictly increase; weak lets
-    every slot after the first repeat the index below it (the bar chain).
-    start is 0, or with resume (a state returned before) the index after that
-    call's bound: the state holds each letter's lfilter memory.
+    layer[m] sums the chains of the letters so far whose top index is m, each
+    slot weighted by v^gap / m^e.  Indices strictly increase; weak lets every
+    slot after the first repeat the index below it (the bar chain).
     """
     letters = list(letters)
     zs = np.array([complex(v) for v, _ in letters], dtype=np.complex128)
     if not np.any(zs.imag):
         zs = zs.real
-    start, memory = resume or (0, [np.zeros(1, zs.dtype)] * len(letters))
-    layer = np.zeros(bound + 1 - start, dtype=zs.dtype)
-    ms = np.arange(start, bound + 1, dtype=np.float64)
-    if start == 0:  # index 0 holds the empty chain; every later layer is 0 there
-        layer[0] = ms[0] = 1.0
+    layer = np.zeros(bound + 1, dtype=zs.dtype)
+    ms = np.arange(bound + 1, dtype=np.float64)
+    layer[0] = ms[0] = 1.0  # index 0 holds the empty chain; every later layer is 0 there
     below = layer
-    carried = []
-    for i, (z, (_, e), zi) in enumerate(zip(zs, letters, memory)):
+    for i, (z, (_, e)) in enumerate(zip(zs, letters)):
         below = layer
         num = [1.0] if weak and i > 0 else [0.0, z]
-        layer, zf = lfilter(num, [1.0, -z], below, zi=zi)
-        carried.append(zf)
-        # the filter output, divided in place, becomes the new layer: no
-        # further full-length array, although below stays alive
+        layer = lfilter(num, [1.0, -z], below)
+        # divided in place: no further full-length array, although below stays alive
         np.divide(layer, ms ** e, out=layer)
-    return layer, below, (bound + 1, carried)
+    return layer, below
 
 
 def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int, lf: np.ndarray,
@@ -322,21 +323,27 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
         inner = chains[j][1]
         zpow = np.power(np.conj(az), np.arange(cap, dtype=np.float64))
         ghat = complex(np.sum(inner[:cap] * zpow))
-        ghat_half = complex(np.sum(inner[:cap // 2] * zpow[:cap // 2]))
-        drift = abs(ghat - ghat_half)
 
         if n == 1:
             b = cap + _KERNEL_WINDOW
             m = np.arange(cap + 1, b + 1, dtype=np.float64)
-            zs = np.power(az, m)
-            row = complex(np.sum(zs * w[m.astype(np.int64)] / m ** k_top)) * ghat
+            weights = w[cap + 1:b + 1] / m ** k_top
+            row = complex(np.sum(np.power(az, m) * weights)) * ghat
+            # row m reads the inner sum frozen at the cap; it moves by the
+            # layer below the top over cap <= i < m, each entry at most
+            # H_i^(d_c-2) / i, so by at most H_m^(d_c-2) (H_(m-1) - H_(cap-1))
+            moved = 0.0
+            if p.dep >= 2:
+                h = _harmonic(m)
+                moved = float(np.sum(np.abs(weights) * h ** (p.dep - 2) *
+                                     (h - 1.0 / m - _harmonic(cap - 1))))
             rem_est = _rows_past(p.dep, k_top, t.bar, b)
             if rem_est is None:
                 keff = max(k_top - 1, 1)
                 rem_est = abs(ghat) * abs(w[b]) / (keff * float(b) ** keff)
             if tail_completion:
                 value += row
-                tail += drift * (abs(row) / abs(ghat) if ghat != 0 else 0.0)
+                tail += moved
                 if z_top.is_one() and k_top >= 2 and t.bar.z[-1].is_one():
                     # frozen-W remainder; the leftover is one log-slope of the
                     # bar weight per e-fold, estimated from a half-way probe
@@ -350,6 +357,8 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
                 tail += abs(row) + rem_est
             continue
 
+        ghat_half = complex(np.sum(inner[:cap // 2] * zpow[:cap // 2]))
+        drift = abs(ghat - ghat_half)
         # the escape rows read the other components' product only up to r_cut
         o, k_o = _connect(tops[:j] + tops[j + 1:], cap, lf, r_cut + 1)
         o_err = k_o * _past_edges(lf, _BAND + 1, o.size)
@@ -376,27 +385,12 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
 # polylogarithm evaluation
 
 
-def _outer_tail(partial: complex, terms: np.ndarray, n: int) -> tuple[complex, float]:
-    """(value, heuristic tail) of a sum cut at outer index n >= 1.
-
-    partial sums the terms to n; terms ends with those at n-1 and n.  An
-    alternating tail is sharpened by averaging the last two partial sums; any
-    other is extrapolated from the ratio of the last two terms.
-    """
-    a_last, a_prev = complex(terms[-1]), complex(terms[-2])
-    ratio = abs(a_last) / abs(a_prev) if a_prev else 1.0
-    if abs(a_last + a_prev) < 0.5 * (abs(a_last) + abs(a_prev)):  # alternating
-        partial, tail = partial - a_last / 2, abs(a_last) / 2
-    else:
-        tail = abs(a_last) * (ratio / (1.0 - ratio) if ratio < 0.999 else n)
-    return partial, float(tail + 1e-15 * (1.0 + abs(partial)))
-
-
 def eval_mpl(m: MplTerm, bound: int, tol: float = 1e-6) -> EvalReport:
-    """Direct nested summation with outer index <= bound.
-
-    The outer tail is estimated by _outer_tail.  A bound below the depth
-    leaves no index chain at all, so it is rejected like a bound below 1.
+    """Direct nested summation to outer index bound, the float cross-check of
+    eval_mpl_auto.  The outer tail is a heuristic: an alternating tail is sharpened by
+    averaging the last two partial sums, any other is extrapolated from the
+    ratio of the last two terms.  A bound below the depth leaves no index
+    chain at all, so it is rejected like a bound below 1.
     """
     if bound < 1:
         raise DomainError(f"truncation bound must be >= 1, got {bound}")
@@ -411,93 +405,98 @@ def eval_mpl(m: MplTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     if m.kind == "harmonic":
         m = harmonic_to_shuffle(m)
     terms = _chain(zip(m.z, m.k), bound)[0]
-    value, tail = _outer_tail(complex(np.sum(terms)), terms, bound)
+    value = complex(np.sum(terms))
+    a_last, a_prev = complex(terms[-1]), complex(terms[-2])
+    ratio = abs(a_last) / abs(a_prev) if a_prev else 1.0
+    if abs(a_last + a_prev) < 0.5 * (abs(a_last) + abs(a_prev)):  # alternating
+        value, tail = value - a_last / 2, abs(a_last) / 2
+    else:
+        tail = abs(a_last) * (ratio / (1.0 - ratio) if ratio < 0.999 else bound)
+    tail = float(tail + 1e-15 * (1.0 + abs(value)))
     return EvalReport(value, bound, tail, tail <= tol)
 
 
-def _mzv_depth2(a: int, b: int) -> tuple[complex, float]:
-    """zeta(a, b) at all-ones variables to near machine precision.
+def _cut(q: int, rho: float, target: float) -> tuple[int, float]:
+    """(N, R): the least N <= _CAP whose remainder sum_{n>N} C(n-1, q-1) rho^n
+    is proved at most target, or _CAP; R bounds that remainder.
 
-    The tail past the partial sum is rebuilt exactly: the inner chain splits
-    at the truncation point, the double tail swaps summation order, and the
-    leftover single sums come from the Hurwitz zeta plus one exact
-    telescoped product ladder.  Needs b >= 2.
+    Past N the ratio of consecutive terms is at most r = rho (N+1)/(N+2-q),
+    which falls with N, so once r < 1 the remainder is at most
+    C(N, q-1) rho^(N+1) / (1 - r), which falls too: a bisection finds N.
     """
-    if b < 2:
-        raise DivergentInput("depth-2 value needs an admissible top")
-    n0 = 100_000
-    window = 200_000
-    top, inner, _ = _chain([(1, a), (1, b)], n0)
-    partial = float(np.sum(top))
-    js = np.arange(n0 + 1, n0 + window + 1, dtype=np.float64)
-    end = float(js[-1])
-    if a == 1:
-        h_n0 = float(np.sum(inner))  # H_n0
-        second = float(np.sum(hurwitz_zeta(b, js + 1) / js))
-        lead = 1.0 / (b - 1) ** 2
-        for c in range(1, b):
-            lead /= end + c
-        value = partial + h_n0 * float(hurwitz_zeta(b, n0 + 1)) + second + lead
-        residual = end ** (-float(b)) + 1e-13
-        return complex(value), residual
-    za = float(hurwitz_zeta(a, 1))
-    cross = float(np.sum(hurwitz_zeta(a, js) / js ** float(b)))
-    value = partial + za * float(hurwitz_zeta(b, n0 + 1)) - cross
-    residual = 1.5 * float(hurwitz_zeta(a + b - 1, end + 1)) / (a - 1) + 1e-13
-    return complex(value), residual
+    def remainder(n: int) -> float:
+        r = rho * (n + 1) / (n + 2 - q)
+        if r >= 1.0:
+            return math.inf
+        return math.exp(math.lgamma(n + 1) - math.lgamma(q) - math.lgamma(n + 2 - q) +
+                        (n + 1) * math.log(rho)) / (1.0 - r)
+
+    ns = range(max(1, q - 1), _CAP + 1)
+    n = ns[min(bisect_left(ns, True, key=lambda n: remainder(n) <= target), len(ns) - 1)]
+    return n, remainder(n)
 
 
-def _all_ones_mzv(k: tuple[int, ...], tol: float) -> tuple[complex, float]:
-    """zeta(k) with every variable 1: (value, tail estimate).
+def _piece(word: Sequence[complex], y: float, target: float) -> tuple[complex, float]:
+    """(value, error bound) of G(word; y), a word whose last letter is not 0.
 
-    Depth >= 3 continues one chain to the first checkpoint n whose tail is
-    within tol.  The outer tail is completed at the frozen inner sum; the
-    estimate is the inner chain's growth past n, which is left out.
+    G(0^(s_1-1), c_1, ..., 0^(s_q-1), c_q; y) is (-1)^q times the chain over
+    (y/c_q, s_q), ..., (y/c_1, s_1), whose entries at outer index n are at most
+    C(n-1, q-1) rho^n (rho the largest |y/c|): _cut bounds the truncation.
+    Each recurrence step errs by at most 12u of the absolute chain through it
+    (the letter's rounding and division, two products, one sum), decaying like
+    the letter's powers: letter a adds 12u/(1 - |a|) of the absolute chain's
+    total, each division by m^e 3u, numpy's blocked pairwise sum (log2 N + 19)u.
     """
-    r = len(k)
-    if r == 1:
-        return complex(float(hurwitz_zeta(k[0], 1))), 1e-15
-    if r == 2:
-        return _mzv_depth2(k[0], k[1])
-    letters = [(1, e) for e in k]
-    total, inner, n, state = 0.0, 0.0, 0, None
-    for checkpoint in _DEEP_CHECKPOINTS:
-        while n < checkpoint:
-            n = min(checkpoint, n + _DEEP_BLOCK)
-            top, below, state = _chain(letters, n, resume=state)
-            total += float(np.sum(top))
-            inner += float(np.sum(below))
-            del top, below  # freed before the next block is built
-        completion = inner * float(hurwitz_zeta(k[-1], n + 1))
-        tail = abs(completion) * min(1.0, 3.0 * (r - 1) / math.log(n))
-        if tail <= tol:
-            break
-    return complex(total + completion), tail
+    letters, s = [], 1
+    for c in word:
+        if c == 0:
+            s += 1
+        else:
+            letters.append((y / c, s))
+            s = 1
+    if not letters:
+        return 1 + 0j, 0.0
+    letters.reverse()
+    moduli = [abs(v) for v, _ in letters]
+    rho = max(moduli) * (1.0 + 4.0 * _U)  # covers the rounding of the letters
+    n, trunc = _cut(len(letters), rho, target)
+    value = (-1) ** len(letters) * complex(np.sum(_chain(letters, n)[0]))
+    if rho >= 1.0:
+        return value, math.inf
+    mass = float(np.sum(_chain(zip(moduli, (e for _, e in letters)), n)[0]))
+    steps = sum(12.0 / (1.0 - a) + 3.0 for a in moduli) + math.log2(n + 1) + 19.0
+    return value, trunc + steps * _U * mass
 
 
 def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
-    """Adaptive evaluation used by the verifier: returns (value, tail estimate).
-
-    One chain continues through n = 4096, 8192, ... up to 2^21 and stops at
-    the first n whose outer tail is within tol / 2.
-    """
+    """(value, proved error bound) by the Hölder convolution of the module docstring."""
     if not m.guard_ok():
         raise DivergentInput(f"{m} violates its convergence guard")
     if m.kind == "harmonic":
         m = harmonic_to_shuffle(m)
-    if m.dep == 0:
-        return 1 + 0j, 0.0
-    if all(v.is_one() for v in m.z):
-        return _all_ones_mzv(m.k, tol)
-    letters = list(zip(m.z, m.k))
-    total, state, n = 0j, None, _MPL_FIRST
-    while True:
-        terms, _, state = _chain(letters, n, resume=state)
-        total += complex(np.sum(terms))
-        value, tail = _outer_tail(total, terms, n)
-        if tail <= tol / 2 or n >= _MPL_LAST:
-            return value, tail
-        n <<= 1
+    if any(v.is_zero() for v in m.z):  # every gap power of a zero variable is 0
+        return 0j, 0.0
+    exact: list[Scalar] = []
+    for v, e in zip(reversed(m.z), reversed(m.k)):
+        exact += [ZERO] * (e - 1) + [v.inv()]
+    # both letter lists are rounded from exact values, so 1 - b never cancels
+    word = [complex(b) for b in exact]
+    reflected = [complex(ONE - b) for b in exact]
+    d0 = min((abs(b) for b in word if b != 0), default=1.0)  # the empty word is 1
+    d1 = min((abs(b) for b in reflected if b != 0), default=1.0)
+    lam = round(d0 / (d0 + d1) * 2 ** 52) / 2 ** 52  # so 1 - lam is exact too
+    target = tol / (4.0 * (len(word) + 1))
+    value, tail, scale = 0j, 0.0, 0.0
+    for j in range(len(word) + 1):
+        a, e_a = _piece(reflected[j - 1::-1] if j else (), 1.0 - lam, target)
+        b, e_b = _piece(word[j:], lam, target)
+        value += (-1) ** j * a * b
+        tail += e_a * abs(b) + (abs(a) + e_a) * e_b
+        scale += (abs(a) + e_a) * (abs(b) + e_b)
+    # the products and their alternating sum: sqrt(5) u and w u of each |a b|;
+    # an unbounded piece times an exact zero leaves no bound either
+    tail += (len(word) + 4) * _U * scale
+    return (-1) ** m.dep * value, math.inf if math.isnan(tail) else tail
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.special import zeta as hurwitz_zeta
 
 from connsum import numeric
 from connsum.errors import DivergentInput, DomainError, HypothesisViolated, NotConverged
@@ -21,6 +22,7 @@ from connsum.numeric import (
     telescoping_check,
     verify_relation,
 )
+from connsum.recipe import RecipeData, recipe_relation
 from connsum.records import Relation
 from connsum.scalars import ONE, Scalar, sc
 
@@ -120,25 +122,40 @@ def test_eval_mpl_auto_all_ones():
     assert abs(v.real - PI ** 4 / 90) < 2e-5
 
 
-def test_chain_resumes_where_it_stopped():
-    # a chain over [0, a) continued over [a, b) equals one pass over [0, b),
-    # in float64 for real variables and complex128 otherwise
+def _covered(term, ref, tol=1e-12):
+    value, tail = eval_mpl_auto(term, tol)
+    assert abs(value - ref) <= tail, (str(term), abs(value - ref), tail)
+    return tail
+
+
+def test_chain_matches_nested_sum():
+    # _chain computes in float64 for real variables and complex128 otherwise,
+    # and agrees with a brute-force nested sum over every index tuple
     real = ((ONE, 2), (sc(-1), 1), (sc(F(1, 2)), 3))
     cplx = ((sc(0, 1), 1), (sc(F(3, 5), F(4, 5)), 2), (ONE, 2))
     for letters, dtype in ((real, np.float64), (cplx, np.complex128)):
         for weak in (False, True):
-            whole = numeric._chain(letters, 999, weak)
-            head = numeric._chain(letters, 299, weak)
-            rest = numeric._chain(letters, 999, weak, resume=head[2])
-            for j in (0, 1):
-                joined = np.concatenate((head[j], rest[j]))
-                assert whole[j].dtype == joined.dtype == dtype
-                assert np.allclose(joined, whole[j], rtol=1e-13, atol=0), (letters, weak)
+            top, below = numeric._chain(letters, 999, weak)
+            assert top.dtype == below.dtype == dtype
+            assert top.shape == below.shape == (1000,)
+    rng = random.Random(707)
+    pool = [sc(-1), sc(0, 1), sc(F(3, 5), F(4, 5)), ONE, sc(F(1, 2)), sc(F(-1, 3), F(1, 3))]
+    for kind in ("strict", "weak"):
+        for depth in (1, 2, 3):
+            for _ in range(4):
+                letters = [(rng.choice(pool), rng.randint(1, 3)) for _ in range(depth)]
+                bound = rng.randint(1, 8)
+                top = numeric._chain(letters, bound, kind == "weak")[0]
+                want = _nested_sum(letters, bound, kind)
+                for m in range(bound + 1):
+                    ref = complex(want.get(m, sc(0)))
+                    assert abs(top[m] - ref) <= 1e-14 * (1 + abs(ref)), (kind, letters, m)
 
 
-def test_eval_mpl_auto_sums_each_index_once(monkeypatch):
-    # the adaptive loop continues one chain through its checkpoints; summing
-    # again from m = 1 at every doubling would filter about twice as many
+def test_eval_mpl_auto_work_bound(monkeypatch):
+    # the Hölder pieces converge geometrically: far fewer elements are filtered
+    # than direct summation needs, which for zeta(1,1,1,1,2) took about 1.7e8
+    # elements and still missed zeta(6) by 3e-5
     term = MplTerm("shuffle", (1, 2), (sc(F(1, 2)), sc(-1)))
     tol = 1e-9
     n = 4096
@@ -155,6 +172,9 @@ def test_eval_mpl_auto_sums_each_index_once(monkeypatch):
     monkeypatch.setattr(numeric, "lfilter", counting_lfilter)
     eval_mpl_auto(term, tol)
     assert counted[0] <= (n + 1) * term.dep + 4096 * term.dep, (counted[0], n)
+    counted[0] = 0
+    _covered(MplTerm("shuffle", (1, 1, 1, 1, 2), (ONE,) * 5), float(hurwitz_zeta(6, 1)))
+    assert counted[0] <= 10 ** 5, counted[0]
 
 
 def test_divergent_inputs_rejected():
@@ -310,11 +330,14 @@ def test_arity_one_tail_covers_the_error():
     # 1/(2 b^2) over bar (3); the tail must hold them, not a flat-weight guess.
     # Over the alternating bar (-1) the bar weight is not slowly varying, so
     # no frozen-weight remainder may be added to Z1((2)|(-1)) = -zeta(2)/2
+    # Z1((1,1)|(2)) = zeta(3) reads its inner sum frozen at the cap; the tail
+    # must hold how far that sum moves over the escape window
     for comp, bar, ref in (((1,), Pair.ones((2,)), PI ** 2 / 6),
                            ((1,), Pair.ones((3,)), Z3),
-                           ((2,), Pair((1,), (sc(-1),)), -PI ** 2 / 12)):
+                           ((2,), Pair((1,), (sc(-1),)), -PI ** 2 / 12),
+                           ((1, 1), Pair.ones((2,)), Z3)):
         t = zterm([Pair.ones(comp)], bar)
-        for bound in [*range(1, 101), 400]:
+        for bound in [*range(len(comp), 101), 400]:
             rep = eval_zterm(t, bound)
             assert abs(rep.value - ref) <= rep.tail_estimate, (comp, bar, bound)
 
@@ -442,11 +465,56 @@ def test_verify_relation_reports():
     assert not report.ok
 
 
+def _single(term, rhs=None):
+    return Relation(lhs=MplExpr.single(term),
+                    rhs=MplExpr.zero() if rhs is None else MplExpr.single(rhs), provenance={})
+
+
 def test_not_converged_raised():
-    slow = Relation(
-        lhs=MplExpr.single(MplTerm("shuffle", (1, 1, 1, 2), (ONE,) * 4)),
-        rhs=MplExpr.zero(),
-        provenance={},
-    )
+    # 1e-18 is below the rounding bound of zeta(1,1,1,2); Li2(z) with z on the
+    # unit circle within 1e-6 of 1 needs more than 2^21 terms per piece
     with pytest.raises(NotConverged):
-        verify_relation(slow, tol=1e-12)
+        verify_relation(_single(MplTerm("shuffle", (1, 1, 1, 2), (ONE,) * 4)), tol=1e-18)
+    s = F(1, 2_000_000)
+    z = sc((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s))
+    assert z.abs_eq_one() and abs(complex(z) - 1) < 1e-6
+    with pytest.raises(NotConverged):
+        verify_relation(_single(MplTerm("shuffle", (2,), (z,))), tol=1e-12)
+
+
+def test_zeta_1112_certifies_zeta5():
+    rel = _single(MplTerm("shuffle", (1, 1, 1, 2), (ONE,) * 4), MplTerm("shuffle", (5,), (ONE,)))
+    report = verify_relation(rel, tol=1e-12)
+    assert report.ok and report.tail_total <= 1e-12
+
+
+def test_eval_mpl_auto_error_within_tail():
+    # zeta({1}^(k-2), 2) = zeta(k) by duality; every tail certifies at 1e-12
+    for k in range(2, 9):
+        term = MplTerm("shuffle", (1,) * (k - 2) + (2,), (ONE,) * (k - 1))
+        assert _covered(term, float(hurwitz_zeta(k, 1))) <= 1e-12, k
+    assert _covered(MplTerm("shuffle", (1, 2), (ONE, ONE)), Z3) <= 1e-12
+    assert _covered(MplTerm("shuffle", (2, 2), (ONE, ONE)), PI ** 4 / 120) <= 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    li2 = complex(mpmath.polylog(2, mpmath.mpc("0.6", "0.8")))
+    assert _covered(MplTerm("shuffle", (2,), (sc(F(3, 5), F(4, 5)),)), li2) <= 1e-12
+
+
+def test_eval_mpl_auto_matches_direct_summation():
+    # with every |z| <= 1/2 direct summation to 200 is exact to rounding
+    rng = random.Random(1212)
+    pool = [sc(F(1, 2)), sc(F(-1, 2)), sc(F(1, 3), F(1, 3)), sc(0, F(-1, 2)),
+            sc(F(-1, 5), F(2, 5)), sc(F(1, 7))]
+    for _ in range(50):
+        depth = rng.randint(1, 4)
+        term = MplTerm(rng.choice(("shuffle", "harmonic")),
+                       tuple(rng.randint(1, 3) for _ in range(depth)),
+                       tuple(rng.choice(pool) for _ in range(depth)))
+        _covered(term, eval_mpl(term, 200).value, tol=rng.choice((1e-6, 1e-9, 1e-12)))
+
+
+def test_weight_four_recipe_relation_certifies():
+    # its term zeta(1,1,2) stopped short of 1e-6 under direct summation
+    rel = recipe_relation(RecipeData((Pair.ones((2,)),), Pair.ones((1, 1, 1))))
+    assert verify_relation(rel, tol=1e-6).ok
