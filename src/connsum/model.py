@@ -17,7 +17,7 @@ from .errors import (
     NoEmptyComponent,
     NotPeelable,
 )
-from .scalars import INF, ONE, ZERO, Scalar, sc
+from .scalars import INF, ONE, ZERO, Scalar, _computed_once, sc
 
 Index = tuple[int, ...]
 
@@ -53,7 +53,8 @@ class Pair:
     """An index decorated with variables, one per entry.
 
     Variables must be finite and lie in the closed unit disk.  The empty pair
-    is allowed and is its own vertical-arrow image.
+    is allowed and is its own vertical-arrow image.  The hash and sort key are
+    computed once per instance.
     """
 
     k: Index = ()
@@ -92,8 +93,13 @@ class Pair:
     def from_letters(letters: Sequence[tuple[Scalar, int]]) -> "Pair":
         return Pair(tuple(e for _, e in letters), tuple(v for v, _ in letters))
 
+    @_computed_once
     def sort_key(self):
         return (self.k, tuple(v.sort_key() for v in self.z))
+
+    @_computed_once
+    def __hash__(self) -> int:
+        return hash((self.k, self.z))
 
     def __str__(self) -> str:
         if self.is_empty():
@@ -291,16 +297,13 @@ class MplTerm:
 
 def _normalize(items, zero_term_pred, term_sort):
     acc: dict = {}
-    order: dict = {}
     for coef, term in items:
         coef = _coef(coef)
         if coef == 0 or zero_term_pred(term):
             continue
         key = term.key()
-        if key in acc:
-            acc[key] = (acc[key][0] + coef, term)
-        else:
-            acc[key] = (coef, term)
+        prev = acc.get(key)
+        acc[key] = (coef if prev is None else prev[0] + coef, term)
     out = [(c, t) for c, t in acc.values() if c != 0]
     out.sort(key=lambda ct: term_sort(ct[1]))
     return tuple(out)

@@ -5,9 +5,15 @@ a + b*i with a, b rational (stored in lowest terms), plus one unsigned point
 at infinity obeying 1/inf = 0 and inv(0) = inf.  All geometric predicates the
 transport conditions need (disk membership, Re <= 1/2, |z| = 1, the reciprocal
 ball test) are decided exactly in rational arithmetic.
+
+A Scalar is immutable, so what is derived from it (hash, |z|^2, 1/z, the
+Mobius image, sort key) is computed on first use and kept on the instance by
+_computed_once; equality, the fields and the printed form see only re, im
+and is_inf.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -15,6 +21,22 @@ from typing import Iterable, Sequence, Union
 from .errors import DomainError, UndefinedArithmetic
 
 RationalLike = Union[int, Fraction, str]
+
+
+def _computed_once(method):
+    """Cache a no-argument method of an immutable value in the instance
+    ``__dict__``, which a frozen dataclass leaves writable.  The lookup is a
+    dict ``get``, so a value that calls the method once pays one failed
+    lookup and one store."""
+    slot = "_" + method.__name__.strip("_")
+
+    @functools.wraps(method)
+    def cached(self):
+        out = self.__dict__.get(slot)
+        if out is None:
+            out = self.__dict__[slot] = method(self)
+        return out
+    return cached
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -79,12 +101,13 @@ class Scalar:
             self.re * other.im + self.im * other.re,
         )
 
+    @_computed_once
     def inv(self) -> "Scalar":
         if self.is_inf:
             return ZERO
         if self.is_zero():
             return INF
-        d = self.re * self.re + self.im * self.im
+        d = self.abs_sq()
         return Scalar(self.re / d, -self.im / d)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -118,6 +141,7 @@ class Scalar:
 
     # -- exact geometric predicates -----------------------------------------
 
+    @_computed_once
     def abs_sq(self) -> Fraction:
         """|z|^2 as an exact rational; infinity is rejected."""
         if self.is_inf:
@@ -148,6 +172,7 @@ class Scalar:
     def abs_eq_one(self) -> bool:
         return not self.is_inf and self.abs_sq() == 1
 
+    @_computed_once
     def mobius(self) -> "Scalar":
         """z / (z - 1); needs a finite z != 1.  Involutive on its domain."""
         if self.is_inf:
@@ -163,10 +188,16 @@ class Scalar:
             raise DomainError("complex(inf)")
         return complex(float(self.re), float(self.im))
 
+    @_computed_once
     def sort_key(self):
         if self.is_inf:
             return (1, 0, 1, 0, 1)
         return (0, self.re.numerator, self.re.denominator, self.im.numerator, self.im.denominator)
+
+    @_computed_once
+    def __hash__(self) -> int:
+        # the value the dataclass would compute, so set order is unchanged
+        return hash((self.re, self.im, self.is_inf))
 
     def __str__(self) -> str:
         if self.is_inf:

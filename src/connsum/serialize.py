@@ -30,6 +30,12 @@ def _int_in(v) -> int:
     raise DomainError(f"expected an integer, got {v!r}")
 
 
+def _list_in(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise DomainError(f"expected a list of {what}, got {v!r}")
+    return v
+
+
 def frac_to_json(q: Fraction) -> list:
     return [_int_out(q.numerator), _int_out(q.denominator)]
 
@@ -38,7 +44,10 @@ def frac_from_json(obj) -> Fraction:
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
         return Fraction(_int_in(obj))
     if isinstance(obj, list) and len(obj) == 2:
-        return Fraction(_int_in(obj[0]), _int_in(obj[1]))
+        num, den = _int_in(obj[0]), _int_in(obj[1])
+        if den == 0:
+            raise DomainError(f"zero denominator in {obj!r}")
+        return Fraction(num, den)
     raise DomainError(f"expected [num, den], got {obj!r}")
 
 
@@ -65,26 +74,39 @@ def pair_to_json(p: Pair) -> dict:
 def pair_from_json(obj) -> Pair:
     if not isinstance(obj, dict):
         raise DomainError(f"expected a pair object, got {obj!r}")
-    k = tuple(_int_in(e) for e in obj.get("k", []))
+    k = tuple(_int_in(e) for e in _list_in(obj.get("k", []), "exponents"))
     z = obj.get("z")
     if z is None:
         zz = tuple(Scalar.of(1) for _ in k)  # all-ones shorthand
     else:
-        zz = tuple(scalar_from_json(v) for v in z)
+        zz = tuple(scalar_from_json(v) for v in _list_in(z, "scalars"))
     return Pair(k, zz)
 
 
-def zterm_to_json(t: ZTerm) -> dict:
+def _pair_json(p: Pair, pairs: dict | None) -> dict:
+    if pairs is None:
+        return pair_to_json(p)
+    out = pairs.get(p)
+    if out is None:
+        out = pairs[p] = pair_to_json(p)
+    return out
+
+
+def zterm_to_json(t: ZTerm, pairs: dict | None = None) -> dict:
+    """JSON of a term.  With a memo ``pairs`` {Pair: JSON}, every term encoded
+    through the same memo reuses one dict per distinct pair."""
     return {
         "coef": frac_to_json(t.coef),
-        "components": [pair_to_json(p) for p in t.components],
-        "bar": pair_to_json(t.bar),
+        "components": [_pair_json(p, pairs) for p in t.components],
+        "bar": _pair_json(t.bar, pairs),
     }
 
 
 def zterm_from_json(obj) -> ZTerm:
+    if not isinstance(obj, dict):
+        raise DomainError(f"expected a term object, got {obj!r}")
     coef = frac_from_json(obj.get("coef", 1))
-    comps = tuple(pair_from_json(p) for p in obj["components"])
+    comps = tuple(pair_from_json(p) for p in _list_in(obj["components"], "pairs"))
     bar = pair_from_json(obj["bar"]) if "bar" in obj else Pair.ones((1,))
     return ZTerm(coef, comps, bar)
 

@@ -39,22 +39,25 @@ from .scalars import INF, ZERO, Scalar, in_reciprocal_ball, reciprocal_sum
 Trace = list
 
 
-def _record(trace: Optional[Trace], rule: str, premise: ZTerm, conclusions) -> None:
+def _record(trace: Optional[Trace], rule: str, premise: ZTerm, conclusions,
+            pairs: Optional[dict] = None) -> None:
     if trace is None:
         return
     trace.append({
         "rule": rule,
-        "premise": serialize.zterm_to_json(premise),
-        "conclusions": [serialize.zterm_to_json(c) for c in conclusions],
+        "premise": serialize.zterm_to_json(premise, pairs),
+        "conclusions": [serialize.zterm_to_json(c, pairs) for c in conclusions],
     })
 
 
-def transport_step(t: ZTerm, trace: Optional[Trace] = None) -> ZExpr:
+def transport_step(t: ZTerm, trace: Optional[Trace] = None,
+                   pairs: Optional[dict] = None) -> ZExpr:
     """Apply one transport rewrite to a term of arity >= 2.
 
     Components 1..n-1 and the bar must all be peelable; the receiving slot is
     the last component.  Raises NotTransportableStep naming the violated
-    precondition.
+    precondition.  ``pairs`` is the {Pair: JSON} memo of the records of one
+    reduction (see reduce_to_z1).
     """
     n = t.arity
     if n < 2:
@@ -99,7 +102,7 @@ def transport_step(t: ZTerm, trace: Optional[Trace] = None) -> ZExpr:
         comps.append(recv_new)
         out.append(ZTerm(-t.coef * s_i * recv_sign, tuple(comps), t.bar))
     out.append(ZTerm(-t.coef * recv_sign, t.components[:-1] + (recv_new,), bar_base))
-    _record(trace, "transport-step", t, out)
+    _record(trace, "transport-step", t, out, pairs)
     return ZExpr.of(out)
 
 
@@ -170,8 +173,11 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
 
     The chosen receiving slot is swapped to the last position, then rewrites
     run until every branch reaches arity 1; emptied components and
-    structurally-zero terms are dropped along the way.
+    structurally-zero terms are dropped along the way.  The records this call
+    appends to ``trace`` share one JSON dict per distinct pair, so a trace
+    is to be read, not edited in place.
     """
+    pairs: dict = {}
     t0 = t
     t = drop_all_empty_components(t)
     if t.is_structurally_zero():
@@ -188,7 +194,7 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
         if j != t.arity - 1:
             perm = [i for i in range(t.arity) if i != j] + [j]
             t = swap_components(t, perm)
-            _record(trace, "swap-components", t0, [t])
+            _record(trace, "swap-components", t0, [t], pairs)
 
     out: list[ZTerm] = []
     active = ZExpr.of([t]).as_terms()
@@ -197,7 +203,7 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
         for u in active:
             v = drop_all_empty_components(u)
             if v is not u:
-                _record(trace, "drop-empty", u, [v])
+                _record(trace, "drop-empty", u, [v], pairs)
             u = v
             if u.is_structurally_zero():
                 continue
@@ -205,7 +211,7 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
                 out.append(u)
                 continue
             try:
-                step = transport_step(u, trace)
+                step = transport_step(u, trace, pairs)
             except NotTransportableStep as exc:
                 raise StepPreconditionFailed(
                     f"rewrite failed after transportability was confirmed: {u}: {exc}"

@@ -102,3 +102,18 @@ def test_emitted_json_reparses(tmp_path, capsys):
     rel = serialize.relation_from_json(out["relation"])
     again = serialize.relation_from_json(serialize.relation_to_json(rel))
     assert again.lhs == rel.lhs and again.rhs == rel.rhs
+
+
+def test_malformed_term_is_a_domain_error(tmp_path, capsys):
+    bad_terms = [
+        {"components": [{"k": [1]}, {"k": [1]}], "bar": {"k": [1]}, "coef": [1, 0]},
+        {"components": [{"k": [1], "z": [{"re": [1, 0]}]}, {"k": [1]}], "bar": {"k": [1]}},
+        [1, 2],
+        {"components": 5},
+        {"components": [{"k": 5}]},
+        {"components": [{"k": [1], "z": 7}], "bar": {"k": [1]}},
+    ]
+    for payload in bad_terms:
+        term = _write(tmp_path, "t.json", payload)
+        assert main(["reduce", "--term", term]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from connsum import serialize
 from connsum.errors import DomainError, UndefinedArithmetic
 from connsum.scalars import INF, ONE, ZERO, Scalar, in_reciprocal_ball, sc
 
@@ -124,3 +126,36 @@ def test_lowest_terms_invariant():
     z = Scalar(F(2, 4), F(-6, 8))
     assert z.re == F(1, 2) and z.im == F(-3, 4)
     assert z.re.denominator > 0 and z.im.denominator > 0
+
+
+def test_equal_values_by_different_routes_hash_alike():
+    direct = sc(F(1, 3), F(-1, 3))
+    hash(direct)  # fill the cache on one side only
+    routes = [
+        sc(1, -1) * sc(F(1, 3)),
+        sc(2, -2) / sc(6),
+        sc(F(3, 2), F(3, 2)).inv(),
+        Scalar(F(2, 6), F(-3, 9)),
+        serialize.scalar_from_json(serialize.scalar_to_json(direct)),
+        serialize.scalar_from_json({"re": ["1", "3"], "im": [-2, 6]}),
+    ]
+    for z in routes:
+        assert z == direct
+        assert hash(z) == hash(direct)
+        assert hash(z) == hash((z.re, z.im, z.is_inf))
+    assert len({direct, *routes}) == 1
+
+
+def test_derived_values_cached_without_changing_the_value():
+    z = sc(F(-3, 5), F(4, 5))
+    assert z.inv() is z.inv()
+    assert z.abs_sq() is z.abs_sq() and z.abs_sq() == 1
+    assert z.sort_key() is z.sort_key()
+    assert z.mobius() is z.mobius()
+    assert [f.name for f in dataclasses.fields(Scalar)] == ["re", "im", "is_inf"]
+    assert dataclasses.astuple(z) == (F(-3, 5), F(4, 5), False)
+    assert str(z) == repr(z) == "-3/5+4/5i"
+    assert z == Scalar(F(-3, 5), F(4, 5))
+    assert str(INF) == "inf" and ZERO.inv() is INF and INF.inv() is ZERO
+    with pytest.raises(DomainError):
+        INF.abs_sq()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -320,3 +322,67 @@ def test_step_sign_table_arity2():
         zterm([base1, grown], barv, coef=-1),
         zterm([p1v, grown], bar_base, coef=1),
     ])
+
+
+_TRACE_VARS = (sc(1), sc(-1), sc(F(1, 2)), sc(F(-1, 2)), sc(F(1, 3)), sc(0, 1), sc(0, -1),
+               sc(F(-3, 5), F(4, 5)), sc(F(1, 3), F(-1, 3)), sc(F(2, 5)))
+
+
+def _seeded_reductions(count=40, max_weight=8):
+    """Arity 3-5 terms (in turn), all-ones or with disk variables, that have
+    a receiving slot; the same list on every run."""
+    rng = random.Random(20211)
+    out = []
+    while len(out) < count:
+        ones = rng.random() < 0.5
+
+        def pair():
+            k = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 2)))
+            if ones:
+                return Pair.ones(k)
+            return Pair(k, tuple(rng.choice(_TRACE_VARS) for _ in k))
+
+        comps = [pair() for _ in range(3 + len(out) % 3)]
+        bar = pair()
+        if sum(p.wt for p in comps) + bar.wt > max_weight:
+            continue
+        t = zt(comps, bar)
+        if transportable_pick(t) is not None:
+            out.append(t)
+    return out
+
+
+def _json_containers(obj, seen):
+    """Ids of every dict and list reachable from obj, each visited once."""
+    if isinstance(obj, (dict, list)) and id(obj) not in seen:
+        seen.add(id(obj))
+        for child in obj.values() if isinstance(obj, dict) else obj:
+            _json_containers(child, seen)
+    return seen
+
+
+def test_trace_bytes_pinned():
+    """The traces of a seeded set of reductions serialize to the same bytes
+    as before records began sharing the JSON of repeated pairs."""
+    traces = []
+    for t in _seeded_reductions():
+        trace = []
+        reduce_to_z1(t, trace=trace)
+        traces.append(trace)
+    assert sum(len(tr) for tr in traces) == 3716
+    text = json.dumps(traces, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "70a1ec94f5292a57dd1c5b8129a1dbc5a58ea6e05ead97cbabecdc0ea43a5347"
+    )
+
+
+def test_traces_share_no_json_between_calls():
+    t = zt([Pair.ones((1, 2)), Pair.ones((2,)), Pair.ones((1,))], Pair.ones((1, 1)))
+    first, second = [], []
+    reduce_to_z1(t, trace=first)
+    reduce_to_z1(t, trace=second)
+    assert first == second
+    assert not _json_containers(first, set()) & _json_containers(second, set())
+    # within one call, a repeated pair is one dict
+    pair_dicts = [rec["premise"]["bar"] for rec in first]
+    assert len({id(d) for d in pair_dicts}) == len({json.dumps(d) for d in pair_dicts})
