@@ -1,7 +1,9 @@
 """Truncated numerical evaluation, exact partial-sum oracles, and verification.
 
-Connected sums are summed by dynamic programming over per-component top
-values (each capped at the bound), combined through a connector-normalized
+An arity-1 connected sum is evaluated through its boundary expansion into
+polylogarithms (boundary_reduce), each by eval_mpl_auto below.  A sum of
+arity n >= 2 is summed by dynamic programming over per-component top values
+(each capped at the bound), combined through a connector-normalized
 convolution so no factorial ever overflows, and closed with the bar-chain
 weight.  For components whose outermost letter is (1, k) over an all-ones
 bar, the single-escape rows beyond the cap admit closed-form or windowed
@@ -10,9 +12,7 @@ folded into the value and their residuals into the tail estimate.  The
 convolution keeps only the connector weights near its two edges; the mass
 it drops, and that of the rows no escape correction covers (two tops past
 the cap, or one past it while the others total more than the escape
-cut-off), enter the tail through proved bounds.  So do the arity-1 rows past
-the escape window wherever the component and bar exponents make their
-majorant summable.
+cut-off), enter the tail through proved bounds.
 
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
 one lfilter recurrence per letter, in float64 when every variable is real and
@@ -27,7 +27,7 @@ lam = d0/(d0+d1), with d0 = min |b| over b != 0 and d1 = min |1-b| over
 b != 1, gives every piece a ratio of at most 1/(d0+d1) < 1.  Each piece is
 cut at the least N whose proved remainder is within tol / (4 (w+1)), and
 carries a proved rounding bound; one that would need more than 2^21 terms
-stops there with its bound.
+sums nothing and is bounded as a whole.
 """
 from __future__ import annotations
 
@@ -39,10 +39,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
-from scipy.special import digamma, gammaincc, gammaln
-from scipy.special import zeta as hurwitz_zeta
+from scipy.special import digamma, gammaln
 
-from .boundary import harmonic_to_shuffle
+from .boundary import boundary_reduce, harmonic_to_shuffle
 from .errors import DivergentInput, DomainError, HypothesisViolated, NotConverged
 from .model import (
     MplTerm,
@@ -75,11 +74,6 @@ def connector(a: Sequence[int]) -> Fraction:
 def _glf(x):
     """log(x!) elementwise."""
     return gammaln(np.asarray(x, dtype=np.float64) + 1.0)
-
-
-def _harmonic(n):
-    """H_n elementwise."""
-    return digamma(np.asarray(n, dtype=np.float64) + 1.0) + np.euler_gamma
 
 
 def _chain(letters, bound: int, weak: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +178,8 @@ def _escape_kernel(bar: Pair, w_ext: np.ndarray, lf: np.ndarray, cap: int, r_oth
     if z == 1 and k_top == 1 and ones and bar.k == (1,):
         return complex(rfac * _phi(lf, cap, r)), 0.0
     if z == 1 and k_top == 1 and ones and bar.k == (1, 1):
-        val = rfac * (_phi(lf, cap, r) * _harmonic(cap + r + 1) + _phi(lf, cap + 1, r) / r)
+        h = digamma(cap + r + 2.0) + np.euler_gamma  # H_(cap+r+1)
+        val = rfac * (_phi(lf, cap, r) * h + _phi(lf, cap + 1, r) / r)
         return complex(val), 0.0
     b = cap + _KERNEL_WINDOW
     mi = np.arange(cap + 1, b + 1)
@@ -259,34 +254,27 @@ def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, lf: np.ndarray,
     return out
 
 
-def _rows_past(depth: int, k: int, bar: Pair, b: int) -> Optional[float]:
-    """Proved bound on the arity-1 rows past b, or None where none is derived.
-
-    A component top of depth d_c at m is at most H_m^(d_c-1) / m^k, and the
-    bar weight |W[m]| is at most m^(1-e) H_m^(d_b-1) (e the bar's top
-    exponent, d_b its depth), so row m is at most (1 + ln m)^q m^(-s) with
-    q = d_c + d_b - 2, s = k + e - 1.  For s > 1, where that decreases past b
-    (q < s (1 + ln b)), the rows sum to at most the integral from b:
-    e^(s-1) (s-1)^(-q-1) Gamma(q+1, (s-1)(1 + ln b)).
-    """
-    q = depth + bar.dep - 2
-    s = k + bar.k[-1] - 1
-    lb = 1.0 + math.log(b)
-    if s <= 1 or q >= s * lb:
-        return None
-    upper = float(gammaincc(q + 1, (s - 1) * lb))  # regularised: Gamma(q+1, x) / q!
-    if upper == 0.0:
-        return 0.0
-    return math.exp(s - 1 - (q + 1) * math.log(s - 1) + math.lgamma(q + 1) + math.log(upper))
+def _merge_zero_bar_letters(t: ZTerm) -> ZTerm:
+    """The term with each bar letter (0, l) merged into the letter below it:
+    0^gap vanishes unless the weak chain holds their indices equal.  (A zero
+    first letter makes the term structurally zero.)"""
+    letters: list[tuple[Scalar, int]] = []
+    for v, e in t.bar.letters():
+        if v.is_zero():
+            v, e0 = letters.pop()
+            e += e0
+        letters.append((v, e))
+    return ZTerm(t.coef, t.components, Pair.from_letters(letters))
 
 
-def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
-               tail_completion: bool = True) -> EvalReport:
+def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     """Evaluate a connected-sum term with every component top capped at bound.
 
-    The bar chain runs up to the full component total.  With tail_completion
-    the qualifying single-escape rows are summed past the cap; without it the
-    raw truncated value is returned (useful for monotone bracketing).
+    An arity-1 term is the sum of its boundary expansion (boundary_reduce),
+    each polylogarithm by eval_mpl_auto within tol / (4 terms), so its tail is
+    proved and bound is checked but not used.  Otherwise the bar chain runs up
+    to the full component total and the single-escape rows are summed past
+    the cap.
     """
     if bound < 1:
         raise DomainError(f"truncation bound must be >= 1, got {bound}")
@@ -298,6 +286,10 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
         raise DomainError(f"truncation bound {bound} is below the component depth {depth}")
     if not is_convergent(t):
         raise DivergentInput(f"{t} does not converge absolutely")
+    if t.arity == 1:
+        expansion = boundary_reduce(_merge_zero_bar_letters(t))
+        value, tail, _ = _sum_terms(expansion.terms, tol, eval_mpl_auto)
+        return EvalReport(value, bound, tail, tail <= tol)
     coef = complex(float(t.coef))
     n = t.arity
     cap = bound
@@ -312,8 +304,7 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
     g, k = _connect(tops, cap, lf)
     value = complex(np.sum(g * w[:g.size]))
     tail = k * float(np.sum(np.abs(w[:g.size]) * _past_edges(lf, _BAND + 1, g.size)))
-    if n >= 2:
-        tail += _uncovered_bound(t, cap, r_cut, lf, w)
+    tail += _uncovered_bound(t, cap, r_cut, lf, w)
     for j, p in enumerate(t.components):
         z_top, k_top = p.z[-1], p.k[-1]
         az = complex(z_top)
@@ -323,40 +314,6 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
         inner = chains[j][1]
         zpow = np.power(np.conj(az), np.arange(cap, dtype=np.float64))
         ghat = complex(np.sum(inner[:cap] * zpow))
-
-        if n == 1:
-            b = cap + _KERNEL_WINDOW
-            m = np.arange(cap + 1, b + 1, dtype=np.float64)
-            weights = w[cap + 1:b + 1] / m ** k_top
-            row = complex(np.sum(np.power(az, m) * weights)) * ghat
-            # row m reads the inner sum frozen at the cap; it moves by the
-            # layer below the top over cap <= i < m, each entry at most
-            # H_i^(d_c-2) / i, so by at most H_m^(d_c-2) (H_(m-1) - H_(cap-1))
-            moved = 0.0
-            if p.dep >= 2:
-                h = _harmonic(m)
-                moved = float(np.sum(np.abs(weights) * h ** (p.dep - 2) *
-                                     (h - 1.0 / m - _harmonic(cap - 1))))
-            rem_est = _rows_past(p.dep, k_top, t.bar, b)
-            if rem_est is None:
-                keff = max(k_top - 1, 1)
-                rem_est = abs(ghat) * abs(w[b]) / (keff * float(b) ** keff)
-            if tail_completion:
-                value += row
-                tail += moved
-                if z_top.is_one() and k_top >= 2 and t.bar.z[-1].is_one():
-                    # frozen-W remainder; the leftover is one log-slope of the
-                    # bar weight per e-fold, estimated from a half-way probe
-                    hz = float(hurwitz_zeta(k_top, b + 1))
-                    slope = abs(complex(w[b]) - complex(w[b // 2])) / math.log(2)
-                    value += ghat * complex(w[b]) * hz
-                    tail += abs(ghat) * (slope + abs(w[b]) / b) * hz
-                else:
-                    tail += rem_est
-            else:
-                tail += abs(row) + rem_est
-            continue
-
         ghat_half = complex(np.sum(inner[:cap // 2] * zpow[:cap // 2]))
         drift = abs(ghat - ghat_half)
         # the escape rows read the other components' product only up to r_cut
@@ -364,18 +321,15 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6,
         o_err = k_o * _past_edges(lf, _BAND + 1, o.size)
         correction = 0j
         resid = 0.0
-        for r in range(max(1, n - 1), min(r_cut, o.size - 1) + 1):
+        for r in range(n - 1, min(r_cut, o.size - 1) + 1):
             if o[r] == 0 and o_err[r] == 0:
                 continue
             kv, kr = _escape_kernel(t.bar, w, lf, cap, r, k_top, az)
             correction += o[r] * ghat * kv
             resid += (abs(o[r]) * kr + o_err[r] * abs(kv)) * abs(ghat)
-        if tail_completion:
-            value += correction
-            scale = abs(correction) / abs(ghat) if ghat != 0 else 0.0
-            tail += resid + drift * scale
-        else:
-            tail += abs(correction) + resid
+        value += correction
+        scale = abs(correction) / abs(ghat) if ghat != 0 else 0.0
+        tail += resid + drift * scale
 
     report_tail = abs(coef) * float(tail + 1e-13 * (1.0 + abs(value)))
     return EvalReport(complex(coef * value), bound, report_tail, report_tail <= tol)
@@ -442,6 +396,9 @@ def _piece(word: Sequence[complex], y: float, target: float) -> tuple[complex, f
     G(0^(s_1-1), c_1, ..., 0^(s_q-1), c_q; y) is (-1)^q times the chain over
     (y/c_q, s_q), ..., (y/c_1, s_1), whose entries at outer index n are at most
     C(n-1, q-1) rho^n (rho the largest |y/c|): _cut bounds the truncation.
+    Where the cut would pass _CAP the piece sums nothing and returns 0 with
+    the bound sum_(n>=1) C(n-1, q-1) rho^n = (rho / (1 - rho))^q on all of it,
+    or an infinite one for rho >= 1.
     Each recurrence step errs by at most 12u of the absolute chain through it
     (the letter's rounding and division, two products, one sum), decaying like
     the letter's powers: letter a adds 12u/(1 - |a|) of the absolute chain's
@@ -459,10 +416,11 @@ def _piece(word: Sequence[complex], y: float, target: float) -> tuple[complex, f
     letters.reverse()
     moduli = [abs(v) for v, _ in letters]
     rho = max(moduli) * (1.0 + 4.0 * _U)  # covers the rounding of the letters
-    n, trunc = _cut(len(letters), rho, target)
-    value = (-1) ** len(letters) * complex(np.sum(_chain(letters, n)[0]))
-    if rho >= 1.0:
-        return value, math.inf
+    q = len(letters)
+    n, trunc = _cut(q, rho, target)
+    if trunc > target:  # the cut passed _CAP: no partial sum can meet the target
+        return 0j, (rho / (1.0 - rho)) ** q if rho < 1.0 else math.inf
+    value = (-1) ** q * complex(np.sum(_chain(letters, n)[0]))
     mass = float(np.sum(_chain(zip(moduli, (e for _, e in letters)), n)[0]))
     steps = sum(12.0 / (1.0 - a) + 3.0 for a in moduli) + math.log2(n + 1) + 19.0
     return value, trunc + steps * _U * mass
@@ -693,25 +651,30 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
 # relation verification
 
 
-def _eval_side(side, bound: int, tol: float) -> tuple[complex, float, list]:
-    val = 0j
-    tails = 0.0
-    per_term: list[tuple[str, complex]] = []
-    if isinstance(side, ZExpr):
-        for term in side.as_terms():
-            rep = eval_zterm(term.with_coef(Fraction(1)), bound, tol)
-            val += complex(float(term.coef)) * rep.value
-            tails += abs(float(term.coef)) * rep.tail_estimate
-            per_term.append((str(term), rep.value))
-        return val, tails, per_term
-    nterms = max(len(side.terms), 1)
-    budget = tol / (4.0 * nterms)
-    for coef, term in side.terms:
-        v, e = eval_mpl_auto(term, budget)
+def _sum_terms(items, tol: float, evaluate) -> tuple[complex, float, list[complex]]:
+    """(value, tail, per-term values) of sum coef * term over (coef, term)
+    items, each term by evaluate(term, tol / (4 count)) -> (value, tail)."""
+    budget = tol / (4.0 * max(len(items), 1))
+    val, tails, values = 0j, 0.0, []
+    for coef, term in items:
+        v, e = evaluate(term, budget)
         val += complex(float(coef)) * v
         tails += abs(float(coef)) * e
-        per_term.append((str(term), v))
-    return val, tails, per_term
+        values.append(v)
+    return val, tails, values
+
+
+def _eval_side(side, bound: int, tol: float) -> tuple[complex, float, list]:
+    if isinstance(side, ZExpr):
+        items = [(t.coef, t) for t in side.as_terms()]
+
+        def evaluate(term, budget):
+            rep = eval_zterm(term.with_coef(Fraction(1)), bound, budget)
+            return rep.value, rep.tail_estimate
+    else:
+        items, evaluate = side.terms, eval_mpl_auto
+    val, tails, values = _sum_terms(items, tol, evaluate)
+    return val, tails, [(str(t), v) for (_, t), v in zip(items, values)]
 
 
 def verify_relation(rel: Relation, bound: int = 400, tol: float = 1e-6) -> VerifyReport:

@@ -25,8 +25,11 @@ class Relation:
 class EvalReport:
     """Result of a truncated numerical evaluation.
 
-    tail_estimate is heuristic unless the term qualified for an exact tail
-    completion; converged means the estimate is below the caller tolerance.
+    truncation is the bound argument; an arity-1 term, evaluated through its
+    boundary expansion, does not use it.  tail_estimate is proved for an
+    arity-1 term; at arity >= 2 the escape rows' remainder and drift and a
+    constant rounding term are heuristic.  converged means the estimate is
+    below the caller tolerance.
     """
 
     value: complex

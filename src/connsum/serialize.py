@@ -36,6 +36,12 @@ def _list_in(v, what: str) -> list:
     return v
 
 
+def _object_in(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise DomainError(f"expected {what} object, got {v!r}")
+    return v
+
+
 def frac_to_json(q: Fraction) -> list:
     return [_int_out(q.numerator), _int_out(q.denominator)]
 
@@ -72,8 +78,7 @@ def pair_to_json(p: Pair) -> dict:
 
 
 def pair_from_json(obj) -> Pair:
-    if not isinstance(obj, dict):
-        raise DomainError(f"expected a pair object, got {obj!r}")
+    _object_in(obj, "a pair")
     k = tuple(_int_in(e) for e in _list_in(obj.get("k", []), "exponents"))
     z = obj.get("z")
     if z is None:
@@ -103,8 +108,7 @@ def zterm_to_json(t: ZTerm, pairs: dict | None = None) -> dict:
 
 
 def zterm_from_json(obj) -> ZTerm:
-    if not isinstance(obj, dict):
-        raise DomainError(f"expected a term object, got {obj!r}")
+    _object_in(obj, "a term")
     coef = frac_from_json(obj.get("coef", 1))
     comps = tuple(pair_from_json(p) for p in _list_in(obj["components"], "pairs"))
     bar = pair_from_json(obj["bar"]) if "bar" in obj else Pair.ones((1,))
@@ -116,7 +120,7 @@ def zexpr_to_json(e: ZExpr) -> list:
 
 
 def zexpr_from_json(obj) -> ZExpr:
-    return ZExpr.of([zterm_from_json(t) for t in obj])
+    return ZExpr.of([zterm_from_json(t) for t in _list_in(obj, "terms")])
 
 
 def mplterm_to_json(t: MplTerm, coef: Fraction | None = None) -> dict:
@@ -127,10 +131,11 @@ def mplterm_to_json(t: MplTerm, coef: Fraction | None = None) -> dict:
 
 
 def mplterm_from_json(obj) -> MplTerm:
+    _object_in(obj, "a polylog term")
     return MplTerm(
         obj.get("kind", "shuffle"),
-        tuple(_int_in(e) for e in obj["k"]),
-        tuple(scalar_from_json(v) for v in obj["z"]),
+        tuple(_int_in(e) for e in _list_in(obj["k"], "exponents")),
+        tuple(scalar_from_json(v) for v in _list_in(obj["z"], "scalars")),
     )
 
 
@@ -140,8 +145,9 @@ def mplexpr_to_json(e: MplExpr) -> list:
 
 def mplexpr_from_json(obj) -> MplExpr:
     items = []
-    for rec in obj:
-        items.append((frac_from_json(rec.get("coef", 1)), mplterm_from_json(rec)))
+    for rec in _list_in(obj, "terms"):
+        term = mplterm_from_json(rec)
+        items.append((frac_from_json(rec.get("coef", 1)), term))
     return MplExpr.of(items)
 
 
@@ -152,7 +158,7 @@ def _side_to_json(side) -> dict:
 
 
 def _side_from_json(obj):
-    if obj.get("type") == "z":
+    if _object_in(obj, "a relation side").get("type") == "z":
         return zexpr_from_json(obj["terms"])
     return mplexpr_from_json(obj["terms"])
 
@@ -166,8 +172,9 @@ def relation_to_json(r: Relation) -> dict:
 
 
 def relation_from_json(obj) -> Relation:
+    _object_in(obj, "a relation")
     return Relation(
         lhs=_side_from_json(obj["lhs"]),
         rhs=_side_from_json(obj["rhs"]),
-        provenance=dict(obj.get("provenance", {})),
+        provenance=dict(_object_in(obj.get("provenance", {}), "a provenance")),
     )

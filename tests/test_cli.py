@@ -31,13 +31,13 @@ def test_reduce_command(tmp_path, capsys):
 
 
 def test_eval_command_round_trip(tmp_path, capsys):
-    term = _write(tmp_path, "t.json", serialize.zterm_to_json(
-        zterm([Pair.ones((1,)), Pair.ones((1,))])
-    ))
-    assert main(["--json", "eval", "--term", term, "--bound", "200"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert abs(out["value"][0] - 1.6449340668) < 1e-6
-    assert out["converged"]
+    # Z2(1;1) and Z1((1)|(2)) both equal zeta(2)
+    for t in (zterm([Pair.ones((1,)), Pair.ones((1,))]), zterm([Pair.ones((1,))], Pair.ones((2,)))):
+        term = _write(tmp_path, "t.json", serialize.zterm_to_json(t))
+        assert main(["--json", "eval", "--term", term, "--bound", "200"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["value"][0] - 1.6449340668) < 1e-6
+        assert out["converged"]
 
 
 def test_dual_command(tmp_path, capsys):
@@ -117,3 +117,21 @@ def test_malformed_term_is_a_domain_error(tmp_path, capsys):
         term = _write(tmp_path, "t.json", payload)
         assert main(["reduce", "--term", term]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_relation_is_a_domain_error(tmp_path, capsys):
+    side = {"type": "mpl", "terms": [{"k": [2], "z": [1]}]}
+    bad_relations = [
+        [1],
+        {"lhs": [1], "rhs": []},
+        {"lhs": side, "rhs": {"type": "mpl", "terms": 5}},
+        {"lhs": side, "rhs": {"type": "mpl", "terms": [1]}},
+        {"lhs": side, "rhs": {"type": "mpl", "terms": [{"k": 2, "z": [1]}]}},
+        {"lhs": side, "rhs": {"type": "mpl", "terms": [{"k": [2], "z": 1}]}},
+        {"lhs": side, "rhs": {"type": "z", "terms": 5}},
+        {"lhs": side, "rhs": side, "provenance": [1]},
+    ]
+    for payload in bad_relations:
+        rel = _write(tmp_path, "r.json", payload)
+        assert main(["verify", "--relation", rel]) == 2, payload
+        assert capsys.readouterr().err.startswith("error: "), payload

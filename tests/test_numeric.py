@@ -69,6 +69,16 @@ def test_eval_zeta4():
     assert abs(rep.value.real - F(17, 8) * PI ** 4 / 90) < 1e-7
 
 
+def _capped_sum(t, bound):
+    """The raw capped sum eval_zterm starts from at arity >= 2, built from the
+    pieces it runs: every component top at most bound, no escape rows."""
+    lf = numeric._glf(np.arange(t.arity * bound + 1))
+    tops = [numeric._chain(p.letters(), bound)[0] for p in t.components]
+    g, _ = numeric._connect(tops, bound, lf)
+    w = numeric._chain(t.bar.letters(), g.size - 1, weak=True)[0] * np.arange(g.size)
+    return complex(float(t.coef)) * complex(np.sum(g * w))
+
+
 def test_eval_against_exact_partial():
     # float and exact paths agree to 1e-12 on the raw truncated sum
     from connsum.model import is_convergent
@@ -87,8 +97,7 @@ def test_eval_against_exact_partial():
         if not is_convergent(t):
             continue
         exact = eval_zterm_partial_exact(t, 60)
-        raw = eval_zterm(t, 60, tol=1.0, tail_completion=False)
-        assert abs(complex(exact) - raw.value) < 1e-12
+        assert abs(complex(exact) - _capped_sum(t, 60)) < 1e-12
         done += 1
 
 
@@ -326,20 +335,22 @@ def test_zterm_tail_covers_the_error():
 
 
 def test_arity_one_tail_covers_the_error():
-    # the rows past the escape window weigh about 1/b over bar (2) and
-    # 1/(2 b^2) over bar (3); the tail must hold them, not a flat-weight guess.
-    # Over the alternating bar (-1) the bar weight is not slowly varying, so
-    # no frozen-weight remainder may be added to Z1((2)|(-1)) = -zeta(2)/2
-    # Z1((1,1)|(2)) = zeta(3) reads its inner sum frozen at the cap; the tail
-    # must hold how far that sum moves over the escape window
-    for comp, bar, ref in (((1,), Pair.ones((2,)), PI ** 2 / 6),
-                           ((1,), Pair.ones((3,)), Z3),
-                           ((2,), Pair((1,), (sc(-1),)), -PI ** 2 / 12),
-                           ((1, 1), Pair.ones((2,)), Z3)):
-        t = zterm([Pair.ones(comp)], bar)
-        for bound in [*range(len(comp), 101), 400]:
-            rep = eval_zterm(t, bound)
-            assert abs(rep.value - ref) <= rep.tail_estimate, (comp, bar, bound)
+    # an arity-1 term is its boundary expansion with proved polylog tails, so
+    # it certifies at every bound: over decaying bars (2) and (3), over the
+    # alternating bar (-1) (Z1((2)|(-1)) = -zeta(2)/2) and with an inner sum
+    # below the top (Z1((1,1)|(2)) = zeta(3)).  A bar letter (0, l) merges
+    # into the one below it: Z1((1/2 / 2) | (1,0 / 1,1)) = Li3(1/2)
+    li3_half = 0.53721319360804020
+    for comp, bar, ref in ((Pair.ones((1,)), Pair.ones((2,)), PI ** 2 / 6),
+                           (Pair.ones((1,)), Pair.ones((3,)), Z3),
+                           (Pair.ones((2,)), Pair((1,), (sc(-1),)), -PI ** 2 / 12),
+                           (Pair.ones((1, 1)), Pair.ones((2,)), Z3),
+                           (Pair((2,), (sc(F(1, 2)),)), Pair((1, 1), (ONE, sc(0))), li3_half)):
+        t = zterm([comp], bar)
+        for bound in [*range(comp.dep, 101), 400]:
+            rep = eval_zterm(t, bound, tol=1e-6)
+            assert rep.converged and rep.truncation == bound, (str(t), bound)
+            assert abs(rep.value - ref) <= rep.tail_estimate, (str(t), bound)
 
 
 def _reached(fn):
@@ -385,8 +396,8 @@ def test_exact_oracles_share_no_float_code():
 
 def test_monotone_refinement_brackets():
     t = zterm([Pair.ones((1,)), Pair.ones((1,))])
-    raw1 = eval_zterm(t, 100, tol=1.0, tail_completion=False).value.real
-    raw2 = eval_zterm(t, 200, tol=1.0, tail_completion=False).value.real
+    raw1 = _capped_sum(t, 100).real
+    raw2 = _capped_sum(t, 200).real
     certified = eval_zterm(t, 400).value.real
     assert raw1 < raw2 < certified <= PI ** 2 / 6 + 1e-9
 
@@ -470,7 +481,7 @@ def _single(term, rhs=None):
                     rhs=MplExpr.zero() if rhs is None else MplExpr.single(rhs), provenance={})
 
 
-def test_not_converged_raised():
+def test_not_converged_raised(monkeypatch):
     # 1e-18 is below the rounding bound of zeta(1,1,1,2); Li2(z) with z on the
     # unit circle within 1e-6 of 1 needs more than 2^21 terms per piece
     with pytest.raises(NotConverged):
@@ -478,8 +489,19 @@ def test_not_converged_raised():
     s = F(1, 2_000_000)
     z = sc((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s))
     assert z.abs_eq_one() and abs(complex(z) - 1) < 1e-6
+    # a piece that cannot meet its target sums nothing; summing its chain
+    # and the absolute one to 2^21 would filter about 1.7e7 elements
+    counted = [0]
+    lfilter = numeric.lfilter
+
+    def counting_lfilter(b, a, x, *args, **kwargs):
+        counted[0] += np.size(x)
+        return lfilter(b, a, x, *args, **kwargs)
+
+    monkeypatch.setattr(numeric, "lfilter", counting_lfilter)
     with pytest.raises(NotConverged):
         verify_relation(_single(MplTerm("shuffle", (2,), (z,))), tol=1e-12)
+    assert counted[0] <= 10 ** 4, counted[0]
 
 
 def test_zeta_1112_certifies_zeta5():

@@ -169,7 +169,7 @@ def test_boundary_series_matches_numeric():
     p = Pair((2,), (sc(F(-1, 2)),))
     series = boundary_series(word_of_pair(p), 2)
     for h in range(3):
-        direct = eval_zterm(zterm([p], Pair.ones((1,) * (h + 1))), 300, tol=1.0)
+        direct = eval_zterm(zterm([p], Pair.ones((1,) * (h + 1))), 300, tol=1e-12)
         rel = Relation(lhs=series[h], rhs=MplExpr.zero(), provenance={})
         lhs_val = 0j
         from connsum.numeric import eval_mpl_auto
