@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -159,3 +160,189 @@ def test_derived_values_cached_without_changing_the_value():
     assert str(INF) == "inf" and ZERO.inv() is INF and INF.inv() is ZERO
     with pytest.raises(DomainError):
         INF.abs_sq()
+
+
+def test_fields_are_fractions_and_inexact_input_is_refused():
+    for z in (Scalar(1), Scalar(1, -2), Scalar("1/3", 0), Scalar.of(3, "2/4"), sc(-2)):
+        assert type(z.re) is F and type(z.im) is F
+        assert z == Scalar(F(z.re), F(z.im))
+    assert Scalar(1) * sc(F(1, 2)) == sc(F(1, 2))
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(DomainError):
+            Scalar(bad)
+        with pytest.raises(DomainError):
+            Scalar(F(1), bad)
+        with pytest.raises(DomainError):
+            sc(bad)
+
+
+# -- the integer kernel against the Fraction formulas it replaced ------------
+
+def _ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_abs_sq(x):
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def _ref_inv(x):
+    d = _ref_abs_sq(x)
+    return (x[0] / d, -x[1] / d)
+
+
+def _ref_div(x, y):
+    return _ref_mul(x, _ref_inv(y))
+
+
+def _ref_mobius(x):
+    return _ref_div(x, _ref_sub(x, (F(1), F(0))))
+
+
+def _check_fields(z):
+    for part in (z.re, z.im):
+        assert type(part) is F
+        n, d = part.numerator, part.denominator
+        assert d > 0 and math.gcd(n, d) == 1
+        canonical = F(n, d)  # the normalising constructor agrees
+        assert (canonical.numerator, canonical.denominator) == (n, d)
+        assert part == canonical and hash(part) == hash(canonical)
+    assert not z.is_inf
+    assert hash(z) == hash((z.re, z.im, z.is_inf))
+    # the integer form the kernel reads is the primitive one of the fields
+    a, b, d = z._g
+    assert d > 0 and math.gcd(math.gcd(a, b), d) == 1
+    assert (F(a, d), F(b, d)) == (z.re, z.im)
+
+
+def _kernel_pool(rng):
+    units = [(F(3, 5), F(4, 5)), (F(5, 13), F(-12, 13)), (F(1), F(0)), (F(-1), F(0)),
+             (F(0), F(1)), (F(0), F(-1)), (F(-8, 17), F(15, 17))]
+    big = 10 ** 30
+
+    def q(height):
+        return F(rng.randint(-height, height), rng.randint(1, height))
+
+    def draw():
+        kind = rng.randrange(8)
+        if kind == 0:
+            return (F(0), F(0))
+        if kind == 1:
+            return (q(rng.choice((9, 1000, big))), F(0))
+        if kind == 2:
+            return (F(0), q(rng.choice((9, big))))
+        if kind == 3:
+            return rng.choice(units)
+        if kind == 4:  # coprime denominators up to 10^30
+            d1 = rng.randint(1, big)
+            d2 = rng.randint(1, big)
+            while math.gcd(d1, d2) != 1:
+                d2 += 1
+            return (F(rng.randint(-big, big), d1), F(rng.randint(-big, big), d2))
+        if kind == 5:  # one shared denominator
+            d = rng.randint(1, 60)
+            return (F(rng.randint(-60, 60), d), F(rng.randint(-60, 60), d))
+        if kind == 6:
+            return (F(1, 2), q(9))
+        x = (q(9), q(9))
+        return (-x[0], -x[1])
+    return draw
+
+
+def test_kernel_matches_fraction_formulas():
+    rng = random.Random(2021)
+    draw = _kernel_pool(rng)
+    ops = [("+", lambda x, y: x + y, _ref_add), ("-", lambda x, y: x - y, _ref_sub),
+           ("*", lambda x, y: x * y, _ref_mul)]
+    for _ in range(2000):
+        xr, yr = draw(), draw()
+        x, y = Scalar(*xr), Scalar(*yr)
+        for z in (x, y, -x, x.conj()):
+            _check_fields(z)
+        assert (-x).re == -xr[0] and (-x).im == -xr[1]
+        assert x.conj() == Scalar(xr[0], -xr[1])
+        for name, op, ref in ops:
+            z = op(x, y)
+            _check_fields(z)
+            assert (z.re, z.im) == ref(xr, yr), name
+            assert z == Scalar(*ref(xr, yr)) and hash(z) == hash(Scalar(*ref(xr, yr)))
+        assert x.abs_sq() == _ref_abs_sq(xr)
+        assert type(x.abs_sq()) is F and math.gcd(x.abs_sq().numerator,
+                                                  x.abs_sq().denominator) == 1
+        if not y.is_zero():
+            for z, want in ((y.inv(), _ref_inv(yr)), (x / y, _ref_div(xr, yr))):
+                _check_fields(z)
+                assert (z.re, z.im) == want
+        if not x.is_one():
+            _check_fields(x.mobius())
+            assert (x.mobius().re, x.mobius().im) == _ref_mobius(xr)
+        r = _ref_abs_sq(xr)
+        assert x.in_closed_disk() == (r <= 1)
+        assert x.in_open_disk() == (r < 1)
+        assert x.abs_eq_one() == (r == 1)
+        assert x.is_zero() == (xr == (0, 0))
+        assert x.is_one() == (xr == (1, 0))
+        assert x.is_real() == (xr[1] == 0)
+        assert x.re_leq_half() == (xr[0] <= F(1, 2))
+        assert x.re_lt_half() == (xr[0] < F(1, 2))
+        assert x.re_eq_half() == (xr[0] == F(1, 2))
+
+
+def test_kernel_undefined_forms_unchanged():
+    rng = random.Random(3)
+    draw = _kernel_pool(rng)
+    finite = [Scalar(*draw()) for _ in range(50)] + [ZERO, ONE]
+    for z in finite:
+        assert z + INF == INF and INF + z == INF
+        assert z - INF == INF and INF - z == INF
+        assert z / INF == ZERO
+        if z.is_zero():
+            for form in (lambda: z * INF, lambda: INF * z, lambda: z / z):
+                with pytest.raises(UndefinedArithmetic):
+                    form()
+        else:
+            assert z * INF == INF and INF * z == INF and z / ZERO == INF
+    for form in (lambda: INF + INF, lambda: INF - INF, lambda: INF / INF, lambda: INF ** 0):
+        with pytest.raises(UndefinedArithmetic):
+            form()
+    for form in (INF.abs_sq, INF.mobius, ONE.mobius, INF.re_leq_half, INF.re_lt_half,
+                 INF.re_eq_half, INF.__complex__):
+        with pytest.raises(DomainError):
+            form()
+    assert ZERO.inv() is INF and INF.inv() is ZERO
+    assert not (INF.in_closed_disk() or INF.in_open_disk() or INF.abs_eq_one())
+    assert not (INF.is_zero() or INF.is_one() or INF.is_real())
+    assert -INF is INF and INF.conj() is INF
+
+
+def test_kernel_runs_without_fraction_arithmetic(monkeypatch):
+    xs = [sc(F(3, 5), F(4, 5)), sc(F(-7, 3)), sc(0, F(2, 9)), sc(F(1, 6), F(-5, 4)),
+          sc(F(10 ** 30 + 1, 7), F(2, 10 ** 29 + 3))]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the Scalar kernel")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__new__"):
+        monkeypatch.setattr(F, name, refuse)
+    for x in xs:
+        for y in xs:
+            # each result is fresh, so its cached inv/abs_sq/mobius are computed here
+            for z in (x + y, x - y, x * y, x / y, -x):
+                z.inv()
+                z.abs_sq()
+                z.in_closed_disk()
+                z.in_open_disk()
+                z.abs_eq_one()
+                if not z.is_one():
+                    z.mobius()
+    monkeypatch.undo()
+    assert xs[0] * xs[0].inv() == ONE
