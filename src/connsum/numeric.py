@@ -24,16 +24,20 @@ convolution.  With letters (z_i, k_i) innermost first, the value is
   G(b; 1) = sum_j (-1)^j G(1-b_j, ..., 1-b_1; 1-lam) G(b_(j+1), ..., b_w; lam).
 
 lam = d0/(d0+d1), with d0 = min |b| over b != 0 and d1 = min |1-b| over
-b != 1, gives every piece a ratio of at most 1/(d0+d1) < 1.  Each piece is
-cut at the least N whose proved remainder is within tol / (4 (w+1)), and
-carries a proved rounding bound; one that would need more than 2^21 terms
-sums nothing and is bounded as a whole.
+b != 1, gives every piece a ratio of at most 1/(d0+d1) < 1.  The pieces at
+lam are the suffixes of b, and those at 1-lam the suffixes of the reversed
+reflected word, so each is an inner layer of its side's chain: one value
+chain and one absolute chain per side give every piece (_side).  A side's
+chain runs to one cut N, the least at which every piece's proved remainder
+is within tol / (4 (w+1)); N comes from the log of that remainder in closed
+form, then integer steps (_cut).  Each piece carries a proved rounding bound
+from the absolute chain; one that would need more than 2^21 terms sums
+nothing and is bounded as a whole.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -76,12 +80,16 @@ def _glf(x):
     return gammaln(np.asarray(x, dtype=np.float64) + 1.0)
 
 
-def _chain(letters, bound: int, weak: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
     """Chain mass by top index 0..bound: (last layer, the layer below it).
 
     layer[m] sums the chains of the letters so far whose top index is m, each
     slot weighted by v^gap / m^e.  Indices strictly increase; weak lets every
     slot after the first repeat the index below it (the bar chain).
+
+    With sums, it returns instead one list per layer: the sums over m of the
+    layer's lfilter output divided by m^t, t = 1..e.  Entry t is the total
+    of the same chain with the outermost exponent t in place of e.
     """
     letters = list(letters)
     zs = np.array([complex(v) for v, _ in letters], dtype=np.complex128)
@@ -91,13 +99,18 @@ def _chain(letters, bound: int, weak: bool = False) -> tuple[np.ndarray, np.ndar
     ms = np.arange(bound + 1, dtype=np.float64)
     layer[0] = ms[0] = 1.0  # index 0 holds the empty chain; every later layer is 0 there
     below = layer
+    totals = []
     for i, (z, (_, e)) in enumerate(zip(zs, letters)):
         below = layer
         num = [1.0] if weak and i > 0 else [0.0, z]
         layer = lfilter(num, [1.0, -z], below)
+        if sums:
+            totals.append([(layer / ms ** t).sum() for t in range(1, e)])
         # divided in place: no further full-length array, although below stays alive
         np.divide(layer, ms ** e, out=layer)
-    return layer, below
+        if sums:
+            totals[-1].append(layer.sum())
+    return totals if sums else (layer, below)
 
 
 def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int, lf: np.ndarray,
@@ -267,6 +280,13 @@ def _merge_zero_bar_letters(t: ZTerm) -> ZTerm:
     return ZTerm(t.coef, t.components, Pair.from_letters(letters))
 
 
+def _check_tol(tol: float) -> None:
+    """A tolerance must be finite and positive: no tail can meet one that is
+    not, and a NaN one fails every comparison, so it reads as a failure."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+
+
 def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     """Evaluate a connected-sum term with every component top capped at bound.
 
@@ -276,6 +296,7 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     to the full component total and the single-escape rows are summed past
     the cap.
     """
+    _check_tol(tol)
     if bound < 1:
         raise DomainError(f"truncation bound must be >= 1, got {bound}")
     if t.is_structurally_zero():
@@ -370,64 +391,129 @@ def eval_mpl(m: MplTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     return EvalReport(value, bound, tail, tail <= tol)
 
 
-def _cut(q: int, rho: float, target: float) -> tuple[int, float]:
-    """(N, R): the least N <= _CAP whose remainder sum_{n>N} C(n-1, q-1) rho^n
-    is proved at most target, or _CAP; R bounds that remainder.
+def _remainder(q: int, rho: float, n: int) -> float:
+    """Proved bound on sum_{m>n} C(m-1, q-1) rho^m, infinite where it has none.
 
-    Past N the ratio of consecutive terms is at most r = rho (N+1)/(N+2-q),
-    which falls with N, so once r < 1 the remainder is at most
-    C(N, q-1) rho^(N+1) / (1 - r), which falls too: a bisection finds N.
+    Past n the ratio of consecutive terms is at most r = rho (n+1)/(n+2-q),
+    which falls with n, so once r < 1 the sum is at most
+    C(n, q-1) rho^(n+1) / (1 - r), which falls with n too.
     """
-    def remainder(n: int) -> float:
-        r = rho * (n + 1) / (n + 2 - q)
-        if r >= 1.0:
-            return math.inf
-        return math.exp(math.lgamma(n + 1) - math.lgamma(q) - math.lgamma(n + 2 - q) +
-                        (n + 1) * math.log(rho)) / (1.0 - r)
-
-    ns = range(max(1, q - 1), _CAP + 1)
-    n = ns[min(bisect_left(ns, True, key=lambda n: remainder(n) <= target), len(ns) - 1)]
-    return n, remainder(n)
+    if rho == 0.0:
+        return 0.0
+    r = rho * (n + 1) / (n + 2 - q)
+    if r >= 1.0:
+        return math.inf
+    return math.exp(math.lgamma(n + 1) - math.lgamma(q) - math.lgamma(n + 2 - q) +
+                    (n + 1) * math.log(rho)) / (1.0 - r)
 
 
-def _piece(word: Sequence[complex], y: float, target: float) -> tuple[complex, float]:
-    """(value, error bound) of G(word; y), a word whose last letter is not 0.
+def _cut(q: int, rho: float, target: float) -> tuple[int, float]:
+    """(N, R): the least N >= max(1, q-1) with R = _remainder(q, rho, N) <=
+    target, or (_CAP, its R) if N would pass _CAP.
+
+    g(x) = log R(x) - log target is solved for a real x >= the least N with
+    r < 1, starting at x = log target / log rho: first one fixed-point step
+    x + 1 = (log target - log C(x, q-1) + log(1 - r)) / log rho, which is a
+    Newton step with slope log rho, then Newton steps with g's slope, the
+    digamma difference of log C(x, q-1) taken as log((x+1) / (x+2-q)), until
+    a step moves x by less than 1/2.  Integer steps with R itself then find
+    the least N.
+    """
+    lo = max(1, q - 1)
+    top = _remainder(q, rho, _CAP)
+    if not top <= target:
+        return _CAP, top
+    n = lo
+    if rho > 0.0:
+        first = max(lo, math.floor((q - 2 + rho) / (1.0 - rho)) + 1)
+        while rho * (first + 1) >= first + 2 - q:  # the least N with r < 1
+            first += 1
+        lr, lt = math.log(rho), math.log(target)
+        x = max(float(first), lt / lr - 1.0)
+        for step in range(8):
+            d = x + 2 - q
+            r = rho * (x + 1) / d
+            g = math.lgamma(x + 1) - math.lgamma(q) - math.lgamma(d) + \
+                (x + 1) * lr - math.log1p(-r) - lt
+            slope = lr if step == 0 else \
+                lr + math.log((x + 1) / d) + rho * (1 - q) / (d * d * (1.0 - r))
+            x, moved = min(max(float(first), x - g / slope), float(_CAP)), x
+            if abs(x - moved) < 0.5:
+                break
+        n = math.ceil(x)
+    while n > lo and _remainder(q, rho, n - 1) <= target:
+        n -= 1
+    while _remainder(q, rho, n) > target:
+        n += 1
+    return n, _remainder(q, rho, n)
+
+
+def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[complex, float]]:
+    """(value, error bound) of G(word[j:]; y) for j = 0..len(word), a word
+    whose last letter is not 0.
 
     G(0^(s_1-1), c_1, ..., 0^(s_q-1), c_q; y) is (-1)^q times the chain over
     (y/c_q, s_q), ..., (y/c_1, s_1), whose entries at outer index n are at most
-    C(n-1, q-1) rho^n (rho the largest |y/c|): _cut bounds the truncation.
-    Where the cut would pass _CAP the piece sums nothing and returns 0 with
-    the bound sum_(n>=1) C(n-1, q-1) rho^n = (rho / (1 - rho))^q on all of it,
-    or an infinite one for rho >= 1.
+    C(n-1, q-1) rho^n (rho the largest |y/c|).  A suffix with i letters c is
+    layer i of that chain, with its outermost exponent cut to t when the suffix
+    starts t-1 zeros before its first c: _chain's sums give them all.  The
+    chain runs to one N, at which every layer's remainder is within target;
+    the top layer, with the largest q and rho, sets N unless a lower one
+    needs more.  A layer whose own cut would pass _CAP, and every layer above
+    it, sums nothing: its pieces return 0 with the bound
+    sum_(n>=1) C(n-1, q-1) rho^n = (rho / (1 - rho))^q on all of them, or an
+    infinite one for rho >= 1.
     Each recurrence step errs by at most 12u of the absolute chain through it
     (the letter's rounding and division, two products, one sum), decaying like
     the letter's powers: letter a adds 12u/(1 - |a|) of the absolute chain's
     total, each division by m^e 3u, numpy's blocked pairwise sum (log2 N + 19)u.
     """
-    letters, s = [], 1
-    for c in word:
-        if c == 0:
-            s += 1
+    zs: list[complex] = []
+    exps: list[int] = []
+    shape = [(0, 0)]  # (letters c, outermost exponent t) of each suffix, reversed below
+    for c in reversed(word):
+        if c != 0:
+            zs.append(y / c)
+            exps.append(0)
+        exps[-1] += 1
+        shape.append((len(zs), exps[-1]))
+    shape.reverse()
+    moduli = [abs(v) for v in zs]
+    # rho of each layer, widened to cover the rounding of its letters
+    rhos = [a * (1.0 + 4.0 * _U) for a in itertools.accumulate(moduli, max)]
+    live = len(zs)
+    while live:
+        n, rem = _cut(live, rhos[live - 1], target)
+        if rem <= target:
+            break
+        live -= 1
+    if live:
+        trunc = [_remainder(i, rhos[i - 1], n) for i in range(1, live + 1)]
+        if max(trunc) > target:  # C(n, i-1) > C(n, live-1) for n < i + live - 2
+            n = max(_cut(i, rhos[i - 1], target)[0]
+                    for i in range(1, live + 1) if trunc[i - 1] > target)
+            trunc = [_remainder(i, rhos[i - 1], n) for i in range(1, live + 1)]
+        totals = _chain(zip(zs[:live], exps), n, sums=True)
+        masses = _chain(zip(moduli[:live], exps), n, sums=True)
+        steps = list(itertools.accumulate(12.0 / (1.0 - a) + 3.0 for a in moduli[:live]))
+        rounding = math.log2(n + 1) + 19.0
+    out = []
+    for q, t in shape:
+        if q == 0:
+            out.append((1 + 0j, 0.0))
+        elif q > live:  # no partial sum can meet the target
+            rho = rhos[q - 1]
+            out.append((0j, (rho / (1.0 - rho)) ** q if rho < 1.0 else math.inf))
         else:
-            letters.append((y / c, s))
-            s = 1
-    if not letters:
-        return 1 + 0j, 0.0
-    letters.reverse()
-    moduli = [abs(v) for v, _ in letters]
-    rho = max(moduli) * (1.0 + 4.0 * _U)  # covers the rounding of the letters
-    q = len(letters)
-    n, trunc = _cut(q, rho, target)
-    if trunc > target:  # the cut passed _CAP: no partial sum can meet the target
-        return 0j, (rho / (1.0 - rho)) ** q if rho < 1.0 else math.inf
-    value = (-1) ** q * complex(np.sum(_chain(letters, n)[0]))
-    mass = float(np.sum(_chain(zip(moduli, (e for _, e in letters)), n)[0]))
-    steps = sum(12.0 / (1.0 - a) + 3.0 for a in moduli) + math.log2(n + 1) + 19.0
-    return value, trunc + steps * _U * mass
+            mass = float(masses[q - 1][t - 1])
+            out.append(((-1) ** q * complex(totals[q - 1][t - 1]),
+                        trunc[q - 1] + (steps[q - 1] + rounding) * _U * mass))
+    return out
 
 
 def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
     """(value, proved error bound) by the Hölder convolution of the module docstring."""
+    _check_tol(tol)
     if not m.guard_ok():
         raise DivergentInput(f"{m} violates its convergence guard")
     if m.kind == "harmonic":
@@ -444,10 +530,12 @@ def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
     d1 = min((abs(b) for b in reflected if b != 0), default=1.0)
     lam = round(d0 / (d0 + d1) * 2 ** 52) / 2 ** 52  # so 1 - lam is exact too
     target = tol / (4.0 * (len(word) + 1))
+    # at j: G(1-b_j, ..., 1-b_1; 1-lam), the suffixes of the reversed reflected
+    # word, and G(b_(j+1), ..., b_w; lam), the suffixes of the word
+    left = _side(reflected[::-1], 1.0 - lam, target)[::-1]
+    right = _side(word, lam, target)
     value, tail, scale = 0j, 0.0, 0.0
-    for j in range(len(word) + 1):
-        a, e_a = _piece(reflected[j - 1::-1] if j else (), 1.0 - lam, target)
-        b, e_b = _piece(word[j:], lam, target)
+    for j, ((a, e_a), (b, e_b)) in enumerate(zip(left, right)):
         value += (-1) ** j * a * b
         tail += e_a * abs(b) + (abs(a) + e_a) * e_b
         scale += (abs(a) + e_a) * (abs(b) + e_b)
@@ -679,6 +767,7 @@ def _eval_side(side, bound: int, tol: float) -> tuple[complex, float, list]:
 
 def verify_relation(rel: Relation, bound: int = 400, tol: float = 1e-6) -> VerifyReport:
     """Numerically certify |lhs - rhs| <= tol; NotConverged if tails exceed tol."""
+    _check_tol(tol)
     lv, lt, lp = _eval_side(rel.lhs, bound, tol)
     rv, rt, rp = _eval_side(rel.rhs, bound, tol)
     tail_total = lt + rt

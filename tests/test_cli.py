@@ -135,3 +135,18 @@ def test_malformed_relation_is_a_domain_error(tmp_path, capsys):
         rel = _write(tmp_path, "r.json", payload)
         assert main(["verify", "--relation", rel]) == 2, payload
         assert capsys.readouterr().err.startswith("error: "), payload
+
+
+def test_bad_tol_is_a_domain_error(tmp_path, capsys):
+    # a NaN tolerance read as "[FAIL] zeta4", exit 1; zero and negative ones
+    # ended in NotConverged, exit 1
+    rel = Relation(lhs=MplExpr.single(MplTerm("shuffle", (2,), (ONE,))),
+                   rhs=MplExpr.single(MplTerm("shuffle", (2,), (sc(-1),)), -2), provenance={})
+    path = _write(tmp_path, "rel.json", serialize.relation_to_json(rel))
+    term = _write(tmp_path, "t.json",
+                  serialize.zterm_to_json(zterm([Pair.ones((1,))], Pair.ones((2,)))))
+    for tol in ("nan", "inf", "0", "-1"):
+        for argv in (["examples", "--name", "zeta4"], ["verify", "--relation", path],
+                     ["eval", "--term", term]):
+            assert main(argv + ["--tol", tol]) == 2, (argv, tol)
+            assert capsys.readouterr().err.startswith("error: "), (argv, tol)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import types
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy.special import zeta as hurwitz_zeta
 
 from connsum import numeric
+from connsum.boundary import harmonic_to_shuffle
 from connsum.errors import DivergentInput, DomainError, HypothesisViolated, NotConverged
 from connsum.model import MplExpr, MplTerm, Pair, zterm
 from connsum.numeric import (
@@ -24,7 +26,7 @@ from connsum.numeric import (
 )
 from connsum.recipe import RecipeData, recipe_relation
 from connsum.records import Relation
-from connsum.scalars import ONE, Scalar, sc
+from connsum.scalars import ONE, ZERO, Scalar, sc
 
 random.seed(51)
 
@@ -540,3 +542,201 @@ def test_weight_four_recipe_relation_certifies():
     # its term zeta(1,1,2) stopped short of 1e-6 under direct summation
     rel = recipe_relation(RecipeData((Pair.ones((2,)),), Pair.ones((1, 1, 1))))
     assert verify_relation(rel, tol=1e-6).ok
+
+
+def test_bad_tol_rejected():
+    # no tail can meet a tolerance that is not finite and positive, and a NaN
+    # one fails every comparison: Li2(1) summed each piece to 2^21 against it
+    li2 = MplTerm("shuffle", (2,), (ONE,))
+    t = zterm([Pair.ones((1,)), Pair.ones((1,))])
+    for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            eval_mpl_auto(li2, tol)
+        with pytest.raises(DomainError):
+            eval_zterm(t, 100, tol)
+        with pytest.raises(DomainError):
+            verify_relation(_single(li2), tol=tol)
+
+
+def _bisect_cut(q, rho, target):
+    """The cut as a bisection over every N up to _CAP, the reference for the
+    closed form."""
+    def remainder(n):
+        r = rho * (n + 1) / (n + 2 - q)
+        if r >= 1.0:
+            return math.inf
+        return math.exp(math.lgamma(n + 1) - math.lgamma(q) - math.lgamma(n + 2 - q) +
+                        (n + 1) * math.log(rho)) / (1.0 - r)
+
+    ns = range(max(1, q - 1), numeric._CAP + 1)
+    n = ns[min(bisect_left(ns, True, key=lambda n: remainder(n) <= target), len(ns) - 1)]
+    return n, remainder(n)
+
+
+def test_cut_matches_bisection():
+    rng = random.Random(1111)
+    rhos = [1 - 1e-7, 1 - 1e-5, 0.999, 0.5, 1e-9] + \
+        [rng.random() for _ in range(12)] + [1 - 10 ** -rng.uniform(1, 7) for _ in range(12)]
+    capped = 0
+    for q in range(1, 9):
+        for rho in rhos:
+            for target in [10.0 ** -k for k in range(3, 17)] + [10 ** -rng.uniform(3, 16)]:
+                n, rem = numeric._cut(q, rho, target)
+                n_ref, rem_ref = _bisect_cut(q, rho, target)
+                assert (rem > target) == (rem_ref > target), (q, rho, target)
+                if rem > target:
+                    capped += 1
+                    assert n == n_ref == numeric._CAP
+                else:
+                    assert n == n_ref, (q, rho, target, n, n_ref)
+    assert capped > 0
+
+
+def _piece_ref(word, y, target):
+    """One Hölder piece on its own: its value and absolute chains summed to
+    its own cut."""
+    letters, s = [], 1
+    for c in word:
+        if c == 0:
+            s += 1
+        else:
+            letters.append((y / c, s))
+            s = 1
+    if not letters:
+        return 1 + 0j, 0.0
+    letters.reverse()
+    moduli = [abs(v) for v, _ in letters]
+    rho = max(moduli) * (1.0 + 4.0 * numeric._U)
+    q = len(letters)
+    n, trunc = _bisect_cut(q, rho, target)
+    if trunc > target:
+        return 0j, (rho / (1.0 - rho)) ** q if rho < 1.0 else math.inf
+    value = (-1) ** q * complex(np.sum(numeric._chain(letters, n)[0]))
+    mass = float(np.sum(numeric._chain(zip(moduli, (e for _, e in letters)), n)[0]))
+    steps = sum(12.0 / (1.0 - a) + 3.0 for a in moduli) + math.log2(n + 1) + 19.0
+    return value, trunc + steps * numeric._U * mass
+
+
+def _mpl_ref(m, tol):
+    """eval_mpl_auto with each of its 2(w+1) pieces summed on its own."""
+    if m.kind == "harmonic":
+        m = harmonic_to_shuffle(m)
+    exact = []
+    for v, e in zip(reversed(m.z), reversed(m.k)):
+        exact += [ZERO] * (e - 1) + [v.inv()]
+    word = [complex(b) for b in exact]
+    reflected = [complex(ONE - b) for b in exact]
+    d0 = min(abs(b) for b in word if b != 0)
+    d1 = min(abs(b) for b in reflected if b != 0)
+    lam = round(d0 / (d0 + d1) * 2 ** 52) / 2 ** 52
+    target = tol / (4.0 * (len(word) + 1))
+    value, tail, scale = 0j, 0.0, 0.0
+    for j in range(len(word) + 1):
+        a, e_a = _piece_ref(reflected[j - 1::-1] if j else (), 1.0 - lam, target)
+        b, e_b = _piece_ref(word[j:], lam, target)
+        value += (-1) ** j * a * b
+        tail += e_a * abs(b) + (abs(a) + e_a) * e_b
+        scale += (abs(a) + e_a) * (abs(b) + e_b)
+    tail += (len(word) + 4) * numeric._U * scale
+    return (-1) ** m.dep * value, math.inf if math.isnan(tail) else tail
+
+
+_SWEEP_POOL = [ONE, sc(-1), sc(0, 1), sc(0, -1), sc(F(3, 5), F(4, 5)), sc(F(1, 2)),
+               sc(F(1, 3), F(1, 3))]
+
+
+def _seeded_terms(seed, count, max_depth, max_exp):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        depth = rng.randint(1, max_depth)
+        term = MplTerm(rng.choice(("shuffle", "harmonic")),
+                       tuple(rng.randint(1, max_exp) for _ in range(depth)),
+                       tuple(rng.choice(_SWEEP_POOL) for _ in range(depth)))
+        if term.guard_ok() and (term.kind == "shuffle" or harmonic_to_shuffle(term).guard_ok()):
+            out.append(term)
+    return out
+
+
+def test_shared_pass_agrees_with_separate_pieces():
+    # the shared chain pass sums each piece to the side's common cut, past its
+    # own: the values may move, but only within the two proved tails
+    rng = random.Random(2222)
+    certified = 0
+    for term in _seeded_terms(2222, 100, 4, 3):
+        tol = rng.choice((1e-6, 1e-9, 1e-12))
+        value, tail = eval_mpl_auto(term, tol)
+        ref, ref_tail = _mpl_ref(term, tol)
+        assert abs(value - ref) <= tail + ref_tail, (str(term), abs(value - ref), tail, ref_tail)
+        certified += tail <= tol and ref_tail <= tol
+    assert certified >= 50, certified
+
+
+def test_side_pieces_meet_their_target():
+    # every suffix of the word, also one starting inside a zero run, agrees
+    # with the piece summed on its own.  At N = 3 the top layer of four
+    # letters 0.1 meets the target, but its layers 2 and 3 (C(3, 1) = C(3, 2)
+    # = 3 > C(3, 3)) need a larger N: the side runs to that
+    for word, y, target in (([1, 1, 1, 1], 0.1, 2e-4),
+                            ([0, 2 + 1j, 0, 0, -1, 3j, 0, 4], 0.5, 1e-10)):
+        word = [complex(c) for c in word]
+        for j, (value, err) in enumerate(numeric._side(word, y, target)):
+            ref, ref_err = _piece_ref(word[j:], y, target)
+            assert err <= target * (1 + 1e-9), (word, j, err)
+            assert abs(value - ref) <= err + ref_err, (word, j)
+
+
+def test_split_at_one_is_not_converged():
+    # d1 = 2^-60 rounds lam to 1: the reflected side sums at y = 0, where each
+    # piece is exactly 0 (a log(0) in the remainder raised ValueError), and
+    # the side at lam has rho above 1 - 2^-52, so nothing certifies
+    term = MplTerm("shuffle", (1,), (sc(1 - F(1, 2 ** 60)),))
+    assert eval_mpl_auto(term, 1e-6)[1] == math.inf
+    with pytest.raises(NotConverged):
+        verify_relation(_single(term), tol=1e-6)
+
+
+def test_chain_sums_are_inner_layers():
+    # layer i of a chain, its outermost exponent cut to t, is the chain of its
+    # first i letters with that exponent
+    letters = [(sc(F(1, 2)), 2), (sc(F(3, 5), F(4, 5)), 1), (sc(-1), 3)]
+    sums = numeric._chain(letters, 50, sums=True)
+    assert [len(row) for row in sums] == [2, 1, 3]
+    for i, row in enumerate(sums):
+        for t, total in enumerate(row, 1):
+            ref = np.sum(numeric._chain(letters[:i] + [(letters[i][0], t)], 50)[0])
+            assert abs(total - ref) <= 1e-15 * (1 + abs(ref)), (i, t)
+
+
+def test_two_chain_passes_per_side(monkeypatch):
+    # one value and one absolute pass per side of the convolution, one lfilter
+    # call per letter c in each: at most 4 passes and 2 (q_word + q_reflected)
+    # lfilter calls, where summing each piece on its own took up to 4 (w+1)
+    passes, filtered = [0], [0]
+    chain, lfilter = numeric._chain, numeric.lfilter
+
+    def counting_chain(*args, **kwargs):
+        passes[0] += 1
+        return chain(*args, **kwargs)
+
+    def counting_lfilter(*args, **kwargs):
+        filtered[0] += 1
+        return lfilter(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "_chain", counting_chain)
+    monkeypatch.setattr(numeric, "lfilter", counting_lfilter)
+    terms = _seeded_terms(3333, 60, 4, 3) + [
+        MplTerm("shuffle", (1,) * (k - 2) + (2,), (ONE,) * (k - 1)) for k in range(2, 9)]
+    weights = set()
+    for term in terms:
+        shuffle = harmonic_to_shuffle(term) if term.kind == "harmonic" else term
+        letters = [v.inv() for v in shuffle.z]
+        q_word = len(letters)
+        q_reflected = sum(1 for b in letters if not b.is_one()) + \
+            sum(e - 1 for e in shuffle.k)
+        passes[0] = filtered[0] = 0
+        eval_mpl_auto(term, 1e-9)
+        assert passes[0] <= 4, (str(term), passes[0])
+        assert filtered[0] <= 2 * (q_word + q_reflected), (str(term), filtered[0])
+        weights.add(sum(term.k))
+    assert weights >= set(range(1, 9))
