@@ -58,7 +58,6 @@ from .ohno import (
 )
 from .numeric import (
     connector,
-    eval_mpl,
     eval_mpl_auto,
     eval_mpl_partial_exact,
     eval_zterm,

@@ -143,8 +143,9 @@ def normalize_to_dual_basis(expr: MplExpr) -> MplExpr:
     items = []
     for coef, term in expr.terms:
         nice = all(v.is_real() and 0 < v.re <= 1 for v in term.z)
-        p = Pair(term.k, term.z)
-        if nice or term.kind != "shuffle" or not dual_condition(p):
+        # the kind first: a harmonic term's variables may leave the closed disk
+        p = None if nice or term.kind != "shuffle" else Pair(term.k, term.z)
+        if p is None or not dual_condition(p):
             items.append((coef, term))
             continue
         sign, dual = dagger(p)

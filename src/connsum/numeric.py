@@ -16,9 +16,8 @@ cut-off), enter the tail through proved bounds.
 
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
 one lfilter recurrence per letter, in float64 when every variable is real and
-complex128 otherwise.  eval_mpl sums a polylogarithm directly, with a
-heuristic outer tail.  eval_mpl_auto, which the verifier uses, is a Hölder
-convolution.  With letters (z_i, k_i) innermost first, the value is
+complex128 otherwise.  The one float polylogarithm evaluator, eval_mpl_auto,
+is a Hölder convolution.  With letters (z_i, k_i) innermost first, the value is
 (-1)^r G(b; 1) for the word b = (0^(k_r-1), 1/z_r, ..., 0^(k_1-1), 1/z_1), and
 
   G(b; 1) = sum_j (-1)^j G(1-b_j, ..., 1-b_1; 1-lam) G(b_(j+1), ..., b_w; lam).
@@ -360,37 +359,6 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
 # polylogarithm evaluation
 
 
-def eval_mpl(m: MplTerm, bound: int, tol: float = 1e-6) -> EvalReport:
-    """Direct nested summation to outer index bound, the float cross-check of
-    eval_mpl_auto.  The outer tail is a heuristic: an alternating tail is sharpened by
-    averaging the last two partial sums, any other is extrapolated from the
-    ratio of the last two terms.  A bound below the depth leaves no index
-    chain at all, so it is rejected like a bound below 1.
-    """
-    if bound < 1:
-        raise DomainError(f"truncation bound must be >= 1, got {bound}")
-    if bound < m.dep:
-        raise DomainError(f"truncation bound {bound} is below the depth {m.dep}")
-    if not m.guard_ok():
-        raise DivergentInput(f"{m} violates its convergence guard")
-    if m.dep == 0:
-        return EvalReport(1 + 0j, bound, 0.0, True)
-    # gap powers z^(m_i - m_{i-1}) stay bounded for |z| <= 1, so harmonic
-    # inputs are evaluated through their shuffle form
-    if m.kind == "harmonic":
-        m = harmonic_to_shuffle(m)
-    terms = _chain(zip(m.z, m.k), bound)[0]
-    value = complex(np.sum(terms))
-    a_last, a_prev = complex(terms[-1]), complex(terms[-2])
-    ratio = abs(a_last) / abs(a_prev) if a_prev else 1.0
-    if abs(a_last + a_prev) < 0.5 * (abs(a_last) + abs(a_prev)):  # alternating
-        value, tail = value - a_last / 2, abs(a_last) / 2
-    else:
-        tail = abs(a_last) * (ratio / (1.0 - ratio) if ratio < 0.999 else bound)
-    tail = float(tail + 1e-15 * (1.0 + abs(value)))
-    return EvalReport(value, bound, tail, tail <= tol)
-
-
 def _remainder(q: int, rho: float, n: int) -> float:
     """Proved bound on sum_{m>n} C(m-1, q-1) rho^m, infinite where it has none.
 
@@ -670,20 +638,15 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
         raise HypothesisViolated("bound too small for a non-degenerate check")
 
     mp_total = sum(m_plus)
-    prod_mp = math.prod(m_plus) if m_plus else 1
-    inv_mp = sc(Fraction(1, prod_mp))
 
-    def shells(strict_slots: Sequence[int], fixed: dict[int, int],
-               lo: int, hi: int, include_hi: bool) -> Iterable[tuple[tuple[int, ...], int]]:
-        ranges = [range(m_minus[i] + 1, hi + 1) for i in strict_slots]
-        for combo in itertools.product(*ranges):
-            a = [fixed.get(i, 0) for i in range(d)]
-            for i, val in zip(strict_slots, combo):
-                a[i] = val
-            total = sum(a) + mp_total
-            if total < lo or (total > hi if include_hi else total >= hi):
-                continue
-            yield tuple(a), total
+    def tuples(lows: Sequence[int], room: int) -> Iterable[tuple[int, ...]]:
+        """Every tuple a with a_k >= lows[k] and a_1 + ... + a_d <= room."""
+        if not lows:
+            yield ()
+            return
+        for x in range(lows[0], room - sum(lows[1:]) + 1):
+            for rest in tuples(lows[1:], room - x):
+                yield (x,) + rest
 
     def powers(x: Scalar) -> list[Scalar]:
         """x^0 .. x^bound, with 0**0 = 1."""
@@ -696,43 +659,34 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
     t_pow = powers(t)
     v_pow = [powers(v) for v in vs]
 
-    def prod_term(a: tuple[int, ...], skip: Optional[int]) -> Scalar:
-        out = ONE
+    # one pass over the tuples with every a_k >= m-_k and total <= bound: a
+    # tuple with exactly one slot at m- is a term of that slot's face, one
+    # with every slot above m- a term of the inner sum (q <= total < bound),
+    # of the low shell (total = q) or of the top shell (total = bound)
+    faces = inner = low = top = sc(0)
+    for a in tuples(m_minus, bound - mp_total):
+        total = sum(a) + mp_total
+        at = [kk for kk in range(d) if a[kk] == m_minus[kk]]
+        if len(at) > 1 or total < q:
+            continue
+        term = sc(connector(a + tuple(m_plus)))
         for kk in range(d):
-            if kk == skip:
-                continue
-            out = out * v_pow[kk][a[kk] - m_minus[kk]] * sc(Fraction(1, a[kk]))
-        return out
+            if kk not in at:
+                term = term * v_pow[kk][a[kk] - m_minus[kk]] * sc(Fraction(1, a[kk]))
+        weighted = term * t_pow[total - q]
+        if at:
+            if total < bound:
+                faces = faces + weighted
+            continue
+        if total < bound:
+            inner = inner + weighted
+        if total == q:
+            low = low + term * sc(q)
+        if total == bound:
+            top = top + weighted
 
-    def conn(a: tuple[int, ...]) -> Scalar:
-        return sc(connector(tuple(a) + tuple(m_plus)))
-
-    lhs = sc(0)
-    for i in range(d):
-        part = sc(0)
-        for a, total in shells([kk for kk in range(d) if kk != i],
-                               {i: m_minus[i]}, q, bound, include_hi=False):
-            part = part + conn(a) * prod_term(a, i) * t_pow[total - q]
-        lhs = lhs + part
-    lhs = lhs * inv_mp
-
-    for i in range(n - d):
-        part = sc(0)
-        for a, total in shells(list(range(d)), {}, q, bound, include_hi=False):
-            part = part + conn(a) * prod_term(a, None) * t_pow[total - q]
-        lhs = lhs - part * sc(Fraction(m_plus[i], prod_mp))
-
-    rhs = sc(0)
-    for a, total in shells(list(range(d)), {}, q, q, include_hi=True):
-        rhs = rhs + conn(a) * prod_term(a, None) * sc(q)
-    rhs = rhs * sc(Fraction(-1, prod_mp))
-
-    boundary = sc(0)
-    for a, total in shells(list(range(d)), {}, bound, bound, include_hi=True):
-        boundary = boundary + conn(a) * prod_term(a, None) * t_pow[bound - q]
-    rhs = rhs + boundary * sc(Fraction(bound, prod_mp))
-
-    return lhs == rhs
+    # both sides carry the factor 1/(m+_1 ... m+_(n-d)), which cancels
+    return faces - inner * sc(mp_total) == top * sc(bound) - low
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .model import (
 )
 from .records import Relation
 from .scalars import ZERO
-from .transport import condition_violation, reduce_to_z1, transport_step
+from .transport import condition_violation, reduce_to_mpl, reduce_to_z1, transport_step
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def recipe_relation(data: RecipeData, trace=None) -> Relation:
         raise PreconditionViolated(violation)
 
     direct = ZTerm(1, data.components, data.bar)
-    lhs = boundary_reduce_all(reduce_to_z1(direct, trace=trace).as_terms())
+    lhs = reduce_to_mpl(direct, trace=trace)
 
     appended = ZTerm(1, data.components + (EMPTY_PAIR,), data.bar)
     first = transport_step(appended, trace)

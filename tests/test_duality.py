@@ -123,6 +123,10 @@ def test_normalize_to_dual_basis():
         assert all(v.is_real() and 0 < v.re <= 1 for v in term.z)
     kept = MplExpr.single(MplTerm("shuffle", (2,), (sc(F(1, 2)),)))
     assert normalize_to_dual_basis(kept) == kept
+    # a harmonic term passes through, although -3/2 lies outside the disk
+    harmonic = MplExpr.single(MplTerm("harmonic", (1, 2), (sc(F(-3, 2)), sc(F(1, 3)))))
+    assert harmonic.terms[0][1].guard_ok()
+    assert normalize_to_dual_basis(harmonic) == harmonic
 
 
 def test_duality_amtagpa_family():

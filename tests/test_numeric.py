@@ -16,7 +16,6 @@ from connsum.errors import DivergentInput, DomainError, HypothesisViolated, NotC
 from connsum.model import MplExpr, MplTerm, Pair, zterm
 from connsum.numeric import (
     connector,
-    eval_mpl,
     eval_mpl_auto,
     eval_mpl_partial_exact,
     eval_zterm,
@@ -81,6 +80,14 @@ def _capped_sum(t, bound):
     return complex(float(t.coef)) * complex(np.sum(g * w))
 
 
+def _direct_sum(m, bound):
+    """A polylogarithm summed directly to outer index bound by _chain, through
+    its shuffle form, whose gap powers stay bounded in the closed disk."""
+    if m.kind == "harmonic":
+        m = harmonic_to_shuffle(m)
+    return complex(np.sum(numeric._chain(zip(m.z, m.k), bound)[0]))
+
+
 def test_eval_against_exact_partial():
     # float and exact paths agree to 1e-12 on the raw truncated sum
     from connsum.model import is_convergent
@@ -104,13 +111,11 @@ def test_eval_against_exact_partial():
 
 
 def test_eval_mpl_values():
-    li2 = eval_mpl(MplTerm("shuffle", (2,), (ONE,)), 100_000)
-    assert abs(li2.value.real - PI ** 2 / 6) < 1e-5
-    alt = eval_mpl(MplTerm("shuffle", (2,), (sc(-1),)), 4096)
-    assert abs(alt.value.real + PI ** 2 / 12) < 1e-7
-    assert alt.tail_estimate < 1e-6
-    empty = eval_mpl(MplTerm("shuffle", (), ()), 10)
-    assert empty.value == 1
+    _covered(MplTerm("shuffle", (2,), (ONE,)), PI ** 2 / 6)
+    _covered(MplTerm("shuffle", (2,), (sc(-1),)), -PI ** 2 / 12)
+    # the empty word is 1; its tail is the rounding bound of one product
+    value, tail = eval_mpl_auto(MplTerm("shuffle", (), ()), 1e-12)
+    assert value == 1 and tail <= 4 * 2.0 ** -53
 
 
 def test_eval_mpl_partial_exact_example():
@@ -169,8 +174,9 @@ def test_eval_mpl_auto_work_bound(monkeypatch):
     # elements and still missed zeta(6) by 3e-5
     term = MplTerm("shuffle", (1, 2), (sc(F(1, 2)), sc(-1)))
     tol = 1e-9
+    ref = eval_mpl_auto(term, 1e-14)[0]
     n = 4096
-    while eval_mpl(term, n).tail_estimate > tol / 2:
+    while abs(_direct_sum(term, n) - ref) > tol / 2:
         n <<= 1
     assert n >= 1 << 15
     counted = [0]
@@ -192,7 +198,7 @@ def test_divergent_inputs_rejected():
     with pytest.raises(DivergentInput):
         eval_zterm(zterm([Pair.ones((1, 1))], Pair.ones((1, 1))), 50)
     with pytest.raises(DivergentInput):
-        eval_mpl(MplTerm("shuffle", (1,), (ONE,)), 50)
+        eval_mpl_auto(MplTerm("shuffle", (1,), (ONE,)), 1e-6)
 
 
 def test_bound_below_one_rejected():
@@ -200,12 +206,8 @@ def test_bound_below_one_rejected():
     for bound in (0, -1):
         with pytest.raises(DomainError):
             eval_zterm(t, bound)
-        with pytest.raises(DomainError):
-            eval_mpl(MplTerm("shuffle", (2,), (ONE,)), bound)
-    # a bound below the depth leaves no index chain: zeta(1,2) would read 0
-    with pytest.raises(DomainError):
-        eval_mpl(MplTerm("shuffle", (1, 2), (ONE, ONE)), 1)
-    # likewise for a component deeper than the bound: Z1((1,1)|(2)) = zeta(3)
+    # a component deeper than the bound leaves no index chain: Z1((1,1)|(2)),
+    # which is zeta(3), would read 0
     with pytest.raises(DomainError):
         eval_zterm(zterm([Pair.ones((1, 1))], Pair.ones((2,))), 1)
 
@@ -393,7 +395,22 @@ def test_exact_oracles_share_no_float_code():
         assert _float_code(_reached(fn)) == [], fn.__name__
     for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact):
         assert any(obj is numeric._exact_chain for _, obj in _reached(fn))
-    assert "lfilter" in _float_code(_reached(eval_mpl))
+    assert "lfilter" in _float_code(_reached(eval_mpl_auto))
+
+
+def test_one_float_kernel():
+    # every float chain, and so every polylogarithm, runs through _chain
+    def names(code):
+        out = set(code.co_names)
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                out |= names(const)
+        return out
+
+    users = [name for name, obj in vars(numeric).items()
+             if inspect.isfunction(obj) and obj.__module__ == numeric.__name__
+             and "lfilter" in names(obj.__code__)]
+    assert users == ["_chain"], users
 
 
 def test_monotone_refinement_brackets():
@@ -459,6 +476,18 @@ def test_telescoping_random_instances():
         bound = random.randint(1 + max(q, sum(m_minus) + d + sum(m_plus)), 14)
         assert telescoping_check(d, n, m_minus, m_plus, q, vs, t, bound)
         checked += 1
+
+
+def test_telescoping_detects_a_wrong_weight(monkeypatch):
+    # the check compares two independently summed sides: a connector weight
+    # doubled at odd totals must break it, so it is not a tautology
+    connector_ = numeric.connector
+    monkeypatch.setattr(numeric, "connector",
+                        lambda a: connector_(a) * (2 if sum(a) % 2 else 1))
+    assert not telescoping_check(1, 2, [0], [1], 0, [sc(1)], sc(1), 10)
+    assert not telescoping_check(1, 3, [2], [1, 1], 1, [sc(0, 1)], sc(0, -1), 11)
+    vs = [sc(-1), sc(F(1, 2), F(1, 2))]  # reciprocal sum -i
+    assert not telescoping_check(2, 3, [1, 0], [2], 2, vs, sc(0, -1), 12)
 
 
 def test_verify_relation_reports():
@@ -535,7 +564,7 @@ def test_eval_mpl_auto_matches_direct_summation():
         term = MplTerm(rng.choice(("shuffle", "harmonic")),
                        tuple(rng.randint(1, 3) for _ in range(depth)),
                        tuple(rng.choice(pool) for _ in range(depth)))
-        _covered(term, eval_mpl(term, 200).value, tol=rng.choice((1e-6, 1e-9, 1e-12)))
+        _covered(term, _direct_sum(term, 200), tol=rng.choice((1e-6, 1e-9, 1e-12)))
 
 
 def test_weight_four_recipe_relation_certifies():
