@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DivergentInput, GuardViolation, ZeroVariable
-from .model import MplExpr, MplTerm, ZTerm, is_convergent
+from .model import MplExpr, MplTerm, ZTerm, _unchecked, is_convergent
 from .scalars import ONE, Scalar
 
 Chain = tuple[tuple[Scalar, int], ...]
@@ -47,7 +47,7 @@ def harmonic_to_shuffle(m: MplTerm) -> MplTerm:
     for j in range(r - 1, -1, -1):
         acc = acc * m.z[j]
         zs[j] = acc
-    out = MplTerm("shuffle", m.k, tuple(zs))
+    out = _unchecked(MplTerm, kind="shuffle", k=m.k, z=tuple(zs))
     if not out.guard_ok():
         raise GuardViolation(f"{out} violates the shuffle-kind guard")
     return out
@@ -116,10 +116,11 @@ def boundary_reduce(t: ZTerm) -> MplExpr:
         top = (top_v * merged_v, top_e + merged_e)
         for chain in quasi_shuffle(strict, weak[:len(weak) - j]):
             full = chain + (top,)
-            term = MplTerm(
-                "harmonic",
-                tuple(e for _, e in full),
-                tuple(v for v, _ in full),
+            term = _unchecked(
+                MplTerm,
+                kind="harmonic",
+                k=tuple(e for _, e in full),
+                z=tuple(v for v, _ in full),
             )
             items.append((t.coef, harmonic_to_shuffle(term)))
     return MplExpr.of(items)

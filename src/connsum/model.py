@@ -42,6 +42,21 @@ def _as_index(entries: Iterable[int]) -> Index:
     return k
 
 
+_new = object.__new__
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls built without its
+    __post_init__ coercions and checks, for a rewrite's outputs, whose parts
+    come from valid values: a Pair's k is a tuple of ints >= 1 and its z a
+    same-length tuple of finite Scalars in the closed disk; a ZTerm's coef
+    is a Fraction and its components a non-empty tuple of Pairs; an
+    MplTerm's kind is one of the two (its guard is the caller's to run)."""
+    obj = _new(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _as_scalar(z) -> Scalar:
     if isinstance(z, Scalar):
         return z
@@ -98,6 +113,10 @@ class Pair:
         return (self.k, tuple(v.sort_key() for v in self.z))
 
     @_computed_once
+    def has_zero_variable(self) -> bool:
+        return any(v.is_zero() for v in self.z)
+
+    @_computed_once
     def __hash__(self) -> int:
         return hash((self.k, self.z))
 
@@ -128,14 +147,14 @@ def arrow(p: Pair, v: Scalar) -> SignedPair:
     if v.is_inf:
         if p.is_empty():
             raise EmptyArrowOnInfinity("infinity arrow on the empty pair")
-        return SignedPair(-1, Pair(p.k[:-1] + (p.k[-1] + 1,), p.z))
+        return SignedPair(-1, _unchecked(Pair, k=p.k[:-1] + (p.k[-1] + 1,), z=p.z))
     if not v.in_closed_disk():
         raise DomainError(f"arrow value {v} outside the closed unit disk")
     if v.is_zero():
         if p.is_empty():
             return SignedPair(1, p)
-        return SignedPair(1, Pair(p.k[:-1] + (p.k[-1] + 1,), p.z))
-    return SignedPair(1, Pair(p.k + (1,), p.z + (v,)))
+        return SignedPair(1, _unchecked(Pair, k=p.k[:-1] + (p.k[-1] + 1,), z=p.z))
+    return SignedPair(1, _unchecked(Pair, k=p.k + (1,), z=p.z + (v,)))
 
 
 Slot = Literal["component", "bar"]
@@ -154,8 +173,8 @@ def peel(p: Pair, slot: Slot) -> tuple[Scalar, Pair, int]:
     if last_e == 1:
         if last_v.is_zero():
             raise NotPeelable("trailing (0, 1) letter has no arrow preimage")
-        return last_v, Pair(p.k[:-1], p.z[:-1]), 1
-    base = Pair(p.k[:-1] + (last_e - 1,), p.z)
+        return last_v, _unchecked(Pair, k=p.k[:-1], z=p.z[:-1]), 1
+    base = _unchecked(Pair, k=p.k[:-1] + (last_e - 1,), z=p.z)
     if slot == "component":
         return INF, base, -1
     return ZERO, base, 1
@@ -191,16 +210,12 @@ class ZTerm:
     def is_structurally_zero(self) -> bool:
         """Zero by convention: empty bar, a 0 variable at a strict slot, or all
         components empty (the bar chain then has no admissible top)."""
-        if self.bar.is_empty():
+        bar = self.bar
+        if bar.is_empty() or bar.z[0].is_zero():
             return True
         if all(p.is_empty() for p in self.components):
             return True
-        for p in self.components:
-            if any(v.is_zero() for v in p.z):
-                return True
-        if not self.bar.is_empty() and self.bar.z[0].is_zero():
-            return True
-        return False
+        return any(p.has_zero_variable() for p in self.components)
 
     def scaled(self, c: Fraction) -> "ZTerm":
         return ZTerm(self.coef * c, self.components, self.bar)
@@ -307,6 +322,15 @@ def _normalize(items, zero_term_pred, term_sort):
     out = [(c, t) for c, t in acc.values() if c != 0]
     out.sort(key=lambda ct: term_sort(ct[1]))
     return tuple(out)
+
+
+def _coalesced(terms: Iterable[ZTerm]) -> list[ZTerm]:
+    """ZExpr.of(terms).as_terms() in one normalisation that keeps each
+    term's coefficient on it: a term whose coefficient survives the merge is
+    returned as it is, not rebuilt twice."""
+    return [t if c == t.coef else t.with_coef(c)
+            for c, t in _normalize(((t.coef, t) for t in terms),
+                                   ZTerm.is_structurally_zero, ZTerm.sort_key)]
 
 
 @dataclass(frozen=True)

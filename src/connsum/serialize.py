@@ -98,11 +98,18 @@ def _pair_json(p: Pair, pairs: dict | None) -> dict:
 
 
 def zterm_to_json(t: ZTerm, pairs: dict | None = None) -> dict:
-    """JSON of a term.  With a memo ``pairs`` {Pair: JSON}, every term encoded
-    through the same memo reuses one dict per distinct pair."""
+    """JSON of a term.  With a memo ``pairs``, every term encoded through the
+    same memo reuses one dict per distinct pair and one list per distinct
+    tuple of components."""
+    if pairs is None:
+        comps = [pair_to_json(p) for p in t.components]
+    else:
+        comps = pairs.get(t.components)
+        if comps is None:
+            comps = pairs[t.components] = [_pair_json(p, pairs) for p in t.components]
     return {
         "coef": frac_to_json(t.coef),
-        "components": [_pair_json(p, pairs) for p in t.components],
+        "components": comps,
         "bar": _pair_json(t.bar, pairs),
     }
 

@@ -18,6 +18,7 @@ from .duality import dual_condition
 from .errors import (
     DivergentInput,
     DualConditionViolated,
+    NotPeelable,
     NotTransportable,
     NotTransportableStep,
     StepPreconditionFailed,
@@ -27,6 +28,8 @@ from .model import (
     Pair,
     ZExpr,
     ZTerm,
+    _coalesced,
+    _unchecked,
     arrow,
     drop_all_empty_components,
     is_convergent,
@@ -56,14 +59,28 @@ def transport_step(t: ZTerm, trace: Optional[Trace] = None,
 
     Components 1..n-1 and the bar must all be peelable; the receiving slot is
     the last component.  Raises NotTransportableStep naming the violated
-    precondition.  ``pairs`` is the {Pair: JSON} memo of the records of one
-    reduction (see reduce_to_z1).
+    precondition.  ``pairs`` is the JSON memo of the records of one reduction
+    (see reduce_to_z1).
     """
+    return ZExpr.of(_rewrite(t, trace, pairs))
+
+
+def _peel_slot(p: Pair, slot: str, name: str):
+    try:
+        return peel(p, slot)
+    except NotPeelable as exc:
+        raise NotTransportableStep(f"{name} cannot be peeled: {exc}") from exc
+
+
+def _rewrite(t: ZTerm, trace: Optional[Trace], pairs: Optional[dict]) -> list[ZTerm]:
+    """transport_step's conclusions as emitted, one per peeled slot, before
+    any merging; records them as transport_step does."""
     n = t.arity
     if n < 2:
         raise NotTransportableStep("transport needs arity >= 2")
-    peels = [peel(p, "component") for p in t.components[:-1]]
-    bar_t, bar_base, _ = peel(t.bar, "bar")
+    head = t.components[:-1]
+    peels = [_peel_slot(p, "component", f"component {i + 1}") for i, p in enumerate(head)]
+    bar_t, bar_base, _ = _peel_slot(t.bar, "bar", "the bar")
     recv = t.components[-1]
 
     inv_recv_v = bar_t - reciprocal_sum(v for v, _, _ in peels)
@@ -95,15 +112,16 @@ def transport_step(t: ZTerm, trace: Optional[Trace] = None,
             )
 
     recv_sign, recv_new = arrow(recv, recv_v)
+    coef = t.coef
     out: list[ZTerm] = []
     for i, (_, base_i, s_i) in enumerate(peels):
-        comps = list(t.components[:-1])
-        comps[i] = base_i
-        comps.append(recv_new)
-        out.append(ZTerm(-t.coef * s_i * recv_sign, tuple(comps), t.bar))
-    out.append(ZTerm(-t.coef * recv_sign, t.components[:-1] + (recv_new,), bar_base))
+        comps = head[:i] + (base_i,) + head[i + 1:] + (recv_new,)
+        out.append(_unchecked(ZTerm, coef=-coef if s_i * recv_sign > 0 else coef,
+                              components=comps, bar=t.bar))
+    out.append(_unchecked(ZTerm, coef=-coef if recv_sign > 0 else coef,
+                          components=head + (recv_new,), bar=bar_base))
     _record(trace, "transport-step", t, out, pairs)
-    return ZExpr.of(out)
+    return out
 
 
 def condition_violation(others: Sequence[Pair], bar: Pair) -> Optional[str]:
@@ -173,9 +191,11 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
 
     The chosen receiving slot is swapped to the last position, then rewrites
     run until every branch reaches arity 1; emptied components and
-    structurally-zero terms are dropped along the way.  The records this call
-    appends to ``trace`` share one JSON dict per distinct pair, so a trace
-    is to be read, not edited in place.
+    structurally-zero terms are dropped along the way.  A term reached by
+    several branches of one generation is rewritten once and recorded once
+    per branch.  The records this call appends to ``trace`` share one JSON
+    dict per distinct pair and one list per distinct tuple of components, so
+    a trace is to be read, not edited in place.
     """
     pairs: dict = {}
     t0 = t
@@ -197,29 +217,43 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
             _record(trace, "swap-components", t0, [t], pairs)
 
     out: list[ZTerm] = []
-    active = ZExpr.of([t]).as_terms()
+    active = _coalesced([t])
     while active:
         batch: list[ZTerm] = []
+        # distinct branches can drop their empty components to one key; the
+        # transport measure falls by one per generation, so a key recurs only
+        # within its generation: rewrite it once, replay it for the repeats
+        done: dict = {}
         for u in active:
             v = drop_all_empty_components(u)
             if v is not u:
                 _record(trace, "drop-empty", u, [v], pairs)
+            # _coalesced has dropped the structural zeros, and dropping empty
+            # components leaves a term's structural zeroness as it was
             u = v
-            if u.is_structurally_zero():
-                continue
             if u.arity == 1:
                 out.append(u)
                 continue
-            try:
-                step = transport_step(u, trace, pairs)
-            except NotTransportableStep as exc:
-                raise StepPreconditionFailed(
-                    f"rewrite failed after transportability was confirmed: {u}: {exc}"
-                ) from exc
-            batch.extend(step.as_terms())
+            key = u.key()
+            seen = done.get(key)
+            if seen is None:
+                try:
+                    step = _rewrite(u, trace, pairs)
+                except NotTransportableStep as exc:
+                    raise StepPreconditionFailed(
+                        f"rewrite failed after transportability was confirmed: {u}: {exc}"
+                    ) from exc
+                done[key] = (u.coef, step)
+            else:
+                coef, step = seen
+                if u.coef != coef:
+                    ratio = u.coef / coef
+                    step = [c.scaled(ratio) for c in step]
+                _record(trace, "transport-step", u, step, pairs)
+            batch.extend(step)
         # coalescing structurally equal branches between generations keeps
         # symmetric inputs polynomial instead of exponential
-        active = ZExpr.of(batch).as_terms()
+        active = _coalesced(batch)
     return ZExpr.of(out)
 
 

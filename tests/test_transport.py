@@ -1,25 +1,32 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from connsum import model, transport
 from connsum.errors import (
     DivergentInput,
+    NotPeelable,
     NotTransportable,
     NotTransportableStep,
+    PreconditionViolated,
 )
 from connsum.model import (
     EMPTY_PAIR,
+    MplTerm,
     Pair,
     ZExpr,
+    drop_all_empty_components,
     is_convergent,
     swap_components,
     zterm,
 )
 from connsum.duality import dagger
 from connsum.numeric import eval_mpl_auto, eval_zterm
+from connsum.recipe import RecipeData, recipe_relation
 from connsum.serialize import zterm_from_json
 from connsum.transport import (
     is_transportable,
@@ -29,7 +36,7 @@ from connsum.transport import (
     transport_step,
     transportable_pick,
 )
-from connsum.scalars import ONE, sc
+from connsum.scalars import ONE, ZERO, Scalar, sc
 
 ONES1 = Pair.ones((1,))
 
@@ -69,8 +76,6 @@ def test_reduce_example_5_4():
 
 def test_step_example_5_5_shape():
     # arity r+1 all-ones collapses to -r times the arity-r term
-    from connsum.model import drop_all_empty_components
-
     for r in (2, 3):
         recv = Pair((2,), (sc(F(1, 2)),))
         t = zt([ONES1] * r + [recv])
@@ -115,6 +120,17 @@ def test_step_preconditions():
     # empty receiver must not receive an infinity arrow
     with pytest.raises(NotTransportableStep):
         transport_step(zt([ONES1, EMPTY_PAIR]))
+
+
+@pytest.mark.parametrize("t, slot", [
+    (zt([EMPTY_PAIR, Pair.ones((2,))]), "component 1"),
+    (zt([ONES1, ONES1], EMPTY_PAIR), "the bar"),
+    (zt([ONES1, Pair((1,), (ZERO,)), ONES1]), "component 2"),
+], ids=["empty-component", "empty-bar", "trailing-zero-letter"])
+def test_step_unpeelable_slot_is_named(t, slot):
+    with pytest.raises(NotTransportableStep, match=f"^{slot} cannot be peeled") as info:
+        transport_step(t)
+    assert isinstance(info.value.__cause__, NotPeelable)
 
 
 def test_weight_measure_decreases():
@@ -273,8 +289,6 @@ def test_trace_replay():
             expect = ZExpr.of([zterm_from_json(c) for c in record["conclusions"]])
             assert got == expect
         elif record["rule"] == "drop-empty":
-            from connsum.model import drop_all_empty_components
-
             got = drop_all_empty_components(premise)
             assert got == zterm_from_json(record["conclusions"][0])
 
@@ -386,3 +400,119 @@ def test_traces_share_no_json_between_calls():
     # within one call, a repeated pair is one dict
     pair_dicts = [rec["premise"]["bar"] for rec in first]
     assert len({id(d) for d in pair_dicts}) == len({json.dumps(d) for d in pair_dicts})
+
+
+def _reference_branches(t):
+    """The (generation, key) of every branch that reduce_to_z1(t) rewrites,
+    found with the public one-step rewrite and no sharing, and the number of
+    generations."""
+    t = drop_all_empty_components(t)
+    j = transportable_pick(t)
+    t = swap_components(t, [i for i in range(t.arity) if i != j] + [j])
+    branches, generation = [], 0
+    active = ZExpr.of([t]).as_terms()
+    while active:
+        generation += 1
+        batch = []
+        for u in active:
+            u = drop_all_empty_components(u)
+            if u.is_structurally_zero() or u.arity == 1:
+                continue
+            branches.append((generation, u.key()))
+            batch.extend(transport_step(u).as_terms())
+        active = ZExpr.of(batch).as_terms()
+    return branches, generation
+
+
+def test_reduction_rewrites_each_key_once(monkeypatch):
+    """One rewrite per distinct (generation, key), one trace record per
+    branch, and one normalisation per generation plus the first and last."""
+    seeds = _seeded_reductions()
+    references = [_reference_branches(t) for t in seeds]
+    rewritten, normalized = [], [0]
+    rewrite, normalize = transport._rewrite, model._normalize
+
+    def counting_rewrite(t, trace, pairs):
+        rewritten.append(t.key())
+        return rewrite(t, trace, pairs)
+
+    def counting_normalize(*args):
+        normalized[0] += 1
+        return normalize(*args)
+
+    monkeypatch.setattr(transport, "_rewrite", counting_rewrite)
+    monkeypatch.setattr(model, "_normalize", counting_normalize)
+    replayed = 0
+    for t, (branches, generations) in zip(seeds, references):
+        rewritten.clear()
+        normalized[0] = 0
+        trace = []
+        reduce_to_z1(t, trace=trace)
+        distinct = set(branches)
+        assert len(rewritten) == len(distinct)
+        assert set(rewritten) == {key for _, key in distinct}
+        assert sum(rec["rule"] == "transport-step" for rec in trace) == len(branches)
+        assert normalized[0] <= generations + 2
+        replayed += len(branches) - len(distinct)
+    assert replayed > 0
+
+
+def _signed_pairs(weight):
+    """Every pair of the given weight with variables +-1."""
+    out = []
+    for mask in range(2 ** (weight - 1)):
+        k, run = [], 1
+        for i in range(weight - 1):
+            if mask >> i & 1:
+                k.append(run)
+                run = 1
+            else:
+                run += 1
+        k.append(run)
+        for signs in itertools.product((sc(1), sc(-1)), repeat=len(k)):
+            out.append(Pair(tuple(k), signs))
+    return out
+
+
+def _two_component_recipes(max_weight=5):
+    """Two components and a bar, variables +-1, total weight <= max_weight."""
+    for w1, w2, w3 in itertools.product(range(1, max_weight - 1), repeat=3):
+        if w1 + w2 + w3 <= max_weight:
+            for p1, p2, bar in itertools.product(
+                    _signed_pairs(w1), _signed_pairs(w2), _signed_pairs(w3)):
+                yield RecipeData((p1, p2), bar)
+
+
+def test_rewrite_outputs_are_valid_pairs(monkeypatch):
+    """The pairs that rewrites build without validation equal, and hash as,
+    the validated pair of the same parts, whose checks they pass."""
+    built = []
+    rewrite = transport._rewrite
+
+    def collecting_rewrite(t, trace, pairs):
+        out = rewrite(t, trace, pairs)
+        built.extend(p for u in out for p in u.components + (u.bar,))
+        return out
+
+    monkeypatch.setattr(transport, "_rewrite", collecting_rewrite)
+    for t in _seeded_reductions():
+        reduce_to_z1(t)
+    polylogs = []
+    relations = 0
+    for data in _two_component_recipes():
+        try:
+            rel = recipe_relation(data)
+        except PreconditionViolated:
+            continue
+        relations += 1
+        polylogs.extend(m for side in (rel.lhs, rel.rhs) for _, m in side.terms)
+    assert relations == 416
+    assert len(built) > 10000
+    for p in {id(p): p for p in built}.values():
+        checked = Pair(p.k, p.z)
+        assert checked == p and hash(checked) == hash(p)
+        assert all(type(e) is int and e >= 1 for e in p.k)
+        assert all(isinstance(v, Scalar) and not v.is_inf and v.in_closed_disk()
+                   for v in p.z)
+    for m in polylogs:
+        assert MplTerm(m.kind, m.k, m.z) == m and m.guard_ok()
