@@ -3,13 +3,13 @@
 An arity-1 connected sum is evaluated through its boundary expansion into
 polylogarithms (boundary_reduce), each by eval_mpl_auto below.  A sum of
 arity n >= 2 is summed by dynamic programming over per-component top values
-(each capped at the bound), combined through a connector-normalized
-convolution so no factorial ever overflows, and closed with the bar-chain
-weight.  For components whose outermost letter is (1, k) over an all-ones
-bar, the single-escape rows beyond the cap admit closed-form or windowed
-tail sums built from exact factorial telescoping; those corrections are
-folded into the value and their residuals into the tail estimate.  The
-convolution keeps only the connector weights near its two edges; the mass
+(each capped at the bound), combined through a banded connector convolution
+whose weights 1/C(T, j) are running products (no factorial, no log-gamma),
+and closed with the bar-chain weight.  The single-escape rows past the cap
+of a top letter on the unit circle are one recursion in r per distinct top
+letter, in closed form or over a window with a telescoped remainder, folded
+into the value and their residuals into the tail.  The convolution keeps
+only the connector weights near its two edges; the mass
 it drops, and that of the rows no escape correction covers (two tops past
 the cap, or one past it while the others total more than the escape
 cut-off), enter the tail through proved bounds.
@@ -112,30 +112,32 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
     return totals if sums else (layer, below)
 
 
-def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int, lf: np.ndarray,
+def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int,
                 size: Optional[int] = None) -> tuple[np.ndarray, float]:
-    """Banded out[T] = sum_m g[T-m] a[m] (T-m)! m! / T!, m = 1..cap, T < size.
+    """Banded out[T] = sum_m g[T-m] a[m] / C(T, m), m = 1..cap, T < size.
 
-    Only the splits with m <= B or T-m <= B (B = _BAND) are summed, one edge
-    offset at a time and vectorised over T, so the cost is O(size * B).  A
-    dropped split has both parts above B, so its weight is at most
-    1/C(T, B+1), and it needs T >= 2B+2.  Returns (out, k): the mass dropped
-    at T is at most k * _past_edges(lf, B+1, out.size)[T], with
-    k = max_{s>B} |g[s]| * sum_{m>B} |a[m]|.  a has cap+1 entries; lf[x] =
-    log(x!) for every x < out.size.
+    Only the splits with m <= B or T-m <= B (B = _BAND) are summed: one loop
+    over j = 1..B serves both edges, m = j and T-m = j, which weigh 1/C(T, j),
+    a running product with no factorial and no log-gamma (1/C(T, j-1) times
+    j/(T-j+1), within about 2j u), so the cost is O(size * B).  A dropped
+    split has both parts above B: its weight is at most 1/C(T, B+1), and it
+    needs T >= 2B+2.  Returns (out, k), out real when g and a are: the mass
+    dropped at T is at most k * _past_edges(lf, B+1, out.size)[T], with
+    k = max_{s>B} |g[s]| * sum_{m>B} |a[m]|.  a has cap+1 entries.
     """
     n_out = g.size + cap if size is None else min(size, g.size + cap)
-    out = np.zeros(n_out, dtype=np.complex128)
-    # the m <= B edge: T = s + m over every s >= 1
-    for m in range(1, min(cap, _BAND, n_out - 2) + 1):
-        s = slice(1, min(g.size, n_out - m))
-        ts = slice(1 + m, s.stop + m)
-        out[ts] += g[s] * a[m] * np.exp((lf[s] + lf[m]) - lf[ts])
-    # the s <= B edge over the m > B not summed above
-    for s in range(1, min(g.size - 1, _BAND, n_out - _BAND - 2) + 1):
-        m = slice(_BAND + 1, min(cap + 1, n_out - s))
-        ts = slice(m.start + s, m.stop + s)
-        out[ts] += g[s] * a[m] * np.exp((lf[s] + lf[m]) - lf[ts])
+    out = np.zeros(n_out, dtype=np.result_type(g, a, np.float64))
+    w, ts = np.ones(n_out), np.arange(1, n_out + 1, dtype=np.float64)  # w = 1/C(T, 0)
+    last_m = min(cap, _BAND, n_out - 2)  # the m <= B edge: T = s + m over every s >= 1
+    last_s = min(g.size - 1, _BAND, n_out - _BAND - 2)  # the s <= B edge over the m > B
+    for j in range(1, max(last_m, last_s) + 1):
+        w[j:] *= j / ts[:n_out - j]
+        if j <= last_m:
+            t = slice(1 + j, min(g.size, n_out - j) + j)
+            out[t] += g[1:t.stop - j] * a[j] * w[t]
+        if j <= last_s:
+            t = slice(_BAND + 1 + j, min(cap + 1, n_out - j) + j)
+            out[t] += g[j] * a[_BAND + 1:t.stop - j] * w[t]
     k = float(np.max(np.abs(g[_BAND + 1:]), initial=0.0)) * \
         float(np.sum(np.abs(a[_BAND + 1:cap + 1])))
     return out, k
@@ -153,7 +155,7 @@ def _past_edges(lf: np.ndarray, j: int, size: int) -> np.ndarray:
     return out
 
 
-def _connect(tops: Sequence[np.ndarray], cap: int, lf: np.ndarray,
+def _connect(tops: Sequence[np.ndarray], cap: int,
              size: Optional[int] = None) -> tuple[np.ndarray, float]:
     """Connector-weighted convolution of the component arrays, T < size.
 
@@ -165,49 +167,49 @@ def _connect(tops: Sequence[np.ndarray], cap: int, lf: np.ndarray,
     """
     out, k = tops[0][:size], 0.0
     for a in tops[1:]:
-        out, drop = _binom_conv(out, a, cap, lf, size)
+        out, drop = _binom_conv(out, a, cap, size)
         k = k * float(np.sum(np.abs(a))) + drop
     return out, k
 
 
-def _phi(lf: np.ndarray, m: int, r: int) -> float:
-    """sum_{u>m} (u-1)!/(u+r)! = m!/(r (m+r)!), exact telescoping (r >= 1)."""
-    return math.exp(float(lf[m] - lf[m + r])) / r
-
-
-def _escape_kernel(bar: Pair, w_ext: np.ndarray, lf: np.ndarray, cap: int, r_other: int,
-                   k_top: int, z: complex) -> tuple[complex, float]:
-    """(value, residual bound) for sum_{m>cap} (m-1)! r!/(m+r)! z^m W(m+r)/m^(k-1).
+def _escape_rows(bar: Pair, w: np.ndarray, cap: int, r_max: int, k_top: int,
+                 z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(value, residual bound) at r = 1..r_max (entry r-1) of sum_{m>cap}
+    P_r(m) z^m W(m+r)/m^(k-1), P_r(m) = r! (m-1)!/(m+r)!, by one recursion in
+    r, P_r(m) = P_(r-1)(m) r/(m+r) from 1/m, each row one dot with W.
 
     For z = 1 the all-ones bars of shapes (1) and (1,1) with k = 1 have exact
     closed forms; every other case is a phase-carrying window plus a frozen-W
     telescoped remainder (added to the value only when z = 1, where the
-    remainder terms share one sign).  lf[x] = log(x!) covers w_ext's indices.
+    remainder terms share one sign), with sum_{m>c} P_r(m) = (r-1)! c!/(c+r)!.
     """
-    r = r_other
-    rfac = math.exp(float(lf[r]))
+    rs = np.arange(1, r_max + 1)
+
+    def past(c: int) -> np.ndarray:  # A_r(c): 1/(c+1) at r = 1, then times (r-1)/(c+r)
+        return np.cumprod(np.maximum(rs - 1, 1) / (c + rs))
+
     ones = all(v.is_one() for v in bar.z)
     if z == 1 and k_top == 1 and ones and bar.k == (1,):
-        return complex(rfac * _phi(lf, cap, r)), 0.0
+        return past(cap), np.zeros(r_max)
     if z == 1 and k_top == 1 and ones and bar.k == (1, 1):
-        h = digamma(cap + r + 2.0) + np.euler_gamma  # H_(cap+r+1)
-        val = rfac * (_phi(lf, cap, r) * h + _phi(lf, cap + 1, r) / r)
-        return complex(val), 0.0
+        h = digamma(cap + rs + 2.0) + np.euler_gamma  # H_(cap+r+1)
+        return past(cap) * h + past(cap + 1) / rs, np.zeros(r_max)
     b = cap + _KERNEL_WINDOW
-    mi = np.arange(cap + 1, b + 1)
-    m = mi.astype(np.float64)
-    logs = lf[mi - 1] + lf[r] - lf[mi + r]
-    terms = np.exp(logs) * w_ext[mi + r] / m ** (k_top - 1)
+    m = np.arange(cap + 1, b + 1, dtype=np.float64)
+    f = 1.0 / m ** k_top  # P_0(m) / m^(k-1)
     if z != 1:
-        terms = terms * np.power(z, m)
-    val = complex(np.sum(terms))
-    w_end = complex(w_ext[min(b + r, w_ext.size - 1)])
-    w_probe = complex(w_ext[min(2 * b // 3 + r, w_ext.size - 1)])
-    rem = rfac * _phi(lf, b, r) * w_end / float(b) ** (k_top - 1)
-    resid = rfac * _phi(lf, b, r) * (abs(w_end - w_probe) + abs(w_end) / b)
+        f = f * np.power(z, m)
+    value = np.zeros(r_max, dtype=np.result_type(f, w))
+    for r in rs:
+        f *= r / (m + r)
+        value[r - 1] = f @ w[cap + 1 + r:b + 1 + r]
+    w_end = w[np.minimum(b + rs, w.size - 1)]
+    w_probe = w[np.minimum(2 * b // 3 + rs, w.size - 1)]
+    rem = past(b) * w_end / float(b) ** (k_top - 1)
+    resid = past(b) * (np.abs(w_end - w_probe) + np.abs(w_end) / b)
     if z == 1:
-        return val + rem, float(resid)
-    return val, float(abs(rem)) + float(resid)
+        return value + rem, resid
+    return value, resid + np.abs(rem)
 
 
 def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, lf: np.ndarray,
@@ -315,16 +317,18 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     cap = bound
     r_cut = max(2, int(45.0 / max(math.log(cap), 1.0))) + n
     t_ext = n * cap + _KERNEL_WINDOW + r_cut + 2
-    lf = _glf(np.arange(t_ext + 1))  # log(x!) for every index below
+    # log(x!) at each index read as an array: n cap + 1 totals, _uncovered_bound's regions
+    lf = _glf(np.arange(max(n * cap + 1, 2 * (cap + max(cap, r_cut)) + 68)))
     # W[T] = T * (bar-chain mass ending exactly at T)
     w = _chain(t.bar.letters(), t_ext, weak=True)[0] * np.arange(t_ext + 1, dtype=np.float64)
 
     chains = [_chain(p.letters(), cap) for p in t.components]
     tops = [c[0] for c in chains]
-    g, k = _connect(tops, cap, lf)
+    g, k = _connect(tops, cap)
     value = complex(np.sum(g * w[:g.size]))
     tail = k * float(np.sum(np.abs(w[:g.size]) * _past_edges(lf, _BAND + 1, g.size)))
     tail += _uncovered_bound(t, cap, r_cut, lf, w)
+    rows = {}  # escape rows by top letter (k, z), shared by the components
     for j, p in enumerate(t.components):
         z_top, k_top = p.z[-1], p.k[-1]
         az = complex(z_top)
@@ -336,20 +340,16 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
         ghat = complex(np.sum(inner[:cap] * zpow))
         ghat_half = complex(np.sum(inner[:cap // 2] * zpow[:cap // 2]))
         drift = abs(ghat - ghat_half)
-        # the escape rows read the other components' product only up to r_cut
-        o, k_o = _connect(tops[:j] + tops[j + 1:], cap, lf, r_cut + 1)
+        # the escape rows read the others' product (0 below n-1) only up to r_cut
+        o, k_o = _connect(tops[:j] + tops[j + 1:], cap, r_cut + 1)
         o_err = k_o * _past_edges(lf, _BAND + 1, o.size)
-        correction = 0j
-        resid = 0.0
-        for r in range(n - 1, min(r_cut, o.size - 1) + 1):
-            if o[r] == 0 and o_err[r] == 0:
-                continue
-            kv, kr = _escape_kernel(t.bar, w, lf, cap, r, k_top, az)
-            correction += o[r] * ghat * kv
-            resid += (abs(o[r]) * kr + o_err[r] * abs(kv)) * abs(ghat)
-        value += correction
-        scale = abs(correction) / abs(ghat) if ghat != 0 else 0.0
-        tail += resid + drift * scale
+        if (k_top, z_top) not in rows:
+            rows[k_top, z_top] = _escape_rows(t.bar, w, cap, o.size - 1, k_top, az)
+        kv, kr = rows[k_top, z_top]
+        rowsum = complex(np.sum(o[1:] * kv))
+        value += ghat * rowsum
+        tail += abs(ghat) * float(np.sum(np.abs(o[1:]) * kr + o_err[1:] * np.abs(kv))) + \
+            drift * abs(rowsum)
 
     report_tail = abs(coef) * float(tail + 1e-13 * (1.0 + abs(value)))
     return EvalReport(complex(coef * value), bound, report_tail, report_tail <= tol)

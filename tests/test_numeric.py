@@ -73,9 +73,8 @@ def test_eval_zeta4():
 def _capped_sum(t, bound):
     """The raw capped sum eval_zterm starts from at arity >= 2, built from the
     pieces it runs: every component top at most bound, no escape rows."""
-    lf = numeric._glf(np.arange(t.arity * bound + 1))
     tops = [numeric._chain(p.letters(), bound)[0] for p in t.components]
-    g, _ = numeric._connect(tops, bound, lf)
+    g, _ = numeric._connect(tops, bound)
     w = numeric._chain(t.bar.letters(), g.size - 1, weak=True)[0] * np.arange(g.size)
     return complex(float(t.coef)) * complex(np.sum(g * w))
 
@@ -260,11 +259,12 @@ def test_exact_chain_linear_in_bound(monkeypatch):
 
 
 def _binom_conv_reference(g, a, cap):
-    """The full per-T loop: out[T] = sum_m g[T-m] a[m] (T-m)! m! / T!, m = 1..cap."""
+    """The full per-T loop: out[T] = sum_m g[T-m] a[m] / C(T, m), m = 1..cap,
+    each weight correctly rounded from the exact integer C(T, m)."""
     out = np.zeros(g.size + cap, dtype=np.complex128)
     for t in range(2, out.size):
         m = np.arange(max(1, t - g.size + 1), min(cap, t - 1) + 1)
-        weights = np.exp(numeric._glf(t - m) + numeric._glf(m) - numeric._glf(t))
+        weights = np.array([1 / math.comb(t, int(x)) for x in m])
         out[t] = np.sum(g[t - m] * a[m] * weights)
     return out
 
@@ -283,7 +283,7 @@ def test_binom_conv_matches_full_loop():
         if middle:  # only splits with both parts above the band: all dropped
             g[:band + 1] = 0
             a[:band + 1] = 0
-        out, k = numeric._binom_conv(g, a, cap, lf)
+        out, k = numeric._binom_conv(g, a, cap)
         ref = _binom_conv_reference(g, a, cap)
         scale = np.abs(_binom_conv_reference(np.abs(g), np.abs(a), cap))
         drop = k * numeric._past_edges(lf, band + 1, out.size)
@@ -292,30 +292,34 @@ def test_binom_conv_matches_full_loop():
         assert np.all(np.abs(out - ref) <= drop + 1e-13 * scale), (g_size, cap)
         seen_drop |= bool(np.any(np.abs(ref) > 1e-13 * scale + 1e-300) and middle)
         for size in (1, band, 2 * band + 3):
-            head, _ = numeric._binom_conv(g, a, cap, lf, size)
+            head, _ = numeric._binom_conv(g, a, cap, size)
             assert np.array_equal(head, out[:size])
+        # real inputs stay real, and give the real part of the same sums
+        real, _ = numeric._binom_conv(g.real, a.real, cap)
+        assert real.dtype == np.float64
+        assert np.all(np.abs(real - _binom_conv_reference(g.real, a.real, cap).real)
+                      <= drop + 1e-13 * scale), (g_size, cap)
     assert seen_drop
 
 
 def test_connector_convolution_linear_in_bound(monkeypatch):
-    # the full convolution evaluates one connector weight per (T, m) pair, so
-    # its cost grows with the square of the cap; the banded one grows linearly
-    counted, inside = [0], [False]
-    exp, conv = np.exp, numeric._binom_conv
+    # the full convolution reads one (T, m) pair per weight, so its cost grows
+    # with the square of the cap; the banded one reads each input slice once
+    # per band offset and grows linearly.  Reads are counted as the elements
+    # that indexing its inputs returns
+    counted = [0]
 
-    def counting_exp(x, *args, **kwargs):
-        if inside[0]:
-            counted[0] += np.size(x)
-        return exp(x, *args, **kwargs)
+    class Reads(np.ndarray):
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            counted[0] += np.size(out)
+            return out
 
-    def counting_conv(*args, **kwargs):
-        inside[0] = True
-        try:
-            return conv(*args, **kwargs)
-        finally:
-            inside[0] = False
+    conv = numeric._binom_conv
 
-    monkeypatch.setattr(np, "exp", counting_exp)
+    def counting_conv(g, a, *args, **kwargs):
+        return conv(g.view(Reads), a.view(Reads), *args, **kwargs)
+
     monkeypatch.setattr(numeric, "_binom_conv", counting_conv)
     term = zterm([Pair.ones((1,))] * 3, Pair.ones((1, 1)))
     counts = []
@@ -323,7 +327,119 @@ def test_connector_convolution_linear_in_bound(monkeypatch):
         counted[0] = 0
         eval_zterm(term, bound)
         counts.append(counted[0])
-    assert counts[1] <= 4.5 * counts[0], counts
+    assert counts[0] > 0 and counts[1] <= 4.5 * counts[0], counts
+
+
+def _escape_ratios(cap, r_max):
+    """r!/(m (m+1) ... (m+r)) = r! (m-1)!/(m+r)! over the escape window in
+    row r = 1..r_max (row 0 unused), each correctly rounded from exact integers."""
+    b = cap + numeric._KERNEL_WINDOW
+    ratios = np.zeros((r_max + 1, b - cap))
+    for i, m in enumerate(range(cap + 1, b + 1)):
+        den = m
+        for r in range(1, r_max + 1):
+            den *= m + r
+            ratios[r, i] = math.factorial(r) / den
+    return ratios
+
+
+def _escape_rows_reference(w, ratios, cap, k_top, z):
+    """The escape rows one r at a time: the window sum over the exact ratios,
+    then the frozen-W remainder and residual, with (r-1)! b!/(b+r)! exact too.
+    Returns (value, residual, scale), scale the sum of the moduli."""
+    b = cap + numeric._KERNEL_WINDOW
+    ms = np.arange(cap + 1, b + 1)
+    phase = np.power(z, ms.astype(np.float64)) / ms.astype(np.float64) ** (k_top - 1)
+    value, resid, scale = [], [], []
+    for r in range(1, ratios.shape[0]):
+        terms = ratios[r] * phase * w[ms + r]
+        past = math.factorial(r - 1) / math.prod(range(b + 1, b + r + 1))
+        w_end = w[min(b + r, w.size - 1)]
+        w_probe = w[min(2 * b // 3 + r, w.size - 1)]
+        rem = past * w_end / float(b) ** (k_top - 1)
+        value.append(complex(np.sum(terms)) + (rem if z == 1 else 0))
+        resid.append(past * (abs(w_end - w_probe) + abs(w_end) / b) + (0 if z == 1 else abs(rem)))
+        scale.append(float(np.sum(np.abs(terms))) + abs(rem))
+    return np.array(value), np.array(resid), np.array(scale)
+
+
+def test_escape_rows_match_per_row_sums():
+    # the one-pass rows of a top letter on the unit circle, z in {1, -1, i,
+    # (3+4i)/5}, k in {1, 2}, over bars with and without phases, against the
+    # rows summed one r at a time.  The all-ones bars (1) and (1,1) under a
+    # top (1, 1) take their exact closed forms
+    cap, r_max = 20, 8
+    phased = {(1,): (sc(-1),), (1, 1): (sc(0, 1), ONE), (2, 1): (sc(F(3, 5), F(4, 5)), sc(-1)),
+              (1, 2): (ONE, sc(0, -1))}
+    bars = [Pair.ones(k) for k in phased] + [Pair(k, v) for k, v in phased.items()]
+    size = cap + numeric._KERNEL_WINDOW + r_max + 1
+    ratios = _escape_ratios(cap, r_max)
+    for bar in bars:
+        w = numeric._chain(bar.letters(), size, weak=True)[0] * np.arange(size + 1)
+        for z in (1, -1, 1j, 0.6 + 0.8j):
+            for k_top in (1, 2):
+                value, resid = numeric._escape_rows(bar, w, cap, r_max, k_top, z)
+                assert value.shape == resid.shape == (r_max,)
+                if z == 1 and k_top == 1 and bar in (Pair.ones((1,)), Pair.ones((1, 1))):
+                    continue
+                ref, ref_resid, scale = _escape_rows_reference(w, ratios, cap, k_top, z)
+                where = (str(bar), z, k_top)
+                assert np.all(np.abs(value - ref) <= 1e-12 * scale), where
+                assert np.all(np.abs(resid - ref_resid) <= 1e-12 * ref_resid), where
+    # closed forms: sum_{m>c} P_r(m) = (r-1)! c!/(c+r)! =: A_r(c) under the
+    # bar (1), and A_r(c) H_(c+r+1) + A_r(c+1)/r under the bar (1,1)
+    def past(c, r):
+        return F(math.factorial(r - 1), math.prod(range(c + 1, c + r + 1)))
+
+    for bar in (Pair.ones((1,)), Pair.ones((1, 1))):
+        w = numeric._chain(bar.letters(), size, weak=True)[0] * np.arange(size + 1)
+        value, resid = numeric._escape_rows(bar, w, cap, r_max, 1, 1)
+        assert np.all(resid == 0)
+        for r in range(1, r_max + 1):
+            want = past(cap, r)
+            if bar.k == (1, 1):
+                want = want * sum(F(1, i) for i in range(1, cap + r + 2)) + past(cap + 1, r) / r
+            assert abs(value[r - 1] - float(want)) <= 1e-14 * float(want), (str(bar), r)
+
+
+def test_escape_rows_once_per_top_letter(monkeypatch):
+    # components that share a top letter share one window
+    calls = []
+    rows = numeric._escape_rows
+
+    def counting_rows(bar, w, cap, r_max, k_top, z):
+        calls.append((k_top, z))
+        return rows(bar, w, cap, r_max, k_top, z)
+
+    monkeypatch.setattr(numeric, "_escape_rows", counting_rows)
+    for comps, letters in (([Pair.ones((2,))] * 4, 1),
+                           ([Pair.ones((2,)), Pair.ones((1, 2)), Pair.ones((1,)),
+                             Pair((1,), (sc(-1),)), Pair((1,), (sc(F(1, 2)),))], 3)):
+        calls.clear()
+        eval_zterm(zterm(comps, Pair.ones((2, 1))), 100)
+        assert len(calls) == len(set(calls)) == letters, calls
+
+
+def test_log_factorial_table_covers_every_read(monkeypatch):
+    # numpy slicing past the end of an array truncates silently, so a table
+    # 10,000 entries longer must leave every report bit-identical.  The
+    # capped sum's n cap + 1 totals set the length at some bounds, the
+    # uncovered rows' regions at others
+    terms = [zterm([Pair.ones((1,))] * n, Pair.ones((1, 1))) for n in range(2, 7)]
+    bounds = [*range(1, 41), 64, 100, 200, 400]
+    before = [[eval_zterm(t, b) for b in bounds] for t in terms]
+    glf, asked = numeric._glf, []
+
+    def longer(x):
+        asked.append(np.size(x))
+        return glf(np.arange(np.size(x) + 10_000))
+
+    monkeypatch.setattr(numeric, "_glf", longer)
+    for t, reports in zip(terms, before):
+        for b, rep in zip(bounds, reports):
+            assert eval_zterm(t, b) == rep, (str(t), b)
+    totals = [t.arity * b + 1 for t in terms for b in bounds]
+    assert 0 < sum(a == n for a, n in zip(asked, totals)) < len(totals), asked
 
 
 def test_zterm_tail_covers_the_error():
