@@ -10,7 +10,7 @@ converted to shuffle type for output.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DivergentInput, GuardViolation, ZeroVariable
 from .model import MplExpr, MplTerm, ZTerm, _unchecked, is_convergent
@@ -86,19 +86,16 @@ def quasi_shuffle(strict: Chain, weak: Chain) -> list[Chain]:
     return out
 
 
-def boundary_reduce(t: ZTerm) -> MplExpr:
-    """Expand an arity-1 term into shuffle-type polylogarithms.
-
-    The weak chain's top entries may sit at the outer level, so every suffix
-    of it can merge into the top slot before the remaining chains stuffle.
-    """
+def _expansion(t: ZTerm) -> Iterator[tuple[Fraction, MplTerm]]:
+    """The (coefficient, shuffle-type term) items of an arity-1 term's
+    polylog expansion, not yet merged: boundary_reduce normalises them."""
     if t.arity != 1:
         raise DivergentInput("boundary reduction applies to arity-1 terms only")
     if t.is_structurally_zero():
-        return MplExpr.zero()
+        return
     p, bar = t.components[0], t.bar
     if p.is_empty():
-        return MplExpr.zero()
+        return
     if any(v.is_zero() for v in p.z) or any(v.is_zero() for v in bar.z):
         raise ZeroVariable("boundary reduction needs nonzero variables")
     if not is_convergent(t):
@@ -110,7 +107,6 @@ def boundary_reduce(t: ZTerm) -> MplExpr:
     top_v = p.z[-1] * bar.z[-1]
     top_e = p.k[-1] + bar.k[-1] - 1
 
-    items: list[tuple[Fraction, MplTerm]] = []
     for j in range(0, s):
         merged_v, merged_e = _merge(weak[len(weak) - j:]) if j else (ONE, 0)
         top = (top_v * merged_v, top_e + merged_e)
@@ -122,10 +118,20 @@ def boundary_reduce(t: ZTerm) -> MplExpr:
                 k=tuple(e for _, e in full),
                 z=tuple(v for v, _ in full),
             )
-            items.append((t.coef, harmonic_to_shuffle(term)))
-    return MplExpr.of(items)
+            yield t.coef, harmonic_to_shuffle(term)
+
+
+def boundary_reduce(t: ZTerm) -> MplExpr:
+    """Expand an arity-1 term into shuffle-type polylogarithms.
+
+    The weak chain's top entries may sit at the outer level, so every suffix
+    of it can merge into the top slot before the remaining chains stuffle.
+    """
+    return MplExpr.of(_expansion(t))
 
 
 def boundary_reduce_all(terms: Iterable[ZTerm]) -> MplExpr:
-    """Sum of the polylog expansions of arity-1 terms, normalized once."""
-    return MplExpr.of(item for t in terms for item in boundary_reduce(t).terms)
+    """Sum of the polylog expansions of arity-1 terms, normalized once: the
+    coefficients are exact, so merging the union gives what merging each
+    expansion first would."""
+    return MplExpr.of(item for t in terms for item in _expansion(t))

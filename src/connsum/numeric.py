@@ -55,7 +55,7 @@ from .model import (
     is_convergent,
 )
 from .records import EvalReport, Relation, VerifyReport
-from .scalars import ONE, ZERO, Scalar, reciprocal_sum, sc
+from .scalars import ONE, ZERO, Scalar, _g_add, _g_mul, _make, _primitive, reciprocal_sum
 
 _KERNEL_WINDOW = 20_000  # escape-row window before the telescoped remainder
 # connector weights kept at each edge of a convolution: the dropped middle
@@ -316,11 +316,15 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     n = t.arity
     cap = bound
     r_cut = max(2, int(45.0 / max(math.log(cap), 1.0))) + n
-    t_ext = n * cap + _KERNEL_WINDOW + r_cut + 2
-    # log(x!) at each index read as an array: n cap + 1 totals, _uncovered_bound's regions
-    lf = _glf(np.arange(max(n * cap + 1, 2 * (cap + max(cap, r_cut)) + 68)))
-    # W[T] = T * (bar-chain mass ending exactly at T)
-    w = _chain(t.bar.letters(), t_ext, weak=True)[0] * np.arange(t_ext + 1, dtype=np.float64)
+    # every index read as an array: n cap + 1 totals, _uncovered_bound's regions
+    reach = max(n * cap + 1, 2 * (cap + max(cap, r_cut)) + 68)
+    lf = _glf(np.arange(reach))  # log(x!)
+    # W[T] = T * (bar-chain mass ending exactly at T); the escape rows of a
+    # top letter on the unit circle read it past reach, through their window
+    on_circle = [abs(complex(p.z[-1])) >= 1.0 - 1e-12 for p in t.components]
+    t_ext = n * cap + _KERNEL_WINDOW + r_cut + 2 if any(on_circle) else reach
+    w = _chain(t.bar.letters(), t_ext, weak=True)[0]
+    w = w * np.arange(w.size, dtype=np.float64)
 
     chains = [_chain(p.letters(), cap) for p in t.components]
     tops = [c[0] for c in chains]
@@ -332,7 +336,7 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     for j, p in enumerate(t.components):
         z_top, k_top = p.z[-1], p.k[-1]
         az = complex(z_top)
-        if abs(az) < 1.0 - 1e-12:
+        if not on_circle[j]:
             tail += abs(az) ** cap
             continue
         inner = chains[j][1]
@@ -517,9 +521,12 @@ def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
 # exact partial sums (oracles)
 
 
-def _exact_chain(letters, bound: int, kind: str = "strict") -> dict[int, Scalar]:
+def _exact_chain(letters, bound: int, kind: str = "strict") -> dict[int, tuple[int, int, int]]:
     """Exact chain mass by top index: entry m sums, over the chains of the
     letters whose top index is m <= bound, the slot weights v^gap / m^e.
+    Each entry is the primitive integer form (a, b, d) of its value
+    (a + b i)/d (scalars._make turns it into a Scalar), and a zero entry is
+    left out.
 
     kind "strict": indices strictly increase; "weak": every slot after the
     first may repeat the index below it (the bar chain); "harmonic": indices
@@ -532,36 +539,40 @@ def _exact_chain(letters, bound: int, kind: str = "strict") -> dict[int, Scalar]
         harmonic:  acc_m = v^m (layer_0 + ... + layer_{m-1}), a prefix sum
                    times a running power;
 
-    so a chain costs O(bound * depth) Scalar operations.  This is the exact
-    twin of the float path's lfilter, but shares no code with it.
+    so a chain costs O(bound * depth) sums and products of integer triples
+    (scalars._g_add, _g_mul), each reduced by one gcd, and builds no Scalar.
+    This is the exact twin of the float path's lfilter, but shares no code
+    with it.
     """
-    layer: dict[int, Scalar] = {0: ONE}
+    layer: dict[int, tuple[int, int, int]] = {0: (1, 0, 1)}
     for i, (v, e) in enumerate(letters):
+        vg = v._g
         weak = kind == "weak" and i > 0  # so layer has no entry at 0
-        nxt: dict[int, Scalar] = {}
-        acc = sc(0)
-        vpow = ONE  # v^m, harmonic only
+        nxt: dict[int, tuple[int, int, int]] = {}
+        acc = (0, 0, 1)
+        vpow = (1, 0, 1)  # v^m, harmonic only
         for m in range(1, bound + 1):
             if kind == "harmonic":
                 low = layer.get(m - 1)
                 if low is not None:
-                    acc = acc + low
-                vpow = vpow * v
-                val = acc * vpow
+                    acc = _g_add(acc, low)
+                vpow = _g_mul(vpow, vg)
+                val = _g_mul(acc, vpow)
             elif weak:
-                acc = v * acc
+                acc = _g_mul(vg, acc)
                 low = layer.get(m)
                 if low is not None:
-                    acc = acc + low
+                    acc = _g_add(acc, low)
                 val = acc
             else:
                 low = layer.get(m - 1)
                 if low is not None:
-                    acc = acc + low
-                acc = v * acc
+                    acc = _g_add(acc, low)
+                acc = _g_mul(vg, acc)
                 val = acc
-            if not val.is_zero():
-                nxt[m] = val * sc(Fraction(1, m ** e))
+            a, b, d = val
+            if a or b:
+                nxt[m] = _primitive(a, b, d * m ** e)
         layer = nxt
     return layer
 
@@ -569,41 +580,44 @@ def _exact_chain(letters, bound: int, kind: str = "strict") -> dict[int, Scalar]
 def eval_zterm_partial_exact(t: ZTerm, bound: int) -> Scalar:
     """Exact rational-complex partial sum over component tops <= bound."""
     if t.is_structurally_zero():
-        return sc(0)
+        return ZERO
     comp_layers = [_exact_chain(p.letters(), bound) for p in t.components]
 
-    totals: dict[int, Scalar] = {}
+    totals: dict[int, tuple[int, int, int]] = {}
 
-    def _combine(idx: int, acc_v: Scalar, tops: list[int]) -> None:
+    def _combine(idx: int, acc: tuple[int, int, int], tops: list[int]) -> None:
         if idx == len(comp_layers):
             tot = sum(tops)
-            totals[tot] = totals.get(tot, sc(0)) + acc_v * sc(connector(tops))
+            c = connector(tops)
+            val = _g_mul(acc, (c.numerator, 0, c.denominator))
+            prev = totals.get(tot)
+            totals[tot] = val if prev is None else _g_add(prev, val)
             return
         # an empty component keeps its base entry {0: 1} and contributes a
         # zero top, matching the arity-reduction identity
         for m, val in comp_layers[idx].items():
-            _combine(idx + 1, acc_v * val, tops + [m])
+            _combine(idx + 1, _g_mul(acc, val), tops + [m])
 
-    _combine(0, ONE, [])
+    _combine(0, (1, 0, 1), [])
     if not totals:
-        return sc(0)
+        return ZERO
 
     bar_layer = _exact_chain(t.bar.letters(), max(totals), "weak")
-    out = sc(0)
+    out = (0, 0, 1)
     for tot, val in totals.items():
         wq = bar_layer.get(tot)
         if wq is not None:
-            out = out + val * wq * sc(tot)
-    return out * sc(t.coef)
+            out = _g_add(out, _g_mul(_g_mul(val, wq), (tot, 0, 1)))
+    return _make(*_g_mul(out, (t.coef.numerator, 0, t.coef.denominator)))
 
 
 def eval_mpl_partial_exact(m: MplTerm, bound: int) -> Scalar:
     """Exact rational-complex partial sum with outer index <= bound."""
     kind = "harmonic" if m.kind == "harmonic" else "strict"
-    out = sc(0)
+    out = (0, 0, 1)
     for val in _exact_chain(zip(m.z, m.k), bound, kind).values():
-        out = out + val
-    return out
+        out = _g_add(out, val)
+    return _make(*out)
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +662,11 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
             for rest in tuples(lows[1:], room - x):
                 yield (x,) + rest
 
-    def powers(x: Scalar) -> list[Scalar]:
-        """x^0 .. x^bound, with 0**0 = 1."""
-        out = [ONE]
+    def powers(x: Scalar) -> list[tuple[int, int, int]]:
+        """The integer forms of x^0 .. x^bound, with 0**0 = 1."""
+        out = [(1, 0, 1)]
         for _ in range(bound):
-            out.append(out[-1] * x)
+            out.append(_g_mul(out[-1], x._g))
         return out
 
     # every exponent below lies in 0..bound
@@ -662,31 +676,36 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
     # one pass over the tuples with every a_k >= m-_k and total <= bound: a
     # tuple with exactly one slot at m- is a term of that slot's face, one
     # with every slot above m- a term of the inner sum (q <= total < bound),
-    # of the low shell (total = q) or of the top shell (total = bound)
-    faces = inner = low = top = sc(0)
+    # of the low shell (total = q) or of the top shell (total = bound).  The
+    # sums run on primitive integer forms (scalars._g_add, _g_mul), which are
+    # unique, so the two sides are equal exactly when their forms are
+    faces = inner = low = top = (0, 0, 1)
     for a in tuples(m_minus, bound - mp_total):
         total = sum(a) + mp_total
         at = [kk for kk in range(d) if a[kk] == m_minus[kk]]
         if len(at) > 1 or total < q:
             continue
-        term = sc(connector(a + tuple(m_plus)))
+        c = connector(a + tuple(m_plus))
+        term = (c.numerator, 0, c.denominator)
         for kk in range(d):
             if kk not in at:
-                term = term * v_pow[kk][a[kk] - m_minus[kk]] * sc(Fraction(1, a[kk]))
-        weighted = term * t_pow[total - q]
+                term = _g_mul(_g_mul(term, v_pow[kk][a[kk] - m_minus[kk]]), (1, 0, a[kk]))
+        weighted = _g_mul(term, t_pow[total - q])
         if at:
             if total < bound:
-                faces = faces + weighted
+                faces = _g_add(faces, weighted)
             continue
         if total < bound:
-            inner = inner + weighted
+            inner = _g_add(inner, weighted)
         if total == q:
-            low = low + term * sc(q)
+            low = _g_add(low, _g_mul(term, (q, 0, 1)))
         if total == bound:
-            top = top + weighted
+            top = _g_add(top, weighted)
 
-    # both sides carry the factor 1/(m+_1 ... m+_(n-d)), which cancels
-    return faces - inner * sc(mp_total) == top * sc(bound) - low
+    # faces - mp_total inner = bound top - low; both sides carry the factor
+    # 1/(m+_1 ... m+_(n-d)), which cancels
+    return _g_add(faces, low) == \
+        _g_add(_g_mul(top, (bound, 0, 1)), _g_mul(inner, (mp_total, 0, 1)))
 
 
 # ---------------------------------------------------------------------------

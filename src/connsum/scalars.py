@@ -14,7 +14,9 @@ are integer sums and products fed to one constructor, ``_make``, which reduces
 each part with one gcd and sets the ``Fraction`` slots without re-normalising
 them; a real product or a sum over a shared d costs one product and one gcd.
 The disk and identity predicates compare integers (a^2 + b^2 against d^2,
-numerators against 0) and build no ``Fraction``.
+numerators against 0) and build no ``Fraction``.  A loop that only combines
+values (the exact oracles in numeric) sums and multiplies the triples
+themselves (``_g_add``, ``_g_mul``) and builds one Scalar for its result.
 
 A Scalar is immutable, so what is derived from it (hash, |z|^2, 1/z, the
 Mobius image, sort key) is computed on first use and kept on the instance by
@@ -107,6 +109,39 @@ def _make(a: int, b: int, d: int) -> "Scalar":
             d //= g
         re, im = _coprime(a, d), _F0
     return _raw(re, im, (a, b, d))
+
+
+# Integer-form kernels for loops that only combine values and convert the
+# result once (the exact oracles in numeric): each takes and returns
+# primitive triples (a, b, d), gcd(a, b, d) = 1 and d > 0, so two equal
+# values have equal triples, and _make turns a triple into a Scalar.
+
+def _primitive(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """(a, b, d) for d > 0 divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return a // g, b // g, d // g
+    return a, b, d
+
+
+def _g_add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        return _primitive(a1 + a2, b1 + b2, d1)
+    g = gcd(d1, d2)
+    e1, e2 = d1 // g, d2 // g
+    return _primitive(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1, e1 * d2)
+
+
+def _g_mul(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if not b1:
+        return _primitive(a1 * a2, a1 * b2, d1 * d2)
+    if not b2:
+        return _primitive(a1 * a2, b1 * a2, d1 * d2)
+    return _primitive(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
 
-from connsum import numeric
+from connsum import numeric, scalars
 from connsum.boundary import harmonic_to_shuffle
 from connsum.errors import DivergentInput, DomainError, HypothesisViolated, NotConverged
 from connsum.model import MplExpr, MplTerm, Pair, zterm
@@ -234,28 +234,43 @@ def test_exact_chain_matches_nested_sum():
             for _ in range(4):
                 letters = [(rng.choice(pool), rng.randint(1, 2)) for _ in range(depth)]
                 bound = rng.randint(depth, 8)
-                assert numeric._exact_chain(letters, bound, kind) == \
-                    _nested_sum(letters, bound, kind), (kind, letters, bound)
+                # the reference sums Scalars; the chain sums integer forms
+                chain = {m: scalars._make(*g)
+                         for m, g in numeric._exact_chain(letters, bound, kind).items()}
+                assert chain == _nested_sum(letters, bound, kind), (kind, letters, bound)
 
 
 def test_exact_chain_linear_in_bound(monkeypatch):
     # the running sum does O(bound * depth) multiplications; a pairwise sum
-    # over levels would grow about fourfold when the bound doubles
-    calls = [0]
-    mul = Scalar.__mul__
+    # over levels would grow about fourfold when the bound doubles.  Only
+    # the result becomes a Scalar, whatever the bound
+    calls, built = [0], [0]
+    mul, raw, post_init = numeric._g_mul, scalars._raw, Scalar.__post_init__
 
-    def counting_mul(self, other):
+    def counting_mul(x, y):
         calls[0] += 1
-        return mul(self, other)
+        return mul(x, y)
 
-    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    def counting_raw(*args):
+        built[0] += 1
+        return raw(*args)
+
+    def counting_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(numeric, "_g_mul", counting_mul)
+    monkeypatch.setattr(scalars, "_raw", counting_raw)
+    monkeypatch.setattr(Scalar, "__post_init__", counting_post_init)
     term = MplTerm("shuffle", (1, 2, 1), (sc(F(1, 2)), sc(-1), sc(F(3, 5), F(4, 5))))
-    counts = []
+    counts, scalars_built = [], []
     for bound in (30, 60):
-        calls[0] = 0
+        calls[0] = built[0] = 0
         eval_mpl_partial_exact(term, bound)
         counts.append(calls[0])
-    assert counts[1] <= 2.5 * counts[0], counts
+        scalars_built.append(built[0])
+    assert 0 < counts[0] and counts[1] <= 2.5 * counts[0], counts
+    assert scalars_built[0] == scalars_built[1] == 1, scalars_built
 
 
 def _binom_conv_reference(g, a, cap):
@@ -440,6 +455,35 @@ def test_log_factorial_table_covers_every_read(monkeypatch):
             assert eval_zterm(t, b) == rep, (str(t), b)
     totals = [t.arity * b + 1 for t in terms for b in bounds]
     assert 0 < sum(a == n for a, n in zip(asked, totals)) < len(totals), asked
+
+
+def test_bar_weight_covers_every_read(monkeypatch):
+    # with no component top on the unit circle no escape row reads the bar
+    # weight W, so it ends where the capped sum and the uncovered rows'
+    # regions end; a W 10,000 entries longer must leave every report
+    # bit-identical
+    pool = [Pair((1,), (sc(F(1, 2)),)), Pair((1, 1), (sc(-1), sc(F(-1, 3)))),
+            Pair((2,), (sc(0, F(1, 2)),)), Pair((1,), (sc(F(3, 5), F(-2, 5)),))]
+    terms = [zterm([pool[i % 4] for i in range(n)], Pair.ones(bar))
+             for n in range(2, 6) for bar in ((1,), (1, 1), (2, 1))]
+    bounds = [*range(2, 41), 64, 100, 200, 400]
+    before = [[eval_zterm(t, b) for b in bounds] for t in terms]
+    chain, asked = numeric._chain, []
+
+    def longer(letters, bound, weak=False, sums=False):
+        if weak:
+            asked.append(bound)
+            bound += 10_000
+        return chain(letters, bound, weak, sums)
+
+    monkeypatch.setattr(numeric, "_chain", longer)
+    for t, reports in zip(terms, before):
+        for b, rep in zip(bounds, reports):
+            assert eval_zterm(t, b) == rep, (str(t), b)
+    # one bar chain per report, each short of the escape rows' window
+    windows = [t.arity * b + numeric._KERNEL_WINDOW for t in terms for b in bounds]
+    assert len(asked) == len(windows)
+    assert all(a < end for a, end in zip(asked, windows)), asked
 
 
 def test_zterm_tail_covers_the_error():

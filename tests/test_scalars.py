@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from connsum import serialize
+from connsum import scalars, serialize
 from connsum.errors import DomainError, UndefinedArithmetic
 from connsum.scalars import INF, ONE, ZERO, Scalar, in_reciprocal_ball, sc
 
@@ -294,6 +294,35 @@ def test_kernel_matches_fraction_formulas():
         assert x.re_leq_half() == (xr[0] <= F(1, 2))
         assert x.re_lt_half() == (xr[0] < F(1, 2))
         assert x.re_eq_half() == (xr[0] == F(1, 2))
+
+
+def _is_primitive(g):
+    a, b, d = g
+    return type(a) is type(b) is type(d) is int and d > 0 and math.gcd(a, b, d) == 1
+
+
+def test_triple_kernels_match_scalar_arithmetic():
+    # the exact oracles sum and multiply integer forms and convert once; each
+    # result must be the primitive form Scalar + and * would hold
+    rng = random.Random(1515)
+    draw = _kernel_pool(rng)
+    pool = [Scalar(*draw()) for _ in range(300)] + [ZERO, ONE, -ONE, sc(0, 1), sc(0, -1)]
+    acc_sum, acc_mul, ref_sum, ref_mul = ZERO._g, ONE._g, ZERO, ONE
+    for step in range(2000):
+        x, y = rng.choice(pool), rng.choice(pool)
+        for got, want in ((scalars._g_add(x._g, y._g), x + y),
+                          (scalars._g_mul(x._g, y._g), x * y)):
+            assert _is_primitive(got) and got == want._g, (x, y)
+            assert scalars._make(*got) == want
+        k = rng.choice((1, 2, 6, 10 ** 20 + 39))
+        assert scalars._primitive(*(k * part for part in x._g)) == x._g
+        if step < 200 and not x.is_zero():  # running sums and products stay primitive
+            acc_sum = scalars._g_add(acc_sum, x._g)
+            acc_mul = scalars._g_mul(acc_mul, x._g)
+            ref_sum, ref_mul = ref_sum + x, ref_mul * x
+    assert (acc_sum, acc_mul) == (ref_sum._g, ref_mul._g)
+    assert _is_primitive(acc_sum) and _is_primitive(acc_mul)
+    assert scalars._g_add(sc(F(1, 3), 1)._g, sc(F(-1, 3), -1)._g) == ZERO._g
 
 
 def test_kernel_undefined_forms_unchanged():
