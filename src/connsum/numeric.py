@@ -15,10 +15,13 @@ the cap, or one past it while the others total more than the escape
 cut-off), enter the tail through proved bounds.
 
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
-one lfilter recurrence per letter, in float64 when every variable is real and
-complex128 otherwise.  The one float polylogarithm evaluator, eval_mpl_auto,
-is a Hölder convolution.  With letters (z_i, k_i) innermost first, the value is
-(-1)^r G(b; 1) for the word b = (0^(k_r-1), 1/z_r, ..., 0^(k_1-1), 1/z_1), and
+one first-order recurrence per letter (_scan, with a proved rounding bound
+on each of its three paths), in float64 when every variable is real and
+complex128 otherwise.  The module needs numpy alone: log-factorials come from
+a math.lgamma table (_glf), harmonic numbers from _harmonic.  The one float
+polylogarithm evaluator, eval_mpl_auto, is a Hölder convolution.  With
+letters (z_i, k_i) innermost first, the value is (-1)^r G(b; 1) for the
+word b = (0^(k_r-1), 1/z_r, ..., 0^(k_1-1), 1/z_1), and
 
   G(b; 1) = sum_j (-1)^j G(1-b_j, ..., 1-b_1; 1-lam) G(b_(j+1), ..., b_w; lam).
 
@@ -41,8 +44,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import digamma, gammaln
 
 from .boundary import boundary_reduce, harmonic_to_shuffle
 from .errors import DivergentInput, DomainError, HypothesisViolated, NotConverged
@@ -63,6 +64,7 @@ _KERNEL_WINDOW = 20_000  # escape-row window before the telescoped remainder
 _BAND = 60
 _CAP = 1 << 21  # outer index past which no Hölder piece is summed
 _U = 2.0 ** -53  # unit roundoff of float64
+_LOOP_MAX = 128  # longest _scan run as a Python loop; numpy passes win past it
 
 
 def connector(a: Sequence[int]) -> Fraction:
@@ -74,9 +76,103 @@ def connector(a: Sequence[int]) -> Fraction:
     return Fraction(num, math.factorial(total))
 
 
+_LF = np.zeros(1)  # log(x!) for x < _LF.size; _glf grows it
+
+
 def _glf(x):
-    """log(x!) elementwise."""
-    return gammaln(np.asarray(x, dtype=np.float64) + 1.0)
+    """log(x!) elementwise, for non-negative integers x.
+
+    Read from a per-process table of math.lgamma values that grows
+    geometrically (at least doubling), so a process computes each entry once.
+    """
+    global _LF
+    x = np.asarray(x, dtype=np.intp)
+    table = _LF
+    need = int(x.max(initial=0)) + 1
+    if need > table.size:
+        old, size = table.size, max(need, 2 * table.size)
+        table = np.empty(size)
+        table[:old] = _LF
+        table[old:] = [math.lgamma(k + 1.0) for k in range(old, size)]
+        if size > _LF.size:
+            _LF = table
+    return table[x]
+
+
+def _harmonic(n: int) -> float:
+    """H_n = 1 + 1/2 + ... + 1/n for n >= 1.
+
+    Summed below 64.  From 64 on, the Euler-Maclaurin series
+    ln n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4) - 1/(252 n^6), whose
+    remainder has the sign of the next term, 1/(240 n^8), and is smaller: at
+    most 1.5e-17, below u H_n.
+    """
+    if n < 64:
+        return math.fsum(1.0 / k for k in range(1, n + 1))
+    r = 1.0 / (n * n)
+    return math.log(n) + np.euler_gamma + 0.5 / n - \
+        r * (1.0 / 12 - r * (1.0 / 120 - r / 252))
+
+
+def _scan(x: np.ndarray, z, weak: bool) -> np.ndarray:
+    """The first-order recurrence over x: y[m] = z y[m-1] + x[m] (weak) or
+    y[m] = z (y[m-1] + x[m-1]) (strict), from y[-1] = x[-1] = 0.  So
+    y[m] = sum_j z^j x[m-j], over j >= 0 (weak) or j >= 1 (strict).  float64
+    when x and z are real, complex128 otherwise.
+
+    Three paths, by z and the length n of x:
+
+    - z = 1: the running sum of x, shifted by one index when strict;
+    - n <= _LOOP_MAX: a Python loop, each strict step z*y + z*x in that order;
+    - otherwise doubling: y starts as x (weak) or z x[m-1] (strict), and pass
+      k = 1, 2, 4, ... < n adds z^k y[m-k] to y[m], z^k by squaring (it stops
+      early once z^k is 0).
+
+    Rounding, to first order in u with no underflow or overflow: the error
+    in y[m] is at most u sum_j c |z|^j |x[m-j]| over the same j, with
+
+    - z = 1: c = j + 1.  Term x[m-j] meets at most j + 1 sums;
+    - loop: c = (1 + sqrt 5)(j + 1).  A step errs by at most (1 + sqrt 5) u
+      of the absolute chain through it (a product within sqrt 5 u, a sum
+      within u), and that error decays like z^i through the next i steps;
+    - doubling: c = L + sqrt 5 j, L the number of passes.  Weak term j of
+      y[m] meets at most L sums and, for each bit 2^s of j, one product
+      within sqrt 5 u by z^(2^s), which errs by at most (2^s - 1) sqrt 5 u:
+      2^s sqrt 5 u per bit.  Strict term j is weak term j - 1 of the start
+      z x[m-1], whose product adds sqrt 5 u.
+
+    For real x and z each sqrt 5 above is 1.
+    """
+    n = x.size
+    dtype = np.result_type(x, z)
+    if z == 1:
+        y = np.cumsum(x, dtype=dtype)
+        if not weak:
+            y[1:] = y[:-1]
+            y[:1] = 0.0
+        return y
+    if n <= _LOOP_MAX:
+        zz = z.item() if isinstance(z, np.generic) else z  # Python arithmetic
+        acc = 0.0
+        if weak:
+            out = [acc := v + zz * acc for v in x.tolist()]
+        else:
+            out = [acc := zz * acc + zz * v for v in [0.0, *x.tolist()[:-1]]]
+        return np.array(out, dtype)
+    if weak:
+        y = x.astype(dtype)
+    else:
+        y = np.empty(n, dtype)
+        y[0] = 0.0
+        np.multiply(x[:-1], z, out=y[1:])
+    buf = np.empty(n - 1, dtype)  # one product buffer for every pass
+    k, p = 1, z
+    while k < n and p != 0:
+        t = buf[:n - k]
+        np.multiply(y[:-k], p, out=t)
+        y[k:] += t
+        k, p = 2 * k, p * p
+    return y
 
 
 def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
@@ -84,11 +180,12 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
 
     layer[m] sums the chains of the letters so far whose top index is m, each
     slot weighted by v^gap / m^e.  Indices strictly increase; weak lets every
-    slot after the first repeat the index below it (the bar chain).
+    slot after the first repeat the index below it (the bar chain).  Each
+    letter is one _scan of the layer below.
 
     With sums, it returns instead one list per layer: the sums over m of the
-    layer's lfilter output divided by m^t, t = 1..e.  Entry t is the total
-    of the same chain with the outermost exponent t in place of e.
+    layer's scan divided by m^t, t = 1..e.  Entry t is the total of the same
+    chain with the outermost exponent t in place of e.
     """
     letters = list(letters)
     zs = np.array([complex(v) for v, _ in letters], dtype=np.complex128)
@@ -101,8 +198,7 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
     totals = []
     for i, (z, (_, e)) in enumerate(zip(zs, letters)):
         below = layer
-        num = [1.0] if weak and i > 0 else [0.0, z]
-        layer = lfilter(num, [1.0, -z], below)
+        layer = _scan(below, z, weak and i > 0)
         if sums:
             totals.append([(layer / ms ** t).sum() for t in range(1, e)])
         # divided in place: no further full-length array, although below stays alive
@@ -192,7 +288,7 @@ def _escape_rows(bar: Pair, w: np.ndarray, cap: int, r_max: int, k_top: int,
     if z == 1 and k_top == 1 and ones and bar.k == (1,):
         return past(cap), np.zeros(r_max)
     if z == 1 and k_top == 1 and ones and bar.k == (1, 1):
-        h = digamma(cap + rs + 2.0) + np.euler_gamma  # H_(cap+r+1)
+        h = _harmonic(cap + 1) + np.cumsum(1.0 / (cap + 1.0 + rs))  # H_(cap+r+1)
         return past(cap) * h + past(cap + 1) / rs, np.zeros(r_max)
     b = cap + _KERNEL_WINDOW
     m = np.arange(cap + 1, b + 1, dtype=np.float64)
@@ -375,8 +471,16 @@ def _remainder(q: int, rho: float, n: int) -> float:
     r = rho * (n + 1) / (n + 2 - q)
     if r >= 1.0:
         return math.inf
-    return math.exp(math.lgamma(n + 1) - math.lgamma(q) - math.lgamma(n + 2 - q) +
-                    (n + 1) * math.log(rho)) / (1.0 - r)
+    return _exp(math.lgamma(n + 1) - math.lgamma(q) - math.lgamma(n + 2 - q) +
+                (n + 1) * math.log(rho)) / (1.0 - r)
+
+
+def _exp(x: float) -> float:
+    """e^x, infinite where float64 overflows (math.exp raises there)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _cut(q: int, rho: float, target: float) -> tuple[int, float]:
@@ -435,10 +539,17 @@ def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[comple
     it, sums nothing: its pieces return 0 with the bound
     sum_(n>=1) C(n-1, q-1) rho^n = (rho / (1 - rho))^q on all of them, or an
     infinite one for rho >= 1.
-    Each recurrence step errs by at most 12u of the absolute chain through it
-    (the letter's rounding and division, two products, one sum), decaying like
-    the letter's powers: letter a adds 12u/(1 - |a|) of the absolute chain's
-    total, each division by m^e 3u, numpy's blocked pairwise sum (log2 N + 19)u.
+    Every letter has |a| < 1, so _scan runs its loop or, for N + 1 >
+    _LOOP_MAX, its doubling path.  In the loop each recurrence step errs by
+    at most 12u of the absolute chain through it (the letter's rounding and
+    division, two products, one sum), decaying like the letter's powers:
+    letter a adds 12u/(1 - |a|) of the absolute chain's total.  Doubling in L
+    passes (L the bit length of N) errs by (L + sqrt(5) j)u on term j of a
+    layer, where the loop errs by (1 + sqrt(5))(j + 1)u (_scan), and the
+    letter's rounding adds the same to both: the 12u per step covers all but
+    L u, so each letter adds L u more of the total.  Each division by m^e adds
+    3u, numpy's blocked pairwise sum (log2 N + 19)u.  An unbounded piece whose
+    bound passes float64's range is infinite.
     """
     zs: list[complex] = []
     exps: list[int] = []
@@ -467,7 +578,9 @@ def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[comple
             trunc = [_remainder(i, rhos[i - 1], n) for i in range(1, live + 1)]
         totals = _chain(zip(zs[:live], exps), n, sums=True)
         masses = _chain(zip(moduli[:live], exps), n, sums=True)
-        steps = list(itertools.accumulate(12.0 / (1.0 - a) + 3.0 for a in moduli[:live]))
+        passes = n.bit_length() if n + 1 > _LOOP_MAX else 0  # _scan's doubling passes
+        steps = list(itertools.accumulate(12.0 / (1.0 - a) + 3.0 + passes
+                                          for a in moduli[:live]))
         rounding = math.log2(n + 1) + 19.0
     out = []
     for q, t in shape:
@@ -475,7 +588,7 @@ def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[comple
             out.append((1 + 0j, 0.0))
         elif q > live:  # no partial sum can meet the target
             rho = rhos[q - 1]
-            out.append((0j, (rho / (1.0 - rho)) ** q if rho < 1.0 else math.inf))
+            out.append((0j, _exp(q * math.log(rho / (1.0 - rho))) if rho < 1.0 else math.inf))
         else:
             mass = float(masses[q - 1][t - 1])
             out.append(((-1) ** q * complex(totals[q - 1][t - 1]),
@@ -541,7 +654,7 @@ def _exact_chain(letters, bound: int, kind: str = "strict") -> dict[int, tuple[i
 
     so a chain costs O(bound * depth) sums and products of integer triples
     (scalars._g_add, _g_mul), each reduced by one gcd, and builds no Scalar.
-    This is the exact twin of the float path's lfilter, but shares no code
+    This is the exact twin of the float path's _scan, but shares no code
     with it.
     """
     layer: dict[int, tuple[int, int, int]] = {0: (1, 0, 1)}

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
+import connsum
 from connsum import serialize
 from connsum.cli import main
 from connsum.model import MplExpr, MplTerm, Pair, ZExpr, zterm
@@ -74,6 +79,28 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", serialize.relation_to_json(bad))
     assert main(["verify", "--relation", path, "--tol", "1e-6"]) == 1
     capsys.readouterr()
+
+
+def test_verify_unbounded_piece_exit_code(tmp_path, capsys):
+    # a piece bounded past float64's range (it ended in OverflowError and a
+    # traceback) is not converged: exit 1
+    deep = MplTerm("shuffle", (1,) * 59 + (2,), (sc(Fraction(999999, 1000000)),) * 60)
+    rel = Relation(lhs=MplExpr.single(deep), rhs=MplExpr.zero(), provenance={})
+    path = _write(tmp_path, "deep.json", serialize.relation_to_json(rel))
+    assert main(["verify", "--relation", path]) == 1
+    assert "not converged" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # the library runs on numpy alone: a fresh interpreter that imports it and
+    # checks a named identity holding zeta(3) has loaded no scipy module
+    src = os.path.dirname(os.path.dirname(connsum.__file__))
+    code = ("import sys, connsum; ok = connsum.run_example('amtagpa:2').ok; "
+            "print(ok, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["True", "[]"], out
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

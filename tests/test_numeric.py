@@ -168,7 +168,7 @@ def test_chain_matches_nested_sum():
 
 
 def test_eval_mpl_auto_work_bound(monkeypatch):
-    # the Hölder pieces converge geometrically: far fewer elements are filtered
+    # the Hölder pieces converge geometrically: far fewer elements are scanned
     # than direct summation needs, which for zeta(1,1,1,1,2) took about 1.7e8
     # elements and still missed zeta(6) by 3e-5
     term = MplTerm("shuffle", (1, 2), (sc(F(1, 2)), sc(-1)))
@@ -179,13 +179,13 @@ def test_eval_mpl_auto_work_bound(monkeypatch):
         n <<= 1
     assert n >= 1 << 15
     counted = [0]
-    lfilter = numeric.lfilter
+    scan = numeric._scan
 
-    def counting_lfilter(b, a, x, *args, **kwargs):
+    def counting_scan(x, z, weak):
         counted[0] += np.size(x)
-        return lfilter(b, a, x, *args, **kwargs)
+        return scan(x, z, weak)
 
-    monkeypatch.setattr(numeric, "lfilter", counting_lfilter)
+    monkeypatch.setattr(numeric, "_scan", counting_scan)
     eval_mpl_auto(term, tol)
     assert counted[0] <= (n + 1) * term.dep + 4096 * term.dep, (counted[0], n)
     counted[0] = 0
@@ -541,7 +541,7 @@ def _float_code(reached):
     out = []
     for name, obj in reached:
         origin = obj.__name__ if inspect.ismodule(obj) else getattr(obj, "__module__", None)
-        if name in ("np", "lfilter", "scipy") or obj is numeric._chain \
+        if name in ("np", "_scan", "scipy") or obj is numeric._chain \
                 or str(origin).split(".")[0] in ("numpy", "scipy"):
             out.append(name)
     return out
@@ -555,7 +555,7 @@ def test_exact_oracles_share_no_float_code():
         assert _float_code(_reached(fn)) == [], fn.__name__
     for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact):
         assert any(obj is numeric._exact_chain for _, obj in _reached(fn))
-    assert "lfilter" in _float_code(_reached(eval_mpl_auto))
+    assert "_scan" in _float_code(_reached(eval_mpl_auto))
 
 
 def test_one_float_kernel():
@@ -569,7 +569,7 @@ def test_one_float_kernel():
 
     users = [name for name, obj in vars(numeric).items()
              if inspect.isfunction(obj) and obj.__module__ == numeric.__name__
-             and "lfilter" in names(obj.__code__)]
+             and "_scan" in names(obj.__code__)]
     assert users == ["_chain"], users
 
 
@@ -672,6 +672,23 @@ def _single(term, rhs=None):
                     rhs=MplExpr.zero() if rhs is None else MplExpr.single(rhs), provenance={})
 
 
+def _deep_ones_term(depth):
+    """The depth-d shuffle term with every exponent 1 but the outer 2 and
+    every variable 999999/1000000."""
+    return MplTerm("shuffle", (1,) * (depth - 1) + (2,), (sc(F(999999, 1000000)),) * depth)
+
+
+def test_unbounded_piece_past_float_range_is_not_converged():
+    # a piece that sums nothing is bounded by (rho / (1 - rho))^q, which
+    # passes float64's range at depth 60 (it raised OverflowError); it is
+    # infinite, so the relation is not converged
+    assert math.isfinite(eval_mpl_auto(_deep_ones_term(40), 1e-6)[1])
+    assert eval_mpl_auto(_deep_ones_term(60), 1e-6)[1] == math.inf
+    with pytest.raises(NotConverged):
+        verify_relation(_single(_deep_ones_term(60)), tol=1e-6)
+    assert numeric._remainder(400, 0.999, 1 << 21) == math.inf
+
+
 def test_not_converged_raised(monkeypatch):
     # 1e-18 is below the rounding bound of zeta(1,1,1,2); Li2(z) with z on the
     # unit circle within 1e-6 of 1 needs more than 2^21 terms per piece
@@ -681,15 +698,15 @@ def test_not_converged_raised(monkeypatch):
     z = sc((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s))
     assert z.abs_eq_one() and abs(complex(z) - 1) < 1e-6
     # a piece that cannot meet its target sums nothing; summing its chain
-    # and the absolute one to 2^21 would filter about 1.7e7 elements
+    # and the absolute one to 2^21 would scan about 1.7e7 elements
     counted = [0]
-    lfilter = numeric.lfilter
+    scan = numeric._scan
 
-    def counting_lfilter(b, a, x, *args, **kwargs):
+    def counting_scan(x, z, weak):
         counted[0] += np.size(x)
-        return lfilter(b, a, x, *args, **kwargs)
+        return scan(x, z, weak)
 
-    monkeypatch.setattr(numeric, "lfilter", counting_lfilter)
+    monkeypatch.setattr(numeric, "_scan", counting_scan)
     with pytest.raises(NotConverged):
         verify_relation(_single(MplTerm("shuffle", (2,), (z,))), tol=1e-12)
     assert counted[0] <= 10 ** 4, counted[0]
@@ -802,7 +819,8 @@ def _piece_ref(word, y, target):
         return 0j, (rho / (1.0 - rho)) ** q if rho < 1.0 else math.inf
     value = (-1) ** q * complex(np.sum(numeric._chain(letters, n)[0]))
     mass = float(np.sum(numeric._chain(zip(moduli, (e for _, e in letters)), n)[0]))
-    steps = sum(12.0 / (1.0 - a) + 3.0 for a in moduli) + math.log2(n + 1) + 19.0
+    passes = n.bit_length() if n + 1 > numeric._LOOP_MAX else 0
+    steps = sum(12.0 / (1.0 - a) + 3.0 + passes for a in moduli) + math.log2(n + 1) + 19.0
     return value, trunc + steps * numeric._U * mass
 
 
@@ -875,6 +893,34 @@ def test_side_pieces_meet_their_target():
             assert abs(value - ref) <= err + ref_err, (word, j)
 
 
+def test_side_past_the_loop_threshold_within_its_bound():
+    # a cut N past _LOOP_MAX runs _side's chains on _scan's doubling path;
+    # every piece stays within its bound of the exact chain of the same
+    # (float-exact) letters, summed far enough that its remainder is negligible
+    y, target = 0.875, 1e-13
+    word = [1, 0, -1, 1j, 0, 0, 2]
+    pieces = numeric._side([complex(c) for c in word], y, target)
+    exact = {1: ONE, -1: sc(-1), 1j: sc(0, -1), 2: sc(F(1, 2))}  # y/c over y
+    assert numeric._cut(4, y * (1 + 4 * numeric._U), target)[0] + 1 > numeric._LOOP_MAX
+    for j, (value, err) in enumerate(pieces):
+        letters, s = [], 1
+        for c in word[j:]:
+            if c == 0:
+                s += 1
+            else:
+                letters.append((exact[c] * sc(F(7, 8)), s))
+                s = 1
+        if not letters:
+            assert (value, err) == (1, 0.0)
+            continue
+        letters.reverse()
+        far = 400
+        ref = sum(complex(scalars._make(*g))
+                  for g in numeric._exact_chain(letters, far).values())
+        q = len(letters)
+        assert abs(value - (-1) ** q * ref) <= err + numeric._remainder(q, y, far), (j, err)
+
+
 def test_split_at_one_is_not_converged():
     # d1 = 2^-60 rounds lam to 1: the reflected side sums at y = 0, where each
     # piece is exactly 0 (a log(0) in the remainder raised ValueError), and
@@ -883,6 +929,70 @@ def test_split_at_one_is_not_converged():
     assert eval_mpl_auto(term, 1e-6)[1] == math.inf
     with pytest.raises(NotConverged):
         verify_relation(_single(term), tol=1e-6)
+
+
+def _exact_scan(xs, z, weak):
+    """numeric._scan's recurrence on the exact values of its float inputs, as
+    (real, imaginary) Fraction pairs."""
+    zr, zi = F(complex(z).real), F(complex(z).imag)
+    out, (ar, ai), (pr, pi) = [], (F(0), F(0)), (F(0), F(0))
+    for x in xs:
+        xr, xi = F(complex(x).real), F(complex(x).imag)
+        if weak:
+            ar, ai = zr * ar - zi * ai + xr, zr * ai + zi * ar + xi
+        else:
+            sr, si = ar + pr, ai + pi
+            ar, ai = zr * sr - zi * si, zr * si + zi * sr
+            pr, pi = xr, xi
+        out.append((ar, ai))
+    return out
+
+
+def _scan_bound(x, z, weak, path):
+    """The rounding bound of numeric._scan's docstring, u sum_j c |z|^j |x[m-j]|."""
+    n, s5 = x.size, math.sqrt(5) if np.iscomplexobj(x) or np.iscomplexobj(z) else 1.0
+    js = np.arange(n, dtype=np.float64)
+    out = np.zeros(n)
+    for m in range(n):
+        j = js[:m + 1] if weak else js[1:m + 1]
+        if path == "loop":
+            c = (1 + s5) * (j + 1)
+        elif path == "doubling":
+            c = (n - 1).bit_length() + s5 * j
+        else:
+            c = j + 1
+        out[m] = np.sum(c * abs(z) ** j * np.abs(x[m - j.astype(int)]))
+    return numeric._U * out
+
+
+def test_scan_within_its_rounding_bound():
+    # every path of the one float kernel against the exact chain of its
+    # inputs, weak and strict: the running sum at z = 1, short and long; the
+    # loop and the doubling scan at z = -1, i and (3+4i)/5; and short and
+    # long |z| < 1, real and complex
+    rng = np.random.default_rng(1616)
+    short, long_ = numeric._LOOP_MAX, numeric._LOOP_MAX + 172
+    cases = [(0.6, short, "loop"), (-0.3 + 0.7j, short - 40, "loop"),
+             (1.0, short, "sum"), (1.0, long_, "sum"),
+             (-1.0, short, "loop"), (-1.0, long_, "doubling"),
+             (1j, 60, "loop"), (1j, long_, "doubling"),
+             (0.6 + 0.8j, 60, "loop"), (0.6 + 0.8j, long_, "doubling"),
+             (1 - 2.0 ** -7, long_, "doubling"), (-0.625, long_, "doubling"),
+             (0.96875 - 0.1875j, long_, "doubling")]
+    for z, n, path in cases:
+        assert (z == 1) == (path == "sum"), z
+        assert (n <= numeric._LOOP_MAX) == (path == "loop") or z == 1, (z, n)
+        for weak in (False, True):
+            x = rng.uniform(-1, 1, n)
+            if isinstance(z, complex):
+                x = x + 1j * rng.uniform(-1, 1, n)
+            got = numeric._scan(x, z, weak)
+            assert got.dtype == (np.complex128 if isinstance(z, complex) else np.float64)
+            bound = _scan_bound(x, z, weak, path)
+            for m, ((er, ei), v) in enumerate(zip(_exact_scan(x, z, weak), got.tolist())):
+                v = complex(v)
+                err = math.hypot(float(F(v.real) - er), float(F(v.imag) - ei))
+                assert err <= bound[m], (z, n, weak, m, err, bound[m])
 
 
 def test_chain_sums_are_inner_layers():
@@ -898,22 +1008,22 @@ def test_chain_sums_are_inner_layers():
 
 
 def test_two_chain_passes_per_side(monkeypatch):
-    # one value and one absolute pass per side of the convolution, one lfilter
+    # one value and one absolute pass per side of the convolution, one _scan
     # call per letter c in each: at most 4 passes and 2 (q_word + q_reflected)
-    # lfilter calls, where summing each piece on its own took up to 4 (w+1)
+    # _scan calls, where summing each piece on its own took up to 4 (w+1)
     passes, filtered = [0], [0]
-    chain, lfilter = numeric._chain, numeric.lfilter
+    chain, scan = numeric._chain, numeric._scan
 
     def counting_chain(*args, **kwargs):
         passes[0] += 1
         return chain(*args, **kwargs)
 
-    def counting_lfilter(*args, **kwargs):
+    def counting_scan(*args, **kwargs):
         filtered[0] += 1
-        return lfilter(*args, **kwargs)
+        return scan(*args, **kwargs)
 
     monkeypatch.setattr(numeric, "_chain", counting_chain)
-    monkeypatch.setattr(numeric, "lfilter", counting_lfilter)
+    monkeypatch.setattr(numeric, "_scan", counting_scan)
     terms = _seeded_terms(3333, 60, 4, 3) + [
         MplTerm("shuffle", (1,) * (k - 2) + (2,), (ONE,) * (k - 1)) for k in range(2, 9)]
     weights = set()
