@@ -9,10 +9,14 @@ and closed with the bar-chain weight.  The single-escape rows past the cap
 of a top letter on the unit circle are one recursion in r per distinct top
 letter, in closed form or over a window with a telescoped remainder, folded
 into the value and their residuals into the tail.  The convolution keeps
-only the connector weights near its two edges; the mass
-it drops, and that of the rows no escape correction covers (two tops past
-the cap, or one past it while the others total more than the escape
-cut-off), enter the tail through proved bounds.
+only the connector weights near its two edges (rows j <= B), and each row
+only up to the total where its weight falls to 1/C(2B+2, B+1), the weight of
+the first split with both parts past the band: the totals below 256 are one
+dense block, the rest one pair of slices per row up to its end.  Each split
+it drops weighs at most that much; the mass it drops, and that of the rows
+no escape correction covers (two tops past the cap, or one past it while
+the others total more than the escape cut-off), enter the tail through
+proved bounds.
 
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
 one first-order recurrence per letter (_scan, with a proved rounding bound
@@ -38,8 +42,10 @@ nothing and is bounded as a whole.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -59,9 +65,12 @@ from .records import EvalReport, Relation, VerifyReport
 from .scalars import ONE, ZERO, Scalar, _g_add, _g_mul, _make, _primitive, reciprocal_sum
 
 _KERNEL_WINDOW = 20_000  # escape-row window before the telescoped remainder
-# connector weights kept at each edge of a convolution: the dropped middle
-# weighs at most 1/C(2B+2, B+1), about 4e-36, and is bounded in the tail
+# connector weights kept at each edge of a convolution (its band rows)
 _BAND = 60
+_EDGE = 2 * _BAND + 2  # the least total with a split whose parts both exceed the band
+# the largest weight the band drops: 1/C(2B+2, B+1), 2.61e-36; bounded in the tail
+_DELTA = 1 / math.comb(_EDGE, _BAND + 1)
+_CORNER = 256  # totals below this are summed as one dense block
 _CAP = 1 << 21  # outer index past which no Hölder piece is summed
 _U = 2.0 ** -53  # unit roundoff of float64
 _LOOP_MAX = 128  # longest _scan run as a Python loop; numpy passes win past it
@@ -69,11 +78,23 @@ _LOOP_MAX = 128  # longest _scan run as a Python loop; numpy passes win past it
 
 def connector(a: Sequence[int]) -> Fraction:
     """Inverse multinomial weight a_1! ... a_n! / (a_1 + ... + a_n)!."""
-    total = sum(a)
+    num, _, den = _connector_form(a, _factorials(sum(a)))
+    return Fraction(num, den)
+
+
+def _factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!]."""
+    return list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
+
+
+def _connector_form(a: Sequence[int], fact: Sequence[int]) -> tuple[int, int, int]:
+    """connector(a) as a primitive integer triple (num, 0, den), read from a
+    factorial list fact that reaches sum(a): the exact oracles build the
+    list once per call and multiply the triple into their sums."""
     num = 1
     for x in a:
-        num *= math.factorial(x)
-    return Fraction(num, math.factorial(total))
+        num *= fact[x]
+    return _primitive(num, 0, fact[sum(a)])
 
 
 _LF = np.zeros(1)  # log(x!) for x < _LF.size; _glf grows it
@@ -208,34 +229,113 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
     return totals if sums else (layer, below)
 
 
+def _row_end(j: int) -> int:
+    """T_end(j): the least T >= 2B+2 with C(T, j) >= C(2B+2, B+1), so that
+    1/C(T, j) <= _DELTA from T_end(j) on (C(T, j) grows with T).  Exact, on
+    integers: the least power-of-two multiple of 2B+2 that reaches the
+    threshold, then bisection below it."""
+    need = math.comb(_EDGE, _BAND + 1)
+    lo = hi = _EDGE
+    while math.comb(hi, j) < need:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.comb(mid, j) >= need:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+# T_end(j) for rows j = 1..B (entry 0 unused).  It falls with j, since
+# C(T, j) < C(T, j+1) for T >= 2B+2: rows 1-5 end past 3.4e7, row 12 at 4,889,
+# row 20 at 509, row 30 at 200 and rows 55-60 at 123
+_ROW_END = [0] + [_row_end(j) for j in range(1, _BAND + 1)]
+
+
+@functools.cache
+def _corner_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, W1, W2), each _CORNER x B, for the totals T < _CORNER in column
+    j-1 of row j: S = max(T-j, 0), W1 = 1/C(T, j) where T > j, W2 = the same
+    where T-j > B, zero elsewhere.  The weights are the running product
+    that _binom_conv's rows continue past the block, factor by factor.
+    Built once per process, on the first convolution."""
+    ts = np.arange(1, _CORNER + 1, dtype=np.float64)
+    w = np.ones(_CORNER)
+    w1 = np.zeros((_CORNER, _BAND))
+    w2 = np.zeros((_CORNER, _BAND))
+    for j in range(1, _BAND + 1):
+        w[j:] *= j / ts[:_CORNER - j]
+        w1[j + 1:, j - 1] = w[j + 1:]
+        w2[_BAND + 1 + j:, j - 1] = w[_BAND + 1 + j:]
+    s = np.arange(_CORNER)[:, None] - np.arange(1, _BAND + 1)
+    tables = np.maximum(s, 0, out=s), w1, w2
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _gather(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x[s] for a block s of the corner's S (every entry below its row count),
+    zero where s is past the end of x."""
+    if x.size >= len(s):
+        return x[s]
+    out = x[np.minimum(s, x.size - 1)]
+    out[s >= x.size] = 0.0
+    return out
+
+
 def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int,
                 size: Optional[int] = None) -> tuple[np.ndarray, float]:
     """Banded out[T] = sum_m g[T-m] a[m] / C(T, m), m = 1..cap, T < size.
 
-    Only the splits with m <= B or T-m <= B (B = _BAND) are summed: one loop
-    over j = 1..B serves both edges, m = j and T-m = j, which weigh 1/C(T, j),
-    a running product with no factorial and no log-gamma (1/C(T, j-1) times
-    j/(T-j+1), within about 2j u), so the cost is O(size * B).  A dropped
-    split has both parts above B: its weight is at most 1/C(T, B+1), and it
-    needs T >= 2B+2.  Returns (out, k), out real when g and a are: the mass
-    dropped at T is at most k * _past_edges(lf, B+1, out.size)[T], with
-    k = max_{s>B} |g[s]| * sum_{m>B} |a[m]|.  a has cap+1 entries.
+    Only the edge splits are summed: row j = 1..B (B = _BAND) holds the
+    splits m = j and T-m = j, which both weigh 1/C(T, j), and it runs only
+    for T < T_end(j) (_ROW_END).  The weights are a running product with no
+    factorial and no log-gamma (1/C(T, j-1) times j/(T-j+1), within about
+    2j u).  The totals below _CORNER are one dense block over every row,
+    from a per-process table of the same products; past it, each row is two
+    numpy slices up to its end, so row j costs O(min(T_end(j), size)) and
+    rows 27..B, which end below _CORNER, cost nothing past it.  a has cap+1
+    entries.  Returns (out, k), out real when g and a are.
+
+    Dropped mass.  Every split left out at T weighs at most _DELTA =
+    1/C(2B+2, B+1), and none is left out below 2B+2: a split with both parts
+    above B needs T >= 2B+2 and weighs 1/C(T, m) <= 1/C(T, B+1) <=
+    1/C(2B+2, B+1); a split of row j past its end weighs 1/C(T, j) <=
+    1/C(T_end(j), j) <= _DELTA.  Let j0 be the least row that ends below
+    size (B+1 if none does).  Both parts of a left-out split are at least
+    j0: a row-j split past the end has j >= j0 and other part
+    T - j >= T_end(j) - B > B.  Each m is in one split at T, so the mass
+    left out at T is at most k _DELTA, k = max_{s>=j0} |g[s]| *
+    sum_{m>=j0} |a[m]|.
     """
     n_out = g.size + cap if size is None else min(size, g.size + cap)
     out = np.zeros(n_out, dtype=np.result_type(g, a, np.float64))
-    w, ts = np.ones(n_out), np.arange(1, n_out + 1, dtype=np.float64)  # w = 1/C(T, 0)
-    last_m = min(cap, _BAND, n_out - 2)  # the m <= B edge: T = s + m over every s >= 1
-    last_s = min(g.size - 1, _BAND, n_out - _BAND - 2)  # the s <= B edge over the m > B
-    for j in range(1, max(last_m, last_s) + 1):
-        w[j:] *= j / ts[:n_out - j]
-        if j <= last_m:
-            t = slice(1 + j, min(g.size, n_out - j) + j)
-            out[t] += g[1:t.stop - j] * a[j] * w[t]
-        if j <= last_s:
-            t = slice(_BAND + 1 + j, min(cap + 1, n_out - j) + j)
-            out[t] += g[j] * a[_BAND + 1:t.stop - j] * w[t]
-    k = float(np.max(np.abs(g[_BAND + 1:]), initial=0.0)) * \
-        float(np.sum(np.abs(a[_BAND + 1:cap + 1])))
+    # the block: row j's edges at T < c read g[T-j] a[j] and g[j] a[T-j]
+    c = min(_CORNER, n_out)
+    s, w1, w2 = (table[:c] for table in _corner_tables())
+    a_row = np.zeros(_BAND, a.dtype)
+    a_row[:min(cap, _BAND)] = a[1:_BAND + 1]
+    g_row = np.zeros(_BAND, g.dtype)
+    g_row[:min(g.size - 1, _BAND)] = g[1:_BAND + 1]
+    out[:c] = (w1 * _gather(g, s)) @ a_row + (w2 * _gather(a, s)) @ g_row
+    lo = _CORNER  # above B+1+B, so the other part of a row-j split here exceeds B
+    ts = np.arange(1, n_out + 1, dtype=np.float64)
+    w = np.ones(max(n_out - lo, 0))  # 1/C(T, j) at T = lo + i, row by row
+    for j in range(1, _BAND + 1):
+        hi = min(_ROW_END[j], n_out)  # falls with j, so w[:hi-lo] holds row j-1
+        if hi <= lo:
+            break
+        w[:hi - lo] *= j / ts[lo - j:hi - j]
+        top = min(hi, g.size + j)  # m = j: T - j < g.size
+        if j <= cap and top > lo:
+            out[lo:top] += g[lo - j:top - j] * a[j] * w[:top - lo]
+        top = min(hi, cap + 1 + j)  # T - j = m <= cap
+        if j < g.size and top > lo:
+            out[lo:top] += g[j] * a[lo - j:top - j] * w[:top - lo]
+    j0 = 1 + sum(end >= n_out for end in _ROW_END[1:])  # the rows that run to n_out come first
+    k = float(np.max(np.abs(g[j0:]), initial=0.0)) * float(np.sum(np.abs(a[j0:cap + 1])))
     return out, k
 
 
@@ -255,11 +355,11 @@ def _connect(tops: Sequence[np.ndarray], cap: int,
              size: Optional[int] = None) -> tuple[np.ndarray, float]:
     """Connector-weighted convolution of the component arrays, T < size.
 
-    Returns (out, k): out[T] is off by at most
-    k * _past_edges(lf, B+1, out.size)[T].
-    An input error e[s] <= k / C(s, B+1) stays of that form through the next
-    weight 1/C(T, m): C(T, m) C(T-m, B+1) = C(T, B+1) C(T-B-1, m) >=
-    C(T, B+1), so it adds at most k * sum|a| / C(T, B+1).
+    Returns (out, k): out[T] is off by at most k _DELTA for T >= 2B+2 and
+    exact (to rounding) below.  That flat form survives chaining: through
+    the next convolution an input error of at most k _DELTA meets weights
+    of at most 1, so it adds at most k _DELTA sum|a| to that _binom_conv's
+    own drop.
     """
     out, k = tops[0][:size], 0.0
     for a in tops[1:]:
@@ -426,7 +526,7 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     tops = [c[0] for c in chains]
     g, k = _connect(tops, cap)
     value = complex(np.sum(g * w[:g.size]))
-    tail = k * float(np.sum(np.abs(w[:g.size]) * _past_edges(lf, _BAND + 1, g.size)))
+    tail = k * _DELTA * float(np.sum(np.abs(w[_EDGE:g.size])))
     tail += _uncovered_bound(t, cap, r_cut, lf, w)
     rows = {}  # escape rows by top letter (k, z), shared by the components
     for j, p in enumerate(t.components):
@@ -442,14 +542,13 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
         drift = abs(ghat - ghat_half)
         # the escape rows read the others' product (0 below n-1) only up to r_cut
         o, k_o = _connect(tops[:j] + tops[j + 1:], cap, r_cut + 1)
-        o_err = k_o * _past_edges(lf, _BAND + 1, o.size)
         if (k_top, z_top) not in rows:
             rows[k_top, z_top] = _escape_rows(t.bar, w, cap, o.size - 1, k_top, az)
         kv, kr = rows[k_top, z_top]
         rowsum = complex(np.sum(o[1:] * kv))
         value += ghat * rowsum
-        tail += abs(ghat) * float(np.sum(np.abs(o[1:]) * kr + o_err[1:] * np.abs(kv))) + \
-            drift * abs(rowsum)
+        o_err = k_o * _DELTA * float(np.sum(np.abs(kv[_EDGE - 1:])))  # o[r] off from r = 2B+2
+        tail += abs(ghat) * (float(np.sum(np.abs(o[1:]) * kr)) + o_err) + drift * abs(rowsum)
 
     report_tail = abs(coef) * float(tail + 1e-13 * (1.0 + abs(value)))
     return EvalReport(complex(coef * value), bound, report_tail, report_tail <= tol)
@@ -697,12 +796,12 @@ def eval_zterm_partial_exact(t: ZTerm, bound: int) -> Scalar:
     comp_layers = [_exact_chain(p.letters(), bound) for p in t.components]
 
     totals: dict[int, tuple[int, int, int]] = {}
+    fact = _factorials(sum(max(layer, default=0) for layer in comp_layers))
 
     def _combine(idx: int, acc: tuple[int, int, int], tops: list[int]) -> None:
         if idx == len(comp_layers):
             tot = sum(tops)
-            c = connector(tops)
-            val = _g_mul(acc, (c.numerator, 0, c.denominator))
+            val = _g_mul(acc, _connector_form(tops, fact))
             prev = totals.get(tot)
             totals[tot] = val if prev is None else _g_add(prev, val)
             return
@@ -782,9 +881,10 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
             out.append(_g_mul(out[-1], x._g))
         return out
 
-    # every exponent below lies in 0..bound
+    # every exponent and tuple total below lies in 0..bound
     t_pow = powers(t)
     v_pow = [powers(v) for v in vs]
+    fact = _factorials(bound)
 
     # one pass over the tuples with every a_k >= m-_k and total <= bound: a
     # tuple with exactly one slot at m- is a term of that slot's face, one
@@ -798,8 +898,7 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
         at = [kk for kk in range(d) if a[kk] == m_minus[kk]]
         if len(at) > 1 or total < q:
             continue
-        c = connector(a + tuple(m_plus))
-        term = (c.numerator, 0, c.denominator)
+        term = _connector_form(a + tuple(m_plus), fact)
         for kk in range(d):
             if kk not in at:
                 term = _g_mul(_g_mul(term, v_pow[kk][a[kk] - m_minus[kk]]), (1, 0, a[kk]))

@@ -287,7 +287,6 @@ def _binom_conv_reference(g, a, cap):
 def test_binom_conv_matches_full_loop():
     rng = np.random.default_rng(404)
     band = numeric._BAND
-    lf = numeric._glf(np.arange(8 * band))
     seen_drop = False
     for g_size, cap, middle in [(2 * band + 2, 2 * band + 1, False), (3 * band, band + 7, False),
                                 (band - 3, 2 * band + 2, False), (2 * band + 5, band - 5, False),
@@ -301,7 +300,7 @@ def test_binom_conv_matches_full_loop():
         out, k = numeric._binom_conv(g, a, cap)
         ref = _binom_conv_reference(g, a, cap)
         scale = np.abs(_binom_conv_reference(np.abs(g), np.abs(a), cap))
-        drop = k * numeric._past_edges(lf, band + 1, out.size)
+        drop = k * numeric._DELTA * (np.arange(out.size) >= 2 * band + 2)
         assert out.size == ref.size
         assert np.all(drop[:2 * band + 2] == 0)
         assert np.all(np.abs(out - ref) <= drop + 1e-13 * scale), (g_size, cap)
@@ -315,6 +314,103 @@ def test_binom_conv_matches_full_loop():
         assert np.all(np.abs(real - _binom_conv_reference(g.real, a.real, cap).real)
                       <= drop + 1e-13 * scale), (g_size, cap)
     assert seen_drop
+
+
+def test_row_ends_exact():
+    # row j of the band ends at the least T >= 2B+2 with 1/C(T, j) at most
+    # 1/C(2B+2, B+1), the weight of the first split it drops in the middle;
+    # rows 1-5 end past 3.4e7
+    band = numeric._BAND
+    need = math.comb(2 * band + 2, band + 1)
+    assert numeric._DELTA == 1 / need and f"{numeric._DELTA:.3g}" == "2.61e-36"
+    ends = numeric._ROW_END
+    assert len(ends) == band + 1
+    for j in range(1, band + 1):
+        assert ends[j] > 2 * band + 2
+        assert math.comb(ends[j], j) >= need > math.comb(ends[j] - 1, j), j
+        assert j == 1 or ends[j] <= ends[j - 1]
+    assert min(ends[1:6]) > 34_000_000 and max(ends[6:]) < 3_000_000
+    assert (ends[12], ends[20], ends[30], set(ends[55:])) == (4_889, 509, 200, {123})
+    # the dense block's weights are the rows' running products, each within
+    # 2j roundings of 1/C(T, j), and zero where a split has an empty part
+    s, w1, w2 = numeric._corner_tables()
+    for t in range(numeric._CORNER):
+        for j in range(1, band + 1):
+            exact = 1 / math.comb(t, j) if t > j else 0.0
+            assert abs(w1[t, j - 1] - exact) <= 2.01 * j * 2.0 ** -53 * exact, (t, j)
+            assert w2[t, j - 1] == (w1[t, j - 1] if t - j > band else 0.0)
+            assert s[t, j - 1] == max(t - j, 0)
+
+
+def _binom_conv_at(g, a, cap, t, weights):
+    """out[t] of the full convolution, every split m = 1..cap included, each
+    weight correctly rounded from the exact integer C(t, m); weights caches
+    the weight rows by t."""
+    lo, hi = max(1, t - g.size + 1), min(cap, t - 1)
+    if lo > hi:
+        return 0.0
+    if t not in weights:
+        row, c = [], math.comb(t, lo)
+        for m in range(lo, hi + 1):
+            row.append(1 / c)
+            c = c * (t - m) // (m + 1)
+        weights[t] = np.array(row)
+    ms = np.arange(lo, hi + 1)
+    return np.sum(g[t - ms] * a[ms] * weights[t])
+
+
+def test_binom_conv_clipped_rows_match_exact_sums():
+    # where rows end inside the output, the kernel is within its own drop
+    # bound of the full sum: at the edge of the dense block, on both sides
+    # of every row end that falls inside and at the last total
+    rng = np.random.default_rng(1717)
+    band, ends = numeric._BAND, numeric._ROW_END
+    for g_size, cap in [(4801, 1600), (1201, 400), (200, 1600)]:
+        n_out = g_size + cap
+        ts = {255, 256, n_out - 1}
+        ts |= {e + d for e in ends[1:] if e < n_out - 1 for d in (-1, 0, 1)}
+        # the last total of each row's edges, g[g.size - 1] a[j] and g[j] a[cap]
+        ts |= {t for j in range(1, band + 1) for t in (g_size - 1 + j, cap + j) if t < n_out}
+        assert any(e < n_out for e in ends[1:])  # some row is clipped
+        weights = {}
+        g = rng.normal(size=g_size) + 1j * rng.normal(size=g_size)
+        a = rng.normal(size=cap + 1) + 1j * rng.normal(size=cap + 1)
+        g[0] = a[0] = 0
+        for gg, aa in ((g, a), (g.real.copy(), a.real.copy())):
+            out, k = numeric._binom_conv(gg, aa, cap)
+            assert out.size == n_out and out.dtype == np.result_type(gg, aa)
+            for t in sorted(ts):
+                ref = _binom_conv_at(gg, aa, cap, t, weights)
+                scale = abs(_binom_conv_at(np.abs(gg), np.abs(aa), cap, t, weights))
+                drop = k * numeric._DELTA if t >= 2 * band + 2 else 0.0
+                assert abs(out[t] - ref) <= drop + 1e-13 * scale, (g_size, cap, t)
+
+
+def test_binom_conv_rows_end_where_their_weight_does():
+    # a single row j on either edge: its split is summed at T_end(j) - 1 and
+    # left out from T_end(j) on, where the drop bound covers it (rows that end
+    # inside the dense block are summed to its edge).  Row 11 is the least
+    # row that ends below the output size here, so k must count it
+    band, ends, corner = numeric._BAND, numeric._ROW_END, numeric._CORNER
+    long, short = 9000, 200
+    wide = np.zeros(long + 1)
+    wide[band + 1:] = 1.0
+    probed = []
+    for j in range(1, band + 1):
+        end = max(ends[j], corner)
+        if end > long + j:  # the split's other part would pass the input
+            continue
+        unit = np.zeros(short + 1)
+        unit[j] = 1.0
+        for g, a, cap in ((wide, unit, short), (unit, wide, long)):  # m = j, then T - m = j
+            out, k = numeric._binom_conv(g, a, cap)
+            kept = 1 / math.comb(end - 1, j)
+            assert abs(out[end - 1] - kept) <= 1e-13 * kept, (j, end)
+            assert np.all(out[end:] == 0.0), j
+            gone = 1 / math.comb(end, j)
+            assert 0 < gone <= k * numeric._DELTA, (j, k)
+        probed.append(j)
+    assert probed == list(range(11, band + 1))
 
 
 def test_connector_convolution_linear_in_bound(monkeypatch):
@@ -641,9 +737,9 @@ def test_telescoping_random_instances():
 def test_telescoping_detects_a_wrong_weight(monkeypatch):
     # the check compares two independently summed sides: a connector weight
     # doubled at odd totals must break it, so it is not a tautology
-    connector_ = numeric.connector
-    monkeypatch.setattr(numeric, "connector",
-                        lambda a: connector_(a) * (2 if sum(a) % 2 else 1))
+    form = numeric._connector_form
+    monkeypatch.setattr(numeric, "_connector_form", lambda a, fact:
+                        numeric._g_mul(form(a, fact), (2 if sum(a) % 2 else 1, 0, 1)))
     assert not telescoping_check(1, 2, [0], [1], 0, [sc(1)], sc(1), 10)
     assert not telescoping_check(1, 3, [2], [1, 1], 1, [sc(0, 1)], sc(0, -1), 11)
     vs = [sc(-1), sc(F(1, 2), F(1, 2))]  # reciprocal sum -i
