@@ -21,8 +21,8 @@ proved bounds.
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
 one first-order recurrence per letter (_scan, with a proved rounding bound
 on each of its three paths), in float64 when every variable is real and
-complex128 otherwise.  The module needs numpy alone: log-factorials come from
-a math.lgamma table (_glf), harmonic numbers from _harmonic.  The one float
+complex128 otherwise.  The module needs numpy alone: harmonic numbers come
+from _harmonic, reciprocal binomials from running products.  The one float
 polylogarithm evaluator, eval_mpl_auto, is a Hölder convolution.  With
 letters (z_i, k_i) innermost first, the value is (-1)^r G(b; 1) for the
 word b = (0^(k_r-1), 1/z_r, ..., 0^(k_1-1), 1/z_1), and
@@ -95,29 +95,6 @@ def _connector_form(a: Sequence[int], fact: Sequence[int]) -> tuple[int, int, in
     for x in a:
         num *= fact[x]
     return _primitive(num, 0, fact[sum(a)])
-
-
-_LF = np.zeros(1)  # log(x!) for x < _LF.size; _glf grows it
-
-
-def _glf(x):
-    """log(x!) elementwise, for non-negative integers x.
-
-    Read from a per-process table of math.lgamma values that grows
-    geometrically (at least doubling), so a process computes each entry once.
-    """
-    global _LF
-    x = np.asarray(x, dtype=np.intp)
-    table = _LF
-    need = int(x.max(initial=0)) + 1
-    if need > table.size:
-        old, size = table.size, max(need, 2 * table.size)
-        table = np.empty(size)
-        table[:old] = _LF
-        table[old:] = [math.lgamma(k + 1.0) for k in range(old, size)]
-        if size > _LF.size:
-            _LF = table
-    return table[x]
 
 
 def _harmonic(n: int) -> float:
@@ -339,16 +316,23 @@ def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int,
     return out, k
 
 
-def _past_edges(lf: np.ndarray, j: int, size: int) -> np.ndarray:
-    """1/C(T, j) for T < size, zero for T < 2j.
+def _edge_weights(j: int, lo: int, end: int) -> np.ndarray:
+    """Upper bounds on 1/C(T, j) for lo <= T < end, lo >= 2j.
 
     A split T = s + m with both parts >= j has connector weight at most
-    1/C(T, j), and it exists only for T >= 2j.  lf[x] = log(x!) for x < size.
+    1/C(T, j).  The weights are one running product: 1/C(lo, j) =
+    prod_{i<=j} i/(lo-j+i), then 1/C(T, j) = 1/C(T-1, j) (T-j)/T.  Entry i
+    carries at most 2(j + i) roundings, a relative error below
+    2.02 (j + i) u; every entry is raised by 4(j + end - lo)u, which keeps
+    it at or above the exact weight, with room for two more roundings (the
+    far bound in _uncovered_bound scales the last entry).  (An entry below
+    float64's normal range, 2^-1022, loses that guarantee; such weights add
+    less than 1e-280 to a tail, far below eval_zterm's rounding term.)
     """
-    out = np.zeros(size, dtype=np.float64)
-    if size > 2 * j:
-        out[2 * j:] = np.exp((lf[j] + lf[j:size - j]) - lf[2 * j:size])
-    return out
+    i = np.arange(1, j + 1, dtype=np.float64)
+    ts = np.arange(lo + 1, end, dtype=np.float64)
+    steps = np.concatenate((i / (lo - j + i), (ts - j) / ts))
+    return np.cumprod(steps)[j - 1:] * (1.0 + 4.0 * (j + end - lo) * _U)
 
 
 def _connect(tops: Sequence[np.ndarray], cap: int,
@@ -408,15 +392,14 @@ def _escape_rows(bar: Pair, w: np.ndarray, cap: int, r_max: int, k_top: int,
     return value, resid + np.abs(rem)
 
 
-def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, lf: np.ndarray,
-                     w: np.ndarray) -> float:
+def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, w: np.ndarray) -> float:
     """Bound on the rows that neither the capped sum nor the escape rows cover.
 
     Those are (a) the rows where two or more component tops exceed cap, and
     (b) the rows where one top m_j exceeds cap and the others, each at most
     cap, total more than r_cut.  In both, T splits into two parts of at least
     J (J = cap+1 in (a), min(cap, r_cut)+1 in (b)), so the connector weight
-    is at most 1/C(T, J) (_past_edges).  With every variable in the closed
+    is at most 1/C(T, J) (_edge_weights).  With every variable in the closed
     disk and every exponent >= 1, a component top of depth d at m <= T is at
     most H_T^(d-1) / m.  Writing 1/(m_1...m_n) = (m_1+...+m_n)/(T m_1...m_n)
     and summing each free top over its range (D = sum of the depths, H = H_T):
@@ -432,7 +415,8 @@ def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, lf: np.ndarray,
     bar weight is at most T^(1-e) H_T^(d-1) (e its top exponent, d its
     depth), so each row total is at most n (1 + ln T)^q / T with
     q = D + d - 2, which decreases once ln T >= q - 1; the reciprocal
-    binomials sum in closed form, sum_{T>=N} 1/C(T, J) = J/((J-1) C(N-1, J-1)).
+    binomials sum in closed form, sum_{T>=N} 1/C(T, J) = J/((J-1) C(N-1, J-1))
+    = (N-J)/((J-1) C(N-1, J)).
     """
     n = t.arity
     depth = sum(p.dep for p in t.components)
@@ -442,10 +426,11 @@ def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, lf: np.ndarray,
         end = min(w.size, 2 * lo + 64)
         harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, end, dtype=np.float64))))
         ts = np.arange(lo, end)
-        inside = np.sum(rows(ts, harm) * np.abs(w[lo:end]) * _past_edges(lf, j, end)[lo:])
+        edges = _edge_weights(j, lo, end)
+        inside = np.sum(rows(ts, harm) * np.abs(w[lo:end]) * edges)
         x = max(float(end), math.exp(q - 1))
-        far = n * (1.0 + math.log(x)) ** q / x * \
-            j / (j - 1) * math.exp(lf[j - 1] + lf[end - j] - lf[end - 1])
+        # sum_{T>=end} 1/C(T, J) = (end-J)/((J-1) C(end-1, J)), from the last weight
+        far = n * (1.0 + math.log(x)) ** q / x * (edges[-1] * (end - j) / (j - 1))
         return float(inside) + far
 
     def pair_rows(ts, harm):
@@ -514,7 +499,6 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     r_cut = max(2, int(45.0 / max(math.log(cap), 1.0))) + n
     # every index read as an array: n cap + 1 totals, _uncovered_bound's regions
     reach = max(n * cap + 1, 2 * (cap + max(cap, r_cut)) + 68)
-    lf = _glf(np.arange(reach))  # log(x!)
     # W[T] = T * (bar-chain mass ending exactly at T); the escape rows of a
     # top letter on the unit circle read it past reach, through their window
     on_circle = [abs(complex(p.z[-1])) >= 1.0 - 1e-12 for p in t.components]
@@ -527,7 +511,7 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     g, k = _connect(tops, cap)
     value = complex(np.sum(g * w[:g.size]))
     tail = k * _DELTA * float(np.sum(np.abs(w[_EDGE:g.size])))
-    tail += _uncovered_bound(t, cap, r_cut, lf, w)
+    tail += _uncovered_bound(t, cap, r_cut, w)
     rows = {}  # escape rows by top letter (k, z), shared by the components
     for j, p in enumerate(t.components):
         z_top, k_top = p.z[-1], p.k[-1]

@@ -19,7 +19,7 @@ from .model import (
     is_admissible,
 )
 from .records import Relation
-from .scalars import ZERO
+from .scalars import ZERO, reciprocal_sum
 from .transport import condition_violation, reduce_to_mpl, reduce_to_z1, transport_step
 
 
@@ -47,10 +47,7 @@ def check_recipe_assumptions(data: RecipeData) -> Optional[str]:
     comps, bar = data.components, data.bar
     w_s = bar.z[-1]
 
-    nonadm_sum = ZERO
-    for p in comps:
-        if not is_admissible(p.k):
-            nonadm_sum = nonadm_sum + p.z[-1].inv()
+    nonadm_sum = reciprocal_sum(p.z[-1] for p in comps if not is_admissible(p.k))
     if not is_admissible(bar.k):
         if nonadm_sum == w_s:
             return "non-admissible reciprocal sum equals the last bar variable"

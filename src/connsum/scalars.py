@@ -1,32 +1,33 @@
 """Exact Gaussian-rational arithmetic with a single projective infinity.
 
 Every variable that the rewriting machinery manipulates lives here: values are
-a + b*i with a, b rational (stored in lowest terms), plus one unsigned point
-at infinity obeying 1/inf = 0 and inv(0) = inf.  All geometric predicates the
-transport conditions need (disk membership, Re <= 1/2, |z| = 1, the reciprocal
-ball test) are decided exactly in rational arithmetic.
+a + b*i with a, b rational, plus one unsigned point at infinity obeying
+1/inf = 0 and inv(0) = inf.  All geometric predicates the transport
+conditions need (disk membership, Re <= 1/2, |z| = 1, the reciprocal ball
+test) are decided exactly in integer arithmetic.
 
-The fields stay ``re``/``im`` as lowest-terms ``Fraction``s plus ``is_inf``,
-but the arithmetic runs on integers.  Each finite value holds its primitive
-integer form (a, b, d): the value is (a + b*i)/d with d > 0 the lcm of the two
-denominators.  ``+``, ``-``, ``*``, ``inv``, ``/``, ``abs_sq`` and ``mobius``
-are integer sums and products fed to one constructor, ``_make``, which reduces
-each part with one gcd and sets the ``Fraction`` slots without re-normalising
-them; a real product or a sum over a shared d costs one product and one gcd.
-The disk and identity predicates compare integers (a^2 + b^2 against d^2,
-numerators against 0) and build no ``Fraction``.  A loop that only combines
-values (the exact oracles in numeric) sums and multiplies the triples
-themselves (``_g_add``, ``_g_mul``) and builds one Scalar for its result.
+A finite Scalar stores one thing, its primitive integer form ``_g = (a, b,
+d)``: the value is (a + b*i)/d with d > 0 and gcd(a, b, d) = 1, so two equal
+values have equal triples; the point at infinity stores ``_g = None``.  The
+fields ``re`` and ``im`` are read-only lowest-terms ``Fraction``s reduced from
+the triple with one gcd each.  One set of integer kernels does the
+arithmetic: ``_primitive`` divides a triple by its gcd, ``_g_add`` and
+``_g_mul`` sum and multiply primitive triples, and ``_make`` is the one
+constructor, which wraps a primitive triple in a Scalar.  ``+``, ``-`` and
+``*`` are those kernels; negation, the conjugate, ``inv`` and ``mobius``
+build their triples directly; the disk and identity predicates compare
+integers (a^2 + b^2 against d^2, numerators against 0).  A loop that only
+combines values (the exact oracles in numeric) runs the same kernels on the
+triples themselves and builds one Scalar for its result.
 
 A Scalar is immutable, so what is derived from it (hash, |z|^2, 1/z, the
 Mobius image, sort key) is computed on first use and kept on the instance by
-_computed_once; equality, the hash, the fields and the printed form see only
-re, im and is_inf.
+_computed_once; equality compares triples, and the hash and printed form are
+those of (re, im, is_inf).
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -38,9 +39,8 @@ RationalLike = Union[int, Fraction, str]
 
 def _computed_once(method):
     """Cache a no-argument method of an immutable value in the instance
-    ``__dict__``, which a frozen dataclass leaves writable.  The lookup is a
-    dict ``get``, so a value that calls the method once pays one failed
-    lookup and one store."""
+    ``__dict__``.  The lookup is a dict ``get``, so a value that calls the
+    method once pays one failed lookup and one store."""
     slot = "_" + method.__name__.strip("_")
 
     @functools.wraps(method)
@@ -55,66 +55,36 @@ def _computed_once(method):
 _new = object.__new__
 
 
-def _coprime(n: int, d: int) -> Fraction:
-    """The Fraction n/d for coprime n and d > 0, built without re-normalising:
-    each kernel result has just been reduced by its own gcd."""
+def _lowest(n: int, d: int) -> Fraction:
+    """The Fraction n/d for d > 0: one gcd, without Fraction's normalising
+    constructor."""
+    g = gcd(n, d)
     f = _new(Fraction)
-    f._numerator = n
-    f._denominator = d
+    f._numerator = n // g
+    f._denominator = d // g
     return f
 
 
 _F0 = Fraction(0)
 
 
-def _frac(x: RationalLike) -> Fraction:
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """(n, d), d > 0, in lowest terms of an int, a Fraction or a rational string."""
     if type(x) is int:
-        return _coprime(x, 1)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (bool, float)):
-        raise DomainError(f"{x!r} is not an exact rational")
-    return Fraction(x)
+        return x, 1
+    if not isinstance(x, Fraction):
+        if isinstance(x, (bool, float)):
+            raise DomainError(f"{x!r} is not an exact rational")
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"{x!r} is not an exact rational: {exc}") from None
+    return x.numerator, x.denominator
 
 
-def _raw(re: Fraction, im: Fraction, g: tuple[int, int, int]) -> "Scalar":
-    """A finite Scalar from lowest-terms parts and their integer form ``g``,
-    past ``__init__`` and its coercion."""
-    s = _new(Scalar)
-    slots = s.__dict__
-    slots["re"] = re
-    slots["im"] = im
-    slots["is_inf"] = False
-    slots["_g"] = g
-    return s
-
-
-def _make(a: int, b: int, d: int) -> "Scalar":
-    """The Scalar (a + b*i)/d for ints a, b and d > 0: one gcd reduces each
-    part, and a third (of two divisors of d) gives the primitive form."""
-    if b:
-        g1 = gcd(a, d)
-        g2 = gcd(b, d)
-        re = _coprime(a // g1, d // g1)
-        im = _coprime(b // g2, d // g2)
-        g = gcd(g1, g2)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-    else:
-        g = gcd(a, d)
-        if g != 1:
-            a //= g
-            d //= g
-        re, im = _coprime(a, d), _F0
-    return _raw(re, im, (a, b, d))
-
-
-# Integer-form kernels for loops that only combine values and convert the
-# result once (the exact oracles in numeric): each takes and returns
-# primitive triples (a, b, d), gcd(a, b, d) = 1 and d > 0, so two equal
-# values have equal triples, and _make turns a triple into a Scalar.
+# Integer-form kernels: each takes and returns primitive triples (a, b, d),
+# gcd(a, b, d) = 1 and d > 0.  Scalar arithmetic and the exact oracles in
+# numeric both run on them.
 
 def _primitive(a: int, b: int, d: int) -> tuple[int, int, int]:
     """(a, b, d) for d > 0 divided by gcd(a, b, d)."""
@@ -144,42 +114,34 @@ def _g_mul(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, 
     return _primitive(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
 
-@dataclass(frozen=True)
+def _make(a: int, b: int, d: int) -> "Scalar":
+    """The Scalar (a + b*i)/d for a primitive triple (a, b, d); every Scalar
+    is built here."""
+    s = _new(Scalar)
+    s._g = (a, b, d)
+    return s
+
+
 class Scalar:
     """A Gaussian rational, or the projective point at infinity.
 
-    The infinite value is the singleton ``INF``; its re/im slots are zero and
-    must never be inspected.  0**0 is 1 throughout.
-
-    A finite value also holds its primitive integer form ``_g = (a, b, d)``:
-    the value is (a + b*i)/d with d > 0 the lcm of the two denominators, so
-    gcd(a, b, d) = 1.  The arithmetic and the predicates work on it.
+    ``Scalar(re, im)`` takes ints, Fractions or strings; ``Scalar(is_inf=True)``
+    is the singleton ``INF``, whose re/im read zero and must never be
+    inspected.  0**0 is 1 throughout.
     """
 
-    re: Fraction = _F0
-    im: Fraction = _F0
-    is_inf: bool = False
-
-    def __post_init__(self):
-        re, im = self.re, self.im
-        if type(re) is not Fraction:
-            re = _frac(re)
-            object.__setattr__(self, "re", re)
-        if type(im) is not Fraction:
-            im = _frac(im)
-            object.__setattr__(self, "im", im)
-        if self.is_inf:
-            return
-        nr, dr = re._numerator, re._denominator
-        ni, di = im._numerator, im._denominator
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0, is_inf: bool = False):
+        if is_inf:
+            return INF
+        nr, dr = _ratio(re)
+        ni, di = _ratio(im)
         if dr == di:
-            g = (nr, ni, dr)
-        elif di == 1:
-            g = (nr, ni * dr, dr)
-        else:
-            d = dr // gcd(dr, di) * di
-            g = (nr * (d // dr), ni * (d // di), d)
-        object.__setattr__(self, "_g", g)
+            return _make(nr, ni, dr)
+        d = dr // gcd(dr, di) * di  # the lcm: no prime divides d and both parts
+        return _make(nr * (d // dr), ni * (d // di), d)
+
+    def __reduce__(self):
+        return Scalar, (self.re, self.im, self._g is None)
 
     # -- construction -----------------------------------------------------
 
@@ -187,81 +149,84 @@ class Scalar:
     def of(re: RationalLike, im: RationalLike = 0) -> "Scalar":
         return Scalar(re, im)
 
+    # -- fields --------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        g = self._g
+        return _F0 if g is None else _lowest(g[0], g[2])
+
+    @property
+    def im(self) -> Fraction:
+        g = self._g
+        return _F0 if g is None or not g[1] else _lowest(g[1], g[2])
+
+    @property
+    def is_inf(self) -> bool:
+        return self._g is None
+
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.is_inf and self._g == (0, 0, 1)
+        return self._g == (0, 0, 1)
 
     def is_one(self) -> bool:
-        return not self.is_inf and self._g == (1, 0, 1)
+        return self._g == (1, 0, 1)
 
     def is_real(self) -> bool:
-        return not self.is_inf and self._g[1] == 0
+        g = self._g
+        return g is not None and g[1] == 0
+
+    def __eq__(self, other):
+        if other.__class__ is Scalar:
+            return self._g == other._g
+        return NotImplemented
 
     # -- field arithmetic --------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if self.is_inf or other.is_inf:
-            if self.is_inf and other.is_inf:
+        x, y = self._g, other._g
+        if x is None or y is None:
+            if x is y:
                 raise UndefinedArithmetic("inf + inf")
             return INF
-        a1, b1, d1 = self._g
-        a2, b2, d2 = other._g
-        if d1 == d2:
-            return _make(a1 + a2, b1 + b2, d1)
-        g = gcd(d1, d2)
-        e1, e2 = d1 // g, d2 // g
-        return _make(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1, e1 * d2)
+        return _make(*_g_add(x, y))
 
     def __neg__(self) -> "Scalar":
-        if self.is_inf:
+        g = self._g
+        if g is None:
             return INF
-        a, b, d = self._g
-        re, im = self.re, self.im
-        return _raw(_coprime(-re._numerator, re._denominator),
-                    _coprime(-im._numerator, im._denominator) if b else _F0, (-a, -b, d))
+        a, b, d = g
+        return _make(-a, -b, d)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        if self.is_inf or other.is_inf:
-            if self.is_inf and other.is_inf:
+        x, y = self._g, other._g
+        if x is None or y is None:
+            if x is y:
                 raise UndefinedArithmetic("inf - inf")
             return INF
-        a1, b1, d1 = self._g
-        a2, b2, d2 = other._g
-        if d1 == d2:
-            return _make(a1 - a2, b1 - b2, d1)
-        g = gcd(d1, d2)
-        e1, e2 = d1 // g, d2 // g
-        return _make(a1 * e2 - a2 * e1, b1 * e2 - b2 * e1, e1 * d2)
+        a, b, d = y
+        return _make(*_g_add(x, (-a, -b, d)))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if self.is_inf or other.is_inf:
-            if self.is_zero() or other.is_zero():
+        x, y = self._g, other._g
+        if x is None or y is None:
+            if x == (0, 0, 1) or y == (0, 0, 1):
                 raise UndefinedArithmetic("0 * inf")
             return INF
-        a1, b1, d1 = self._g
-        a2, b2, d2 = other._g
-        if not b1:
-            return _make(a1 * a2, a1 * b2, d1 * d2)
-        if not b2:
-            return _make(a1 * a2, b1 * a2, d1 * d2)
-        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        return _make(*_g_mul(x, y))
 
     @_computed_once
     def inv(self) -> "Scalar":
-        if self.is_inf:
+        g = self._g
+        if g is None:
             return ZERO
-        a, b, d = self._g
-        if b:
-            return _make(a * d, -b * d, a * a + b * b)
-        if a > 0:
-            return _raw(_coprime(d, a), _F0, (d, 0, a))
-        if a < 0:
-            return _raw(_coprime(-d, -a), _F0, (-d, 0, -a))
-        return INF
+        a, b, d = g
+        n = a * a + b * b  # d/(a + b*i) = d (a - b*i)/n
+        return _make(*_primitive(a * d, -b * d, n)) if n else INF
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        if self.is_inf and other.is_inf:
+        if self._g is None and other._g is None:
             raise UndefinedArithmetic("inf / inf")
         if self.is_zero() and other.is_zero():
             raise UndefinedArithmetic("0 / 0")
@@ -270,7 +235,7 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
             return self.inv() ** (-n)
-        if self.is_inf:
+        if self._g is None:
             if n == 0:
                 raise UndefinedArithmetic("inf ** 0")
             return INF
@@ -285,56 +250,51 @@ class Scalar:
         return out
 
     def conj(self) -> "Scalar":
-        if self.is_inf:
+        g = self._g
+        if g is None:
             return INF
-        a, b, d = self._g
-        im = self.im
-        return _raw(self.re, _coprime(-im._numerator, im._denominator) if b else _F0,
-                    (a, -b, d))
+        a, b, d = g
+        return _make(a, -b, d)
 
     # -- exact geometric predicates -----------------------------------------
 
     @_computed_once
     def abs_sq(self) -> Fraction:
         """|z|^2 as an exact rational; infinity is rejected."""
-        if self.is_inf:
+        if self._g is None:
             raise DomainError("abs_sq(inf)")
         a, b, d = self._g
-        if not b:
-            return _coprime(a * a, d * d)
-        n, dd = a * a + b * b, d * d
-        g = gcd(n, dd)
-        return _coprime(n // g, dd // g)
+        return _lowest(a * a + b * b, d * d)
 
     def in_closed_disk(self) -> bool:
-        if self.is_inf:
+        if self._g is None:
             return False
         a, b, d = self._g
         return a * a + b * b <= d * d
 
     def in_open_disk(self) -> bool:
-        if self.is_inf:
+        if self._g is None:
             return False
         a, b, d = self._g
         return a * a + b * b < d * d
 
     def re_leq_half(self) -> bool:
-        if self.is_inf:
+        if self._g is None:
             raise DomainError("re_leq_half(inf)")
         return 2 * self._g[0] <= self._g[2]
 
     def re_lt_half(self) -> bool:
-        if self.is_inf:
+        if self._g is None:
             raise DomainError("re_lt_half(inf)")
         return 2 * self._g[0] < self._g[2]
 
     def re_eq_half(self) -> bool:
-        if self.is_inf:
+        if self._g is None:
             raise DomainError("re_eq_half(inf)")
         return 2 * self._g[0] == self._g[2]
 
     def abs_eq_one(self) -> bool:
-        if self.is_inf:
+        if self._g is None:
             return False
         a, b, d = self._g
         return a * a + b * b == d * d
@@ -342,58 +302,67 @@ class Scalar:
     @_computed_once
     def mobius(self) -> "Scalar":
         """z / (z - 1); needs a finite z != 1.  Involutive on its domain."""
-        if self.is_inf:
+        if self._g is None:
             raise DomainError("mobius(inf)")
         a, b, d = self._g
         c = a - d  # z - 1 = (c + b*i)/d
-        if b:
-            return _make(a * c + b * b, -b * d, c * c + b * b)
-        if c > 0:
-            return _raw(_coprime(a, c), _F0, (a, 0, c))
-        if c < 0:
-            return _raw(_coprime(-a, -c), _F0, (-a, 0, -c))
-        raise DomainError("mobius(1)")
+        n = c * c + b * b
+        if not n:
+            raise DomainError("mobius(1)")
+        return _make(*_primitive(a * c + b * b, -b * d, n))
 
     # -- conversions ---------------------------------------------------------
 
     def __complex__(self) -> complex:
-        if self.is_inf:
+        if self._g is None:
             raise DomainError("complex(inf)")
-        return complex(float(self.re), float(self.im))
+        a, b, d = self._g  # int / int rounds correctly, as float(Fraction) does
+        return complex(a / d, b / d)
 
     @_computed_once
     def sort_key(self):
-        if self.is_inf:
+        if self._g is None:
             return (1, 0, 1, 0, 1)
-        return (0, self.re.numerator, self.re.denominator, self.im.numerator, self.im.denominator)
+        a, b, d = self._g
+        ga, gb = gcd(a, d), gcd(b, d)
+        return (0, a // ga, d // ga, b // gb, d // gb)
 
     @_computed_once
     def __hash__(self) -> int:
-        # the value the dataclass would compute, so set order is unchanged
+        # the hash of the former dataclass fields, so set order is unchanged
         return hash((self.re, self.im, self.is_inf))
 
     def __str__(self) -> str:
-        if self.is_inf:
+        if self._g is None:
             return "inf"
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
     __repr__ = __str__
 
 
+INF = _new(Scalar)
+INF._g = None
 ZERO = Scalar()
-ONE = Scalar(Fraction(1))
-MINUS_ONE = Scalar(Fraction(-1))
-INF = Scalar(is_inf=True)
+ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 
 
 def sc(re: RationalLike, im: RationalLike = 0) -> Scalar:
     """Shorthand constructor used pervasively in tests and examples."""
     return Scalar.of(re, im)
+
+
+def reciprocal_sum(vs: Iterable[Scalar]) -> Scalar:
+    total = ZERO
+    for v in vs:
+        total = total + v.inv()
+    return total
 
 
 def in_reciprocal_ball(vs: Sequence[Scalar], t: Scalar) -> bool:
@@ -402,20 +371,10 @@ def in_reciprocal_ball(vs: Sequence[Scalar], t: Scalar) -> bool:
     Every v_i must be a nonzero point of the closed unit disk or infinity and
     t must be finite with |t| <= 1, else DomainError.
     """
-    if t.is_inf or not t.in_closed_disk():
+    if not t.in_closed_disk():
         raise DomainError(f"ball target {t} must be finite with |t| <= 1")
-    total = ZERO
     for v in vs:
-        if v.is_zero() or (not v.is_inf and not v.in_closed_disk()):
+        if v.is_zero() or not (v.is_inf or v.in_closed_disk()):
             raise DomainError(f"arrow value {v} outside (closed disk - 0) + inf")
-        total = total + v.inv()
-    if total == t:
-        return True
-    return (t - total).abs_sq() >= 1
-
-
-def reciprocal_sum(vs: Iterable[Scalar]) -> Scalar:
-    total = ZERO
-    for v in vs:
-        total = total + v.inv()
-    return total
+    total = reciprocal_sum(vs)
+    return total == t or (t - total).abs_sq() >= 1

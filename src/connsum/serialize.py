@@ -26,7 +26,10 @@ def _int_in(v) -> int:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        return int(v, 10)
+        try:
+            return int(v, 10)
+        except ValueError:
+            pass
     raise DomainError(f"expected an integer, got {v!r}")
 
 

@@ -139,6 +139,7 @@ def test_malformed_term_is_a_domain_error(tmp_path, capsys):
         {"components": 5},
         {"components": [{"k": 5}]},
         {"components": [{"k": [1], "z": 7}], "bar": {"k": [1]}},
+        {"components": [{"k": [1], "z": [{"re": "1/2"}]}, {"k": [1]}], "bar": {"k": [1]}},
     ]
     for payload in bad_terms:
         term = _write(tmp_path, "t.json", payload)

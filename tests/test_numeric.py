@@ -245,23 +245,20 @@ def test_exact_chain_linear_in_bound(monkeypatch):
     # over levels would grow about fourfold when the bound doubles.  Only
     # the result becomes a Scalar, whatever the bound
     calls, built = [0], [0]
-    mul, raw, post_init = numeric._g_mul, scalars._raw, Scalar.__post_init__
+    mul, make = numeric._g_mul, scalars._make
 
     def counting_mul(x, y):
         calls[0] += 1
         return mul(x, y)
 
-    def counting_raw(*args):
+    def counting_make(*args):
         built[0] += 1
-        return raw(*args)
-
-    def counting_post_init(self):
-        built[0] += 1
-        post_init(self)
+        return make(*args)
 
     monkeypatch.setattr(numeric, "_g_mul", counting_mul)
-    monkeypatch.setattr(scalars, "_raw", counting_raw)
-    monkeypatch.setattr(Scalar, "__post_init__", counting_post_init)
+    # every Scalar is built by the one constructor, wherever it is called from
+    monkeypatch.setattr(scalars, "_make", counting_make)
+    monkeypatch.setattr(numeric, "_make", counting_make)
     term = MplTerm("shuffle", (1, 2, 1), (sc(F(1, 2)), sc(-1), sc(F(3, 5), F(4, 5))))
     counts, scalars_built = [], []
     for bound in (30, 60):
@@ -531,26 +528,22 @@ def test_escape_rows_once_per_top_letter(monkeypatch):
         assert len(calls) == len(set(calls)) == letters, calls
 
 
-def test_log_factorial_table_covers_every_read(monkeypatch):
-    # numpy slicing past the end of an array truncates silently, so a table
-    # 10,000 entries longer must leave every report bit-identical.  The
-    # capped sum's n cap + 1 totals set the length at some bounds, the
-    # uncovered rows' regions at others
-    terms = [zterm([Pair.ones((1,))] * n, Pair.ones((1, 1))) for n in range(2, 7)]
-    bounds = [*range(1, 41), 64, 100, 200, 400]
-    before = [[eval_zterm(t, b) for b in bounds] for t in terms]
-    glf, asked = numeric._glf, []
-
-    def longer(x):
-        asked.append(np.size(x))
-        return glf(np.arange(np.size(x) + 10_000))
-
-    monkeypatch.setattr(numeric, "_glf", longer)
-    for t, reports in zip(terms, before):
-        for b, rep in zip(bounds, reports):
-            assert eval_zterm(t, b) == rep, (str(t), b)
-    totals = [t.arity * b + 1 for t in terms for b in bounds]
-    assert 0 < sum(a == n for a, n in zip(asked, totals)) < len(totals), asked
+def test_edge_weights_bound_exact_reciprocal_binomials():
+    # one running product of about 2(j + end - lo) roundings, raised by
+    # 4(j + end - lo)u: every weight in float64's normal range lies in
+    # [1/C(T, j), 1/C(T, j) (1 + 8(j + end - lo)u)]
+    u = 2.0 ** -53
+    for j, lo, end in ((2, 4, 200), (3, 9, 90), (11, 22, 300), (61, 140, 400),
+                       (401, 802, 1668), (5, 10, 6000), (560, 1120, 1300)):
+        w = numeric._edge_weights(j, lo, end)
+        assert w.shape == (end - lo,)
+        allowance = 1 + F(8 * (j + end - lo)) * F(u)
+        for t, got in zip(range(lo, end), w):
+            exact = F(1, math.comb(t, j))
+            if exact >= F(2) ** -1022:
+                assert exact <= F(float(got)) <= exact * allowance, (j, t)
+            else:
+                assert 0 <= got < 2.0 ** -1021, (j, t)
 
 
 def test_bar_weight_covers_every_read(monkeypatch):
