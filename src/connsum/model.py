@@ -17,7 +17,7 @@ from .errors import (
     NoEmptyComponent,
     NotPeelable,
 )
-from .scalars import INF, ONE, ZERO, Scalar, _computed_once, sc
+from .scalars import INF, ONE, ZERO, Scalar, sc
 
 Index = tuple[int, ...]
 
@@ -68,8 +68,8 @@ class Pair:
     """An index decorated with variables, one per entry.
 
     Variables must be finite and lie in the closed unit disk.  The empty pair
-    is allowed and is its own vertical-arrow image.  The hash and sort key are
-    computed once per instance.
+    is allowed and is its own vertical-arrow image.  Equality and the hash are
+    those of (k, z).
     """
 
     k: Index = ()
@@ -108,17 +108,11 @@ class Pair:
     def from_letters(letters: Sequence[tuple[Scalar, int]]) -> "Pair":
         return Pair(tuple(e for _, e in letters), tuple(v for v, _ in letters))
 
-    @_computed_once
     def sort_key(self):
         return (self.k, tuple(v.sort_key() for v in self.z))
 
-    @_computed_once
     def has_zero_variable(self) -> bool:
         return any(v.is_zero() for v in self.z)
-
-    @_computed_once
-    def __hash__(self) -> int:
-        return hash((self.k, self.z))
 
     def __str__(self) -> str:
         if self.is_empty():
@@ -324,31 +318,24 @@ def _normalize(items, zero_term_pred, term_sort):
     return tuple(out)
 
 
-def _coalesced(terms: Iterable[ZTerm]) -> list[ZTerm]:
-    """ZExpr.of(terms).as_terms() in one normalisation that keeps each
-    term's coefficient on it: a term whose coefficient survives the merge is
-    returned as it is, not rebuilt twice."""
-    return [t if c == t.coef else t.with_coef(c)
-            for c, t in _normalize(((t.coef, t) for t in terms),
-                                   ZTerm.is_structurally_zero, ZTerm.sort_key)]
-
-
 @dataclass(frozen=True)
 class ZExpr:
-    """Normalized linear combination of connected-sum terms."""
+    """Normalized linear combination of connected-sum terms, each of which
+    carries its own coefficient."""
 
-    terms: tuple[tuple[Fraction, ZTerm], ...] = ()
+    terms: tuple[ZTerm, ...] = ()
 
     @staticmethod
     def of(terms: Iterable[ZTerm]) -> "ZExpr":
-        return ZExpr(_normalize(
-            ((t.coef, t.with_coef(Fraction(1))) for t in terms),
-            lambda t: t.is_structurally_zero(),
-            lambda t: t.sort_key(),
-        ))
+        """Merge equal terms by summing coefficients, drop zeros, sort; a term
+        whose coefficient survives the merge is kept as it is."""
+        return ZExpr(tuple(
+            t if c == t.coef else t.with_coef(c)
+            for c, t in _normalize(((t.coef, t) for t in terms),
+                                   ZTerm.is_structurally_zero, ZTerm.sort_key)))
 
     def as_terms(self) -> list[ZTerm]:
-        return [t.with_coef(c) for c, t in self.terms]
+        return list(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -356,7 +343,7 @@ class ZExpr:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{t}" if c != 1 else str(t) for c, t in self.terms)
+        return " + ".join(str(t) for t in self.terms)
 
 
 @dataclass(frozen=True)

@@ -469,6 +469,11 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
 
 
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise DomainError(f"truncation bound must be >= 1, got {bound}")
+
+
 def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     """Evaluate a connected-sum term with every component top capped at bound.
 
@@ -479,8 +484,7 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     the cap.
     """
     _check_tol(tol)
-    if bound < 1:
-        raise DomainError(f"truncation bound must be >= 1, got {bound}")
+    _check_bound(bound)
     if t.is_structurally_zero():
         return EvalReport(0j, bound, 0.0, True)
     t = drop_all_empty_components(t)  # arity reduction, value-preserving
@@ -935,8 +939,10 @@ def _eval_side(side, bound: int, tol: float) -> tuple[complex, float, list]:
 
 
 def verify_relation(rel: Relation, bound: int = 400, tol: float = 1e-6) -> VerifyReport:
-    """Numerically certify |lhs - rhs| <= tol; NotConverged if tails exceed tol."""
+    """Numerically certify |lhs - rhs| <= tol; NotConverged if tails exceed tol.
+    bound must be >= 1 even when neither side has a connected-sum term."""
     _check_tol(tol)
+    _check_bound(bound)
     lv, lt, lp = _eval_side(rel.lhs, bound, tol)
     rv, rt, rp = _eval_side(rel.rhs, bound, tol)
     tail_total = lt + rt

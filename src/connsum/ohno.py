@@ -256,7 +256,9 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 
 
 def lift_sum(p: Pair, h: int) -> MplExpr:
-    """Sum of shuffle polylogs over all exponent lifts of total h."""
+    """Sum of shuffle polylogs over all exponent lifts of total h >= 0."""
+    if h < 0:
+        raise PreconditionViolated("h must be non-negative")
     if p.is_empty():
         return MplExpr.single(MplTerm("shuffle", (), ())) if h == 0 else MplExpr.zero()
     if p.k[-1] == 1 and p.z[-1].abs_eq_one():
@@ -272,6 +274,8 @@ def insert_lift(p: Pair, bs: Sequence[int]) -> Pair:
     """Insert b_i depth-1 copies of the i-th variable other than 1 before its letter."""
     if len(bs) != iota(p.z):
         raise PreconditionViolated(f"need {iota(p.z)} insertion counts, got {len(bs)}")
+    if any(b < 0 for b in bs):
+        raise PreconditionViolated(f"insertion counts must be non-negative: {tuple(bs)}")
     counts = iter(bs)
     letters: list[tuple[Scalar, int]] = []
     for v, e in p.letters():
@@ -287,11 +291,9 @@ def ohno_relation(p: Pair, h: int) -> Relation:
         raise DualConditionViolated(f"{p} fails the dual condition")
     if not p.is_empty() and p.k[-1] == 1 and p.z[-1].abs_eq_one():
         raise GuardViolation("|last variable| != 1 required when the last exponent is 1")
-    if h < 0:
-        raise PreconditionViolated("h must be non-negative")
+    lhs = lift_sum(p, h)
     d = iota(p.z)
     sign, dual = dagger(p)
-    lhs = lift_sum(p, h)
     rhs = MplExpr.of(
         (sign * c, term)
         for i in range(h + 1)

@@ -20,14 +20,13 @@ integers (a^2 + b^2 against d^2, numerators against 0).  A loop that only
 combines values (the exact oracles in numeric) runs the same kernels on the
 triples themselves and builds one Scalar for its result.
 
-A Scalar is immutable, so what is derived from it (hash, |z|^2, 1/z, the
-Mobius image, sort key) is computed on first use and kept on the instance by
-_computed_once; equality compares triples, and the hash and printed form are
-those of (re, im, is_inf).
+A Scalar is immutable and keeps nothing but ``_g`` (``__slots__``): what is
+derived from it (|z|^2, 1/z, the Mobius image, sort key) is computed on each
+call.  Equality compares triples and the hash is the triple's hash; the
+printed form is that of (re, im).
 """
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -35,21 +34,6 @@ from typing import Iterable, Sequence, Union
 from .errors import DomainError, UndefinedArithmetic
 
 RationalLike = Union[int, Fraction, str]
-
-
-def _computed_once(method):
-    """Cache a no-argument method of an immutable value in the instance
-    ``__dict__``.  The lookup is a dict ``get``, so a value that calls the
-    method once pays one failed lookup and one store."""
-    slot = "_" + method.__name__.strip("_")
-
-    @functools.wraps(method)
-    def cached(self):
-        out = self.__dict__.get(slot)
-        if out is None:
-            out = self.__dict__[slot] = method(self)
-        return out
-    return cached
 
 
 _new = object.__new__
@@ -129,6 +113,8 @@ class Scalar:
     is the singleton ``INF``, whose re/im read zero and must never be
     inspected.  0**0 is 1 throughout.
     """
+
+    __slots__ = ("_g",)
 
     def __new__(cls, re: RationalLike = 0, im: RationalLike = 0, is_inf: bool = False):
         if is_inf:
@@ -216,7 +202,6 @@ class Scalar:
             return INF
         return _make(*_g_mul(x, y))
 
-    @_computed_once
     def inv(self) -> "Scalar":
         g = self._g
         if g is None:
@@ -258,7 +243,6 @@ class Scalar:
 
     # -- exact geometric predicates -----------------------------------------
 
-    @_computed_once
     def abs_sq(self) -> Fraction:
         """|z|^2 as an exact rational; infinity is rejected."""
         if self._g is None:
@@ -299,7 +283,6 @@ class Scalar:
         a, b, d = self._g
         return a * a + b * b == d * d
 
-    @_computed_once
     def mobius(self) -> "Scalar":
         """z / (z - 1); needs a finite z != 1.  Involutive on its domain."""
         if self._g is None:
@@ -319,7 +302,6 @@ class Scalar:
         a, b, d = self._g  # int / int rounds correctly, as float(Fraction) does
         return complex(a / d, b / d)
 
-    @_computed_once
     def sort_key(self):
         if self._g is None:
             return (1, 0, 1, 0, 1)
@@ -327,10 +309,8 @@ class Scalar:
         ga, gb = gcd(a, d), gcd(b, d)
         return (0, a // ga, d // ga, b // gb, d // gb)
 
-    @_computed_once
     def __hash__(self) -> int:
-        # the hash of the former dataclass fields, so set order is unchanged
-        return hash((self.re, self.im, self.is_inf))
+        return hash(self._g)
 
     def __str__(self) -> str:
         if self._g is None:

@@ -8,6 +8,8 @@ string "inf"; a bare integer is accepted as a scalar shorthand.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
 from .errors import DomainError
 from .model import MplExpr, MplTerm, Pair, ZExpr, ZTerm
 from .records import Relation
@@ -60,10 +62,17 @@ def frac_from_json(obj) -> Fraction:
     raise DomainError(f"expected [num, den], got {obj!r}")
 
 
+def _lowest_json(n: int, d: int) -> list:
+    g = gcd(n, d)
+    return [_int_out(n // g), _int_out(d // g)]
+
+
 def scalar_to_json(z: Scalar):
-    if z.is_inf:
+    """Each part read from the primitive triple (a, b, d) in lowest terms."""
+    if z._g is None:
         return "inf"
-    return {"re": frac_to_json(z.re), "im": frac_to_json(z.im)}
+    a, b, d = z._g
+    return {"re": _lowest_json(a, d), "im": _lowest_json(b, d)}
 
 
 def scalar_from_json(obj) -> Scalar:

@@ -28,7 +28,6 @@ from .model import (
     Pair,
     ZExpr,
     ZTerm,
-    _coalesced,
     _unchecked,
     arrow,
     drop_all_empty_components,
@@ -217,7 +216,7 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
             _record(trace, "swap-components", t0, [t], pairs)
 
     out: list[ZTerm] = []
-    active = _coalesced([t])
+    active = ZExpr.of([t]).as_terms()
     while active:
         batch: list[ZTerm] = []
         # distinct branches can drop their empty components to one key; the
@@ -228,7 +227,7 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
             v = drop_all_empty_components(u)
             if v is not u:
                 _record(trace, "drop-empty", u, [v], pairs)
-            # _coalesced has dropped the structural zeros, and dropping empty
+            # ZExpr.of has dropped the structural zeros, and dropping empty
             # components leaves a term's structural zeroness as it was
             u = v
             if u.arity == 1:
@@ -253,7 +252,7 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
             batch.extend(step)
         # coalescing structurally equal branches between generations keeps
         # symmetric inputs polynomial instead of exponential
-        active = _coalesced(batch)
+        active = ZExpr.of(batch).as_terms()
     return ZExpr.of(out)
 
 

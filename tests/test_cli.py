@@ -79,6 +79,9 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", serialize.relation_to_json(bad))
     assert main(["verify", "--relation", path, "--tol", "1e-6"]) == 1
     capsys.readouterr()
+    # both sides are pure polylogs, which take no bound, yet -5 is rejected
+    assert main(["verify", "--relation", path, "--bound", "-5"]) == 2
+    assert "truncation bound" in capsys.readouterr().err
 
 
 def test_verify_unbounded_piece_exit_code(tmp_path, capsys):

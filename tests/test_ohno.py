@@ -185,6 +185,10 @@ def test_lift_sum_counts():
     for h in range(4):
         r = p.dep
         assert len(lift_sum(p, h).terms) == math.comb(h + r - 1, r - 1)
+    # a negative lift total has no compositions; it is refused, not read as 0
+    for q in (Pair.ones((2,)), Pair.ones((2, 2)), Pair()):
+        with pytest.raises(PreconditionViolated):
+            lift_sum(q, -1)
 
 
 def test_insert_lift():
@@ -194,6 +198,10 @@ def test_insert_lift():
     assert q.z == (ONE, sc(-1), sc(-1), sc(-1), sc(F(-1, 2)), sc(F(-1, 2)))
     with pytest.raises(PreconditionViolated):
         insert_lift(p, (1,))
+    with pytest.raises(PreconditionViolated):
+        insert_lift(p, (2, -1))
+    with pytest.raises(PreconditionViolated):
+        insert_lift(Pair((2,), (sc(-1),)), (-1,))
 
 
 def test_ohno_relation_classical_instance():
@@ -210,6 +218,8 @@ def test_ohno_relation_classical_instance():
 def test_ohno_relation_guards():
     with pytest.raises(DualConditionViolated):
         ohno_relation(Pair.ones((1,)), 1)
+    with pytest.raises(PreconditionViolated):
+        ohno_relation(Pair.ones((2,)), -1)
     # the dual condition already enforces the lift guard; lifting a bare
     # unit-circle (z, 1) pair is what the guard rejects
     with pytest.raises(GuardViolation):
