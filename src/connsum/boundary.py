@@ -12,11 +12,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DivergentInput, GuardViolation, ZeroVariable
+from .errors import BudgetExceeded, DivergentInput, GuardViolation, ZeroVariable
 from .model import MplExpr, MplTerm, ZTerm, _unchecked, is_convergent
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 Chain = tuple[tuple[Scalar, int], ...]
+
+# The most chains one quasi_shuffle may return: 100x or more the largest
+# output the test suite and the benchmark pools reach.  The count grows
+# exponentially with the lengths of the two chains.
+QUASI_SHUFFLE_CAP = 20_000
 
 
 def shuffle_to_harmonic(m: MplTerm) -> MplTerm:
@@ -26,7 +31,7 @@ def shuffle_to_harmonic(m: MplTerm) -> MplTerm:
     r = m.dep
     if r == 0:
         return MplTerm("harmonic", (), ())
-    if any(v.is_zero() for v in m.z):
+    if ZERO in m.z:
         raise ZeroVariable("ratio change of variables needs nonzero variables")
     xs = tuple(m.z[i] / m.z[i + 1] for i in range(r - 1)) + (m.z[-1],)
     out = MplTerm("harmonic", m.k, xs)
@@ -68,6 +73,7 @@ def quasi_shuffle(strict: Chain, weak: Chain) -> list[Chain]:
     level holds a strict letter, a block of consecutive weak letters, or both
     merged (variables multiply, exponents add).  Recursion peels the top
     level: take the strict top alone, a weak block alone, or both together.
+    More than QUASI_SHUFFLE_CAP merges raise BudgetExceeded.
     """
     if not strict and not weak:
         return [()]
@@ -83,6 +89,11 @@ def quasi_shuffle(strict: Chain, weak: Chain) -> list[Chain]:
             merged = _merge((strict[-1],) + weak[len(weak) - j:])
             for c in quasi_shuffle(strict[:-1], weak[:len(weak) - j]):
                 out.append(c + (merged,))
+    if len(out) > QUASI_SHUFFLE_CAP:
+        raise BudgetExceeded(
+            f"a quasi-shuffle of chains of lengths {len(strict)} and {len(weak)} "
+            f"gives {len(out)} terms, over the cap of {QUASI_SHUFFLE_CAP}"
+        )
     return out
 
 
@@ -96,7 +107,7 @@ def _expansion(t: ZTerm) -> Iterator[tuple[Fraction, MplTerm]]:
     p, bar = t.components[0], t.bar
     if p.is_empty():
         return
-    if any(v.is_zero() for v in p.z) or any(v.is_zero() for v in bar.z):
+    if ZERO in p.z or ZERO in bar.z:
         raise ZeroVariable("boundary reduction needs nonzero variables")
     if not is_convergent(t):
         raise DivergentInput(f"{t} does not converge absolutely")

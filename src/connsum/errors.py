@@ -73,5 +73,10 @@ class PreconditionViolated(ConnsumError, ValueError):
     """A named precondition inequality fails; message names it."""
 
 
+class BudgetExceeded(ConnsumError):
+    """A path that can grow exponentially with its input passed its size cap;
+    the message names the cap."""
+
+
 class NotConverged(ConnsumError):
     """A numeric evaluation's tail estimate exceeds the requested tolerance."""

@@ -7,6 +7,7 @@ are normalized linear combinations.  All values are immutable.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, NamedTuple, Sequence
@@ -43,18 +44,25 @@ def _as_index(entries: Iterable[int]) -> Index:
 
 
 _new = object.__new__
+_tuple_new = tuple.__new__
 
 
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass cls built without its
     __post_init__ coercions and checks, for a rewrite's outputs, whose parts
-    come from valid values: a Pair's k is a tuple of ints >= 1 and its z a
-    same-length tuple of finite Scalars in the closed disk; a ZTerm's coef
-    is a Fraction and its components a non-empty tuple of Pairs; an
-    MplTerm's kind is one of the two (its guard is the caller's to run)."""
+    come from valid values: a ZTerm's coef is a Fraction and its components
+    a non-empty tuple of Pairs; an MplTerm's kind is one of the two (its
+    guard is the caller's to run)."""
     obj = _new(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _pair(k: Index, z: tuple[Scalar, ...]) -> Pair:
+    """The Pair (k, z) built without Pair's coercions and checks, for a
+    rewrite's outputs, whose parts come from valid values: k a tuple of ints
+    >= 1 and z a same-length tuple of finite Scalars in the closed disk."""
+    return _tuple_new(Pair, (k, z))
 
 
 def _as_scalar(z) -> Scalar:
@@ -63,26 +71,28 @@ def _as_scalar(z) -> Scalar:
     return sc(z)
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(namedtuple("Pair", ("k", "z"))):
     """An index decorated with variables, one per entry.
 
     Variables must be finite and lie in the closed unit disk.  The empty pair
-    is allowed and is its own vertical-arrow image.  Equality and the hash are
-    those of (k, z).
+    is allowed and is its own vertical-arrow image.  A Pair is the tuple
+    (k, z) itself, so its equality and hash are the tuple's, computed in C
+    over ints and interned Scalars.  Pairs are not interned: a table of
+    them would keep thousands of objects alive for the garbage collector to
+    scan on every collection.
     """
 
-    k: Index = ()
-    z: tuple[Scalar, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", _as_index(self.k))
-        object.__setattr__(self, "z", tuple(_as_scalar(v) for v in self.z))
-        if len(self.k) != len(self.z):
-            raise DomainError(f"index/variable length mismatch: {self.k} vs {self.z}")
-        for v in self.z:
+    def __new__(cls, k: Iterable[int] = (), z: Iterable = ()):
+        k = _as_index(k)
+        z = tuple(_as_scalar(v) for v in z)
+        if len(k) != len(z):
+            raise DomainError(f"index/variable length mismatch: {k} vs {z}")
+        for v in z:
             if v.is_inf or not v.in_closed_disk():
                 raise DomainError(f"pair variable {v} outside the closed unit disk")
+        return _tuple_new(cls, (k, z))
 
     @staticmethod
     def ones(k: Iterable[int]) -> "Pair":
@@ -112,7 +122,7 @@ class Pair:
         return (self.k, tuple(v.sort_key() for v in self.z))
 
     def has_zero_variable(self) -> bool:
-        return any(v.is_zero() for v in self.z)
+        return ZERO in self.z
 
     def __str__(self) -> str:
         if self.is_empty():
@@ -141,14 +151,14 @@ def arrow(p: Pair, v: Scalar) -> SignedPair:
     if v.is_inf:
         if p.is_empty():
             raise EmptyArrowOnInfinity("infinity arrow on the empty pair")
-        return SignedPair(-1, _unchecked(Pair, k=p.k[:-1] + (p.k[-1] + 1,), z=p.z))
+        return SignedPair(-1, _pair(p.k[:-1] + (p.k[-1] + 1,), p.z))
     if not v.in_closed_disk():
         raise DomainError(f"arrow value {v} outside the closed unit disk")
     if v.is_zero():
         if p.is_empty():
             return SignedPair(1, p)
-        return SignedPair(1, _unchecked(Pair, k=p.k[:-1] + (p.k[-1] + 1,), z=p.z))
-    return SignedPair(1, _unchecked(Pair, k=p.k + (1,), z=p.z + (v,)))
+        return SignedPair(1, _pair(p.k[:-1] + (p.k[-1] + 1,), p.z))
+    return SignedPair(1, _pair(p.k + (1,), p.z + (v,)))
 
 
 Slot = Literal["component", "bar"]
@@ -167,8 +177,8 @@ def peel(p: Pair, slot: Slot) -> tuple[Scalar, Pair, int]:
     if last_e == 1:
         if last_v.is_zero():
             raise NotPeelable("trailing (0, 1) letter has no arrow preimage")
-        return last_v, _unchecked(Pair, k=p.k[:-1], z=p.z[:-1]), 1
-    base = _unchecked(Pair, k=p.k[:-1] + (last_e - 1,), z=p.z)
+        return last_v, _pair(p.k[:-1], p.z[:-1]), 1
+    base = _pair(p.k[:-1] + (last_e - 1,), p.z)
     if slot == "component":
         return INF, base, -1
     return ZERO, base, 1

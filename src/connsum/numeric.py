@@ -194,13 +194,16 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
     layer[0] = ms[0] = 1.0  # index 0 holds the empty chain; every later layer is 0 there
     below = layer
     totals = []
+    pows = [None, ms]  # pows[t] = ms ** t, each computed once per call
     for i, (z, (_, e)) in enumerate(zip(zs, letters)):
         below = layer
         layer = _scan(below, z, weak and i > 0)
+        while len(pows) <= e:
+            pows.append(ms ** len(pows))
         if sums:
-            totals.append([(layer / ms ** t).sum() for t in range(1, e)])
+            totals.append([(layer / pows[t]).sum() for t in range(1, e)])
         # divided in place: no further full-length array, although below stays alive
-        np.divide(layer, ms ** e, out=layer)
+        np.divide(layer, pows[e], out=layer)
         if sums:
             totals[-1].append(layer.sum())
     return totals if sums else (layer, below)
@@ -690,7 +693,7 @@ def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
         raise DivergentInput(f"{m} violates its convergence guard")
     if m.kind == "harmonic":
         m = harmonic_to_shuffle(m)
-    if any(v.is_zero() for v in m.z):  # every gap power of a zero variable is 0
+    if ZERO in m.z:  # every gap power of a zero variable is 0
         return 0j, 0.0
     exact: list[Scalar] = []
     for v, e in zip(reversed(m.z), reversed(m.k)):

@@ -13,17 +13,31 @@ fields ``re`` and ``im`` are read-only lowest-terms ``Fraction``s reduced from
 the triple with one gcd each.  One set of integer kernels does the
 arithmetic: ``_primitive`` divides a triple by its gcd, ``_g_add`` and
 ``_g_mul`` sum and multiply primitive triples, and ``_make`` is the one
-constructor, which wraps a primitive triple in a Scalar.  ``+``, ``-`` and
+constructor, which returns the Scalar of a primitive triple.  ``+``, ``-`` and
 ``*`` are those kernels; negation, the conjugate, ``inv`` and ``mobius``
-build their triples directly; the disk and identity predicates compare
-integers (a^2 + b^2 against d^2, numerators against 0).  A loop that only
+build their triples directly; the disk predicates compare integers (a^2 +
+b^2 against d^2), and ``is_zero``/``is_one`` compare objects (one value is
+one object, below).  A loop that only
 combines values (the exact oracles in numeric) runs the same kernels on the
 triples themselves and builds one Scalar for its result.
 
 A Scalar is immutable and keeps nothing but ``_g`` (``__slots__``): what is
 derived from it (|z|^2, 1/z, the Mobius image, sort key) is computed on each
-call.  Equality compares triples and the hash is the triple's hash; the
-printed form is that of (re, im).
+call.  The printed form is that of (re, im).
+
+One value is one object.  ``_make`` hash-conses: it looks the triple up in
+the module table ``_TABLE`` and builds a Scalar only for a triple it has not
+seen, and INF is the one Scalar with ``_g = None``.  So ``==`` and ``hash``
+are object identity and its hash, both run in C: a dict or tuple keyed on
+Scalars (a Pair, a word letter, a term key) never calls back into Python to
+hash or compare them.  Pickling and copying rebuild through the constructor
+and so return the same object.  The table is a plain dict that lives as long
+as the process: it only grows, by one entry (a Scalar, its triple and the
+triple's integers) per distinct value ever made.  Three benchmark corpora of
+the symbolic workload make 736 values (120 KiB), and the whole test suite
+about 34,000 (9 MB, most of it the integers of exact oracle results of
+thousands of bits).  A weak-valued table measured slower on the symbolic
+workload.
 """
 from __future__ import annotations
 
@@ -98,11 +112,21 @@ def _g_mul(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, 
     return _primitive(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
 
+# every finite Scalar ever built, keyed by its triple; entries live as long
+# as the process (see the module docstring)
+_TABLE: dict[tuple[int, int, int], "Scalar"] = {}
+
+
 def _make(a: int, b: int, d: int) -> "Scalar":
     """The Scalar (a + b*i)/d for a primitive triple (a, b, d); every Scalar
-    is built here."""
-    s = _new(Scalar)
-    s._g = (a, b, d)
+    is built here, once per value.  ``setdefault`` keeps the first of two
+    threads that miss together, so both return the same object."""
+    g = (a, b, d)
+    s = _TABLE.get(g)
+    if s is None:
+        s = _new(Scalar)
+        s._g = g
+        s = _TABLE.setdefault(g, s)
     return s
 
 
@@ -127,6 +151,8 @@ class Scalar:
         return _make(nr * (d // dr), ni * (d // di), d)
 
     def __reduce__(self):
+        # rebuilt through the constructor, so a copy or an unpickled value
+        # is the interned object of its value
         return Scalar, (self.re, self.im, self._g is None)
 
     # -- construction -----------------------------------------------------
@@ -154,19 +180,14 @@ class Scalar:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self._g == (0, 0, 1)
+        return self is ZERO
 
     def is_one(self) -> bool:
-        return self._g == (1, 0, 1)
+        return self is ONE
 
     def is_real(self) -> bool:
         g = self._g
         return g is not None and g[1] == 0
-
-    def __eq__(self, other):
-        if other.__class__ is Scalar:
-            return self._g == other._g
-        return NotImplemented
 
     # -- field arithmetic --------------------------------------------------
 
@@ -308,9 +329,6 @@ class Scalar:
         a, b, d = self._g
         ga, gb = gcd(a, d), gcd(b, d)
         return (0, a // ga, d // ga, b // gb, d // gb)
-
-    def __hash__(self) -> int:
-        return hash(self._g)
 
     def __str__(self) -> str:
         if self._g is None:

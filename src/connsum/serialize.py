@@ -113,6 +113,9 @@ def zterm_to_json(t: ZTerm, pairs: dict | None = None) -> dict:
     """JSON of a term.  With a memo ``pairs``, every term encoded through the
     same memo reuses one dict per distinct pair and one list per distinct
     tuple of components."""
+    # both kinds of key share the memo and cannot collide: a Pair is the
+    # tuple (k, z) whose first entry is a tuple of ints, while a tuple of
+    # components has Pairs as entries, and an int never equals a tuple
     if pairs is None:
         comps = [pair_to_json(p) for p in t.components]
     else:

@@ -16,6 +16,7 @@ from . import serialize
 from .boundary import boundary_reduce_all
 from .duality import dual_condition
 from .errors import (
+    BudgetExceeded,
     DivergentInput,
     DualConditionViolated,
     NotPeelable,
@@ -39,6 +40,13 @@ from .model import (
 from .scalars import INF, ZERO, Scalar, in_reciprocal_ball, reciprocal_sum
 
 Trace = list
+
+# Budgets on the two paths here that grow exponentially with the input, each
+# 100x or more the largest size the test suite and the benchmark pools reach:
+# the terms of one generation of reduce_to_z1 after merging, and the
+# reciprocal-ball tests of one condition_violation call.
+FRONTIER_CAP = 50_000
+BALL_TESTS_CAP = 10_000
 
 
 def _record(trace: Optional[Trace], rule: str, premise: ZTerm, conclusions,
@@ -132,11 +140,21 @@ def condition_violation(others: Sequence[Pair], bar: Pair) -> Optional[str]:
     when some bar exponent exceeds 1 and vertical bar moves exist); no first
     variable z has |w - 1/z| = 1 for a bar value w on the unit circle; and
     when some component can present a vertical move, no bar value lies
-    strictly inside the punctured disk.
+    strictly inside the punctured disk.  Raises BudgetExceeded, before any
+    test, when the first bullet would take more than BALL_TESTS_CAP tests.
     """
     targets = list(bar.z)
     if any(e >= 2 for e in bar.k):
         targets.append(ZERO)
+    picks = 1  # the coordinate picks over all subsets, the empty one included
+    for p in others:
+        picks *= 1 + len(p.z)
+    tests = (picks - 1) * len(targets)
+    if tests > BALL_TESTS_CAP:
+        raise BudgetExceeded(
+            f"the transportability check needs {tests} reciprocal-ball tests, "
+            f"over the cap of {BALL_TESTS_CAP}"
+        )
     for size in range(1, len(others) + 1):
         for subset in itertools.combinations(others, size):
             for vs in itertools.product(*(p.z for p in subset)):
@@ -194,7 +212,8 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
     several branches of one generation is rewritten once and recorded once
     per branch.  The records this call appends to ``trace`` share one JSON
     dict per distinct pair and one list per distinct tuple of components, so
-    a trace is to be read, not edited in place.
+    a trace is to be read, not edited in place.  A generation of more than
+    FRONTIER_CAP terms raises BudgetExceeded.
     """
     pairs: dict = {}
     t0 = t
@@ -253,6 +272,11 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
         # coalescing structurally equal branches between generations keeps
         # symmetric inputs polynomial instead of exponential
         active = ZExpr.of(batch).as_terms()
+        if len(active) > FRONTIER_CAP:
+            raise BudgetExceeded(
+                f"a reduction generation holds {len(active)} terms, over the cap "
+                f"of {FRONTIER_CAP}"
+            )
     return ZExpr.of(out)
 
 

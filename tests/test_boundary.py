@@ -4,13 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from connsum import boundary
 from connsum.boundary import (
     boundary_reduce,
     harmonic_to_shuffle,
     quasi_shuffle,
     shuffle_to_harmonic,
 )
-from connsum.errors import DivergentInput, GuardViolation, ZeroVariable
+from connsum.errors import BudgetExceeded, DivergentInput, GuardViolation, ZeroVariable
 from connsum.model import MplExpr, MplTerm, Pair, ZTerm, is_convergent, zterm
 from connsum.numeric import eval_mpl_partial_exact, eval_zterm_partial_exact
 from connsum.scalars import ONE, Scalar, sc
@@ -90,6 +91,15 @@ def test_quasi_shuffle_counts_match_brute_force():
         out = quasi_shuffle(strict, weak)
         assert len(out) == len(set(out)), "no duplicate patterns"
         assert len(out) == _brute_merge_count(p, q)
+
+
+def test_quasi_shuffle_budget(monkeypatch):
+    two = ((ONE, 1), (ONE, 1))
+    assert len(quasi_shuffle(two, two)) == 18
+    monkeypatch.setattr(boundary, "QUASI_SHUFFLE_CAP", 17)
+    with pytest.raises(BudgetExceeded, match="18 terms"):
+        quasi_shuffle(two, two)
+    assert len(quasi_shuffle(two[:1], two)) == 8  # under the cap
 
 
 def test_boundary_worked_display():

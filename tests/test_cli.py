@@ -4,8 +4,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import connsum
-from connsum import serialize
+from connsum import boundary, serialize, transport
 from connsum.cli import main
 from connsum.model import MplExpr, MplTerm, Pair, ZExpr, zterm
 from connsum.records import Relation
@@ -113,6 +115,18 @@ def test_domain_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["eval", "--term", missing]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module, cap", [(transport, "FRONTIER_CAP"),
+                                         (transport, "BALL_TESTS_CAP"),
+                                         (boundary, "QUASI_SHUFFLE_CAP")])
+def test_budget_exit_code(tmp_path, capsys, monkeypatch, module, cap):
+    t = zterm([Pair.ones((1, 2)), Pair.ones((2,)), Pair.ones((1,))], Pair.ones((1, 1)))
+    term = _write(tmp_path, "t.json", serialize.zterm_to_json(t))
+    assert main(["reduce", "--term", term]) == 0
+    monkeypatch.setattr(module, cap, 1)
+    assert main(["reduce", "--term", term]) == 2
+    assert "over the cap of 1" in capsys.readouterr().err
 
 
 def test_examples_command(capsys):

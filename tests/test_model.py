@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -210,3 +212,18 @@ def test_pair_and_key_hash_read_no_fraction(monkeypatch):
     assert serialize.pair_from_json(serialize.pair_to_json(p)) == p
     assert p.sort_key() == same.sort_key()
     assert repr(p) == "Pair(k=(1, 2), z=(1/3-1/3i, -2/5))"
+
+
+def test_pair_is_the_tuple_of_its_fields():
+    z = (sc(F(1, 3), F(-1, 3)), sc(F(-2, 5)))
+    p = Pair((1, 2), z)
+    assert isinstance(p, tuple) and tuple(p) == ((1, 2), z)
+    assert p == ((1, 2), z) and hash(p) == hash(((1, 2), z))
+    # the validating constructor still coerces its inputs
+    assert Pair([1, 2], [sc(F(1, 3), F(-1, 3)), "-2/5"]) == p
+    for bad_k, bad_z in (((1,), (sc(2),)), ((1,), (INF,)), ((1, 2), (ONE,)), ((0,), (ONE,))):
+        with pytest.raises(DomainError):
+            Pair(bad_k, bad_z)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert type(twin) is Pair and twin == p and hash(twin) == hash(p)
+        assert all(a is b for a, b in zip(twin.z, p.z))

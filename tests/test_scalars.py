@@ -1,5 +1,9 @@
+import copy
 import math
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -141,8 +145,60 @@ def test_equal_values_by_different_routes_hash_alike():
     for z in routes:
         assert z == direct
         assert hash(z) == hash(direct)
-        assert hash(z) == hash(z._g)
+        assert z is direct  # one value, one object: == and hash are identity's
     assert len({direct, *routes}) == 1
+
+
+def test_one_value_one_object():
+    direct = sc(F(1, 3), F(-1, 3))
+    assert Scalar(F(2, 6), "-1/3") is direct
+    half = sc(F(1, 6), F(-1, 6))
+    routes = [
+        half + half,
+        sc(1) - sc(F(2, 3), F(1, 3)),
+        sc(1, -1) * sc(F(1, 3)),
+        -sc(F(-1, 3), F(1, 3)),
+        sc(F(3, 2), F(3, 2)).inv(),
+        direct.mobius().mobius(),
+        sc(F(1, 3), F(1, 3)).conj(),
+        serialize.scalar_from_json({"re": ["1", "3"], "im": [-2, 6]}),
+        pickle.loads(pickle.dumps(direct)),
+        copy.deepcopy(direct),
+        copy.copy(direct),
+    ]
+    for z in routes:
+        assert z is direct
+    assert sc(F(1, 3), F(1, 3)) is not direct
+    # == and hash are those of object identity, both run in C
+    assert Scalar.__eq__ is object.__eq__ and Scalar.__hash__ is object.__hash__
+    for inf in (Scalar(is_inf=True), ZERO.inv(), sc(2) * INF, serialize.scalar_from_json("inf"),
+                pickle.loads(pickle.dumps(INF)), copy.deepcopy(INF)):
+        assert inf is INF
+
+
+def test_threads_building_one_value_get_one_object():
+    # values no other test makes, built at once by more threads than cores
+    # with frequent switches: a lost race in _make would hand out twins
+    values = [(F(n, 999_983), F(-n, 999_979)) for n in range(1, 10001)]
+    seen = [[] for _ in range(6)]
+
+    def build(out):
+        for re, im in values:
+            out.append(sc(re, im) + ZERO)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for objects in zip(*seen):
+        assert len({id(z) for z in objects}) == 1
 
 
 def test_derived_values_recomputed_equal_and_only_the_triple_stored():
@@ -220,7 +276,7 @@ def _check_fields(z):
         assert (canonical.numerator, canonical.denominator) == (n, d)
         assert part == canonical and hash(part) == hash(canonical)
     assert not z.is_inf
-    assert hash(z) == hash(z._g)
+    assert Scalar(z.re, z.im) is z  # the interned object of its value
     # the integer form the kernel reads is the primitive one of the fields
     a, b, d = z._g
     assert d > 0 and math.gcd(math.gcd(a, b), d) == 1

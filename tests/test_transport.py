@@ -8,6 +8,7 @@ import pytest
 
 from connsum import model, transport
 from connsum.errors import (
+    BudgetExceeded,
     DivergentInput,
     NotPeelable,
     NotTransportable,
@@ -30,6 +31,7 @@ from connsum.recipe import RecipeData, recipe_relation
 from connsum.ohno import HSeries, X, apply_map, ohno_relation
 from connsum.serialize import relation_to_json, zterm_from_json
 from connsum.transport import (
+    condition_violation,
     is_transportable,
     reduce_duality,
     reduce_to_mpl,
@@ -548,3 +550,28 @@ def test_rewrite_outputs_are_valid_pairs(monkeypatch):
                    for v in p.z)
     for m in polylogs:
         assert MplTerm(m.kind, m.k, m.z) == m and m.guard_ok()
+
+
+def test_frontier_budget(monkeypatch):
+    t = zt([Pair.ones((1, 2)), Pair.ones((2,)), ONES1], Pair.ones((1, 1)))
+    expected = reduce_to_z1(t)  # its largest generation holds 26 terms
+    monkeypatch.setattr(transport, "FRONTIER_CAP", 26)
+    assert reduce_to_z1(t) == expected
+    monkeypatch.setattr(transport, "FRONTIER_CAP", 25)
+    with pytest.raises(BudgetExceeded, match="26 terms"):
+        reduce_to_z1(t)
+
+
+def test_ball_tests_budget(monkeypatch):
+    # (3 * 3 - 1) coordinate picks of two depth-2 components, at the bar
+    # targets 1 and 0
+    others = (Pair.ones((1, 1)), Pair((1, 1), (sc(-1), ONE)))
+    bar = Pair.ones((2,))
+    assert condition_violation(others, bar) is None
+    monkeypatch.setattr(transport, "BALL_TESTS_CAP", 16)
+    assert condition_violation(others, bar) is None
+    monkeypatch.setattr(transport, "BALL_TESTS_CAP", 15)
+    with pytest.raises(BudgetExceeded, match="16 reciprocal-ball tests"):
+        condition_violation(others, bar)
+    with pytest.raises(BudgetExceeded):
+        is_transportable(zt(list(others) + [ONES1], bar), 2)
