@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, DivergentInput, GuardViolation, ZeroVariable
-from .model import MplExpr, MplTerm, ZTerm, _unchecked, is_convergent
+from .model import MplExpr, MplTerm, ZTerm, _tuple_new, is_convergent
 from .scalars import ONE, ZERO, Scalar
 
 Chain = tuple[tuple[Scalar, int], ...]
@@ -52,7 +52,7 @@ def harmonic_to_shuffle(m: MplTerm) -> MplTerm:
     for j in range(r - 1, -1, -1):
         acc = acc * m.z[j]
         zs[j] = acc
-    out = _unchecked(MplTerm, kind="shuffle", k=m.k, z=tuple(zs))
+    out = _tuple_new(MplTerm, ("shuffle", m.k, tuple(zs)))
     if not out.guard_ok():
         raise GuardViolation(f"{out} violates the shuffle-kind guard")
     return out
@@ -123,12 +123,8 @@ def _expansion(t: ZTerm) -> Iterator[tuple[Fraction, MplTerm]]:
         top = (top_v * merged_v, top_e + merged_e)
         for chain in quasi_shuffle(strict, weak[:len(weak) - j]):
             full = chain + (top,)
-            term = _unchecked(
-                MplTerm,
-                kind="harmonic",
-                k=tuple(e for _, e in full),
-                z=tuple(v for v, _ in full),
-            )
+            term = _tuple_new(MplTerm, ("harmonic", tuple(e for _, e in full),
+                                        tuple(v for v, _ in full)))
             yield t.coef, harmonic_to_shuffle(term)
 
 

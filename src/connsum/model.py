@@ -2,8 +2,14 @@
 
 An index is a plain tuple of positive integers.  A Pair decorates an index
 with same-length unit-disk variables.  A ZTerm is one rational-coefficient
-connected-sum value with n >= 1 components and one bar slot; ZExpr / MplExpr
-are normalized linear combinations.  All values are immutable.
+connected-sum value with n >= 1 components and one bar slot; an MplTerm is
+one polylogarithm.  ZExpr / MplExpr are normalized linear combinations.  All
+values are immutable.
+
+Pair, ZTerm and MplTerm are each the tuple of their fields, so their ``==``
+and ``hash`` are the tuple's.  Each has two constructors: calling the class
+coerces and checks its arguments, and ``_tuple_new(cls, fields)`` trusts
+them, for a rewrite's outputs, whose parts come from valid values.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from .errors import (
     NoEmptyComponent,
     NotPeelable,
 )
-from .scalars import INF, ONE, ZERO, Scalar, sc
+from .scalars import INF, ONE, ZERO, Scalar, _ratio, sc
 
 Index = tuple[int, ...]
 
@@ -43,26 +49,7 @@ def _as_index(entries: Iterable[int]) -> Index:
     return k
 
 
-_new = object.__new__
 _tuple_new = tuple.__new__
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls built without its
-    __post_init__ coercions and checks, for a rewrite's outputs, whose parts
-    come from valid values: a ZTerm's coef is a Fraction and its components
-    a non-empty tuple of Pairs; an MplTerm's kind is one of the two (its
-    guard is the caller's to run)."""
-    obj = _new(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-def _pair(k: Index, z: tuple[Scalar, ...]) -> Pair:
-    """The Pair (k, z) built without Pair's coercions and checks, for a
-    rewrite's outputs, whose parts come from valid values: k a tuple of ints
-    >= 1 and z a same-length tuple of finite Scalars in the closed disk."""
-    return _tuple_new(Pair, (k, z))
 
 
 def _as_scalar(z) -> Scalar:
@@ -151,14 +138,14 @@ def arrow(p: Pair, v: Scalar) -> SignedPair:
     if v.is_inf:
         if p.is_empty():
             raise EmptyArrowOnInfinity("infinity arrow on the empty pair")
-        return SignedPair(-1, _pair(p.k[:-1] + (p.k[-1] + 1,), p.z))
+        return SignedPair(-1, _tuple_new(Pair, (p.k[:-1] + (p.k[-1] + 1,), p.z)))
     if not v.in_closed_disk():
         raise DomainError(f"arrow value {v} outside the closed unit disk")
     if v.is_zero():
         if p.is_empty():
             return SignedPair(1, p)
-        return SignedPair(1, _pair(p.k[:-1] + (p.k[-1] + 1,), p.z))
-    return SignedPair(1, _pair(p.k + (1,), p.z + (v,)))
+        return SignedPair(1, _tuple_new(Pair, (p.k[:-1] + (p.k[-1] + 1,), p.z)))
+    return SignedPair(1, _tuple_new(Pair, (p.k + (1,), p.z + (v,))))
 
 
 Slot = Literal["component", "bar"]
@@ -177,32 +164,32 @@ def peel(p: Pair, slot: Slot) -> tuple[Scalar, Pair, int]:
     if last_e == 1:
         if last_v.is_zero():
             raise NotPeelable("trailing (0, 1) letter has no arrow preimage")
-        return last_v, _pair(p.k[:-1], p.z[:-1]), 1
-    base = _pair(p.k[:-1] + (last_e - 1,), p.z)
+        return last_v, _tuple_new(Pair, (p.k[:-1], p.z[:-1])), 1
+    base = _tuple_new(Pair, (p.k[:-1] + (last_e - 1,), p.z))
     if slot == "component":
         return INF, base, -1
     return ZERO, base, 1
 
 
 def _coef(c) -> Fraction:
-    if isinstance(c, Fraction):
+    """A coefficient as a Fraction: an int, a Fraction or a rational string,
+    by Scalar's rule, so a float, a bool or a non-number is a DomainError."""
+    if type(c) is Fraction:
         return c
-    return Fraction(c)
+    return Fraction(*_ratio(c))
 
 
-@dataclass(frozen=True)
-class ZTerm:
-    """coef * Z_n(components | bar)."""
+class ZTerm(namedtuple("ZTerm", ("coef", "components", "bar"))):
+    """coef * Z_n(components | bar), the tuple (coef, components, bar)."""
 
-    coef: Fraction
-    components: tuple[Pair, ...]
-    bar: Pair
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coef", _coef(self.coef))
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) < 1:
+    def __new__(cls, coef, components: Iterable[Pair], bar: Pair):
+        coef = _coef(coef)
+        components = tuple(components)
+        if len(components) < 1:
             raise DomainError("a connected-sum term needs at least one component")
+        return _tuple_new(cls, (coef, components, bar))
 
     @property
     def arity(self) -> int:
@@ -221,11 +208,11 @@ class ZTerm:
             return True
         return any(p.has_zero_variable() for p in self.components)
 
-    def scaled(self, c: Fraction) -> "ZTerm":
-        return ZTerm(self.coef * c, self.components, self.bar)
+    def scaled(self, c) -> "ZTerm":
+        return _tuple_new(ZTerm, (self.coef * _coef(c), self.components, self.bar))
 
-    def with_coef(self, c: Fraction) -> "ZTerm":
-        return ZTerm(c, self.components, self.bar)
+    def with_coef(self, c) -> "ZTerm":
+        return _tuple_new(ZTerm, (_coef(c), self.components, self.bar))
 
     def transport_measure(self) -> int:
         """Total weight outside the receiving slot; drops by 1 per rewrite."""
@@ -248,31 +235,30 @@ def zterm(components: Sequence[Pair], bar: Pair | None = None, coef=1) -> ZTerm:
     """Build a term; a missing bar means the conventional (1 / 1) slot."""
     if bar is None:
         bar = Pair.ones((1,))
-    return ZTerm(_coef(coef), tuple(components), bar)
+    return ZTerm(coef, components, bar)
 
 
 MplKind = Literal["shuffle", "harmonic"]
 
 
-@dataclass(frozen=True)
-class MplTerm:
-    """A polylogarithm value of one of the two series shapes.
+class MplTerm(namedtuple("MplTerm", ("kind", "k", "z"))):
+    """A polylogarithm value of one of the two series shapes, the tuple
+    (kind, k, z).
 
     shuffle: variables enter through consecutive differences of the summation
     indices; harmonic: each variable is raised to its own index.
     """
 
-    kind: MplKind
-    k: Index
-    z: tuple[Scalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", _as_index(self.k))
-        object.__setattr__(self, "z", tuple(_as_scalar(v) for v in self.z))
-        if len(self.k) != len(self.z):
+    def __new__(cls, kind: MplKind, k: Iterable[int], z: Iterable):
+        k = _as_index(k)
+        z = tuple(_as_scalar(v) for v in z)
+        if len(k) != len(z):
             raise DomainError("index/variable length mismatch")
-        if self.kind not in ("shuffle", "harmonic"):
-            raise DomainError(f"unknown polylog kind {self.kind!r}")
+        if kind not in ("shuffle", "harmonic"):
+            raise DomainError(f"unknown polylog kind {kind!r}")
+        return _tuple_new(cls, (kind, k, z))
 
     @property
     def dep(self) -> int:
@@ -302,7 +288,7 @@ class MplTerm:
         return True
 
     def key(self):
-        return (self.kind, self.k, self.z)
+        return self
 
     def sort_key(self):
         return (self.kind, self.k, tuple(v.sort_key() for v in self.z))
@@ -405,7 +391,7 @@ def swap_components(t: ZTerm, perm: Sequence[int]) -> ZTerm:
     n = t.arity
     if sorted(perm) != list(range(n)):
         raise DomainError(f"{perm} is not a permutation of 0..{n - 1}")
-    return ZTerm(t.coef, tuple(t.components[i] for i in perm), t.bar)
+    return _tuple_new(ZTerm, (t.coef, tuple(t.components[i] for i in perm), t.bar))
 
 
 def drop_empty_component(t: ZTerm) -> ZTerm:
@@ -414,7 +400,8 @@ def drop_empty_component(t: ZTerm) -> ZTerm:
         raise NoEmptyComponent("arity floor: cannot drop below one component")
     for i, p in enumerate(t.components):
         if p.is_empty():
-            return ZTerm(t.coef, t.components[:i] + t.components[i + 1:], t.bar)
+            comps = t.components[:i] + t.components[i + 1:]
+            return _tuple_new(ZTerm, (t.coef, comps, t.bar))
     raise NoEmptyComponent("no empty component to drop")
 
 

@@ -29,7 +29,7 @@ from .model import (
     Pair,
     ZExpr,
     ZTerm,
-    _unchecked,
+    _tuple_new,
     arrow,
     drop_all_empty_components,
     is_convergent,
@@ -123,10 +123,9 @@ def _rewrite(t: ZTerm, trace: Optional[Trace], pairs: Optional[dict]) -> list[ZT
     out: list[ZTerm] = []
     for i, (_, base_i, s_i) in enumerate(peels):
         comps = head[:i] + (base_i,) + head[i + 1:] + (recv_new,)
-        out.append(_unchecked(ZTerm, coef=-coef if s_i * recv_sign > 0 else coef,
-                              components=comps, bar=t.bar))
-    out.append(_unchecked(ZTerm, coef=-coef if recv_sign > 0 else coef,
-                          components=head + (recv_new,), bar=bar_base))
+        out.append(_tuple_new(ZTerm, (-coef if s_i * recv_sign > 0 else coef, comps, t.bar)))
+    comps = head + (recv_new,)
+    out.append(_tuple_new(ZTerm, (-coef if recv_sign > 0 else coef, comps, bar_base)))
     _record(trace, "transport-step", t, out, pairs)
     return out
 

@@ -215,15 +215,63 @@ def test_pair_and_key_hash_read_no_fraction(monkeypatch):
 
 
 def test_pair_is_the_tuple_of_its_fields():
+    """Pair, ZTerm and MplTerm are each the tuple of their fields; the
+    validating constructor coerces and rejects, and pickle and copies give
+    back an equal value."""
     z = (sc(F(1, 3), F(-1, 3)), sc(F(-2, 5)))
     p = Pair((1, 2), z)
-    assert isinstance(p, tuple) and tuple(p) == ((1, 2), z)
-    assert p == ((1, 2), z) and hash(p) == hash(((1, 2), z))
-    # the validating constructor still coerces its inputs
-    assert Pair([1, 2], [sc(F(1, 3), F(-1, 3)), "-2/5"]) == p
-    for bad_k, bad_z in (((1,), (sc(2),)), ((1,), (INF,)), ((1, 2), (ONE,)), ((0,), (ONE,))):
+    bar = Pair.ones((1, 1))
+    t = ZTerm(F(-2, 7), (p, EMPTY_PAIR), bar)
+    m = MplTerm("shuffle", (1, 2), z)
+    cases = [
+        (p, ((1, 2), z), Pair([1, 2], [sc(F(1, 3), F(-1, 3)), "-2/5"]),
+         [((1,), (sc(2),)), ((1,), (INF,)), ((1, 2), (ONE,)), ((0,), (ONE,))]),
+        (t, (F(-2, 7), (p, EMPTY_PAIR), bar), ZTerm("-4/14", [p, EMPTY_PAIR], bar),
+         [(F(1), (), bar), (0.5, (p,), bar), ("x", (p,), bar)]),
+        (m, ("shuffle", (1, 2), z), MplTerm("shuffle", [1, 2], [z[0], "-2/5"]),
+         [("shuffle", (1,), ()), ("stuffle", (1,), (ONE,)), ("harmonic", (0,), (ONE,))]),
+    ]
+    for value, fields, coerced, bad in cases:
+        cls = type(value)
+        assert isinstance(value, tuple) and tuple(value) == fields
+        assert value == fields and hash(value) == hash(fields)
+        assert coerced == value and type(coerced) is cls
+        for args in bad:
+            with pytest.raises(DomainError):
+                cls(*args)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                     copy.copy(value)):
+            assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+            if cls is Pair:
+                assert all(a is b for a, b in zip(twin.z, p.z))
+    assert type(t.coef) is F and type(ZTerm(3, (p,), bar).coef) is F
+    assert m.key() is m and t.key() == ((p, EMPTY_PAIR), bar)
+    assert str(t) == "-2/7*Z2((1/3-1/3i,-2/5 / 1,2); () | (1,1 / 1,1))"
+    assert str(m) == "Li[1,2](1/3-1/3i, -2/5)"
+    assert serialize.zterm_from_json(serialize.zterm_to_json(t)) == t
+    assert serialize.mplterm_from_json(serialize.mplterm_to_json(m)) == m
+
+
+_M = MplTerm("shuffle", (2,), (ONE,))
+_COEF_ENTRY_POINTS = {
+    "zterm": lambda c: zterm([Pair.ones((1,))], coef=c).coef,
+    "ZTerm": lambda c: ZTerm(c, (Pair.ones((1,)),), Pair.ones((1,))).coef,
+    "ZTerm.scaled": lambda c: zterm([Pair.ones((1,))]).scaled(c).coef,
+    "ZTerm.with_coef": lambda c: zterm([Pair.ones((1,))]).with_coef(c).coef,
+    "MplExpr.single": lambda c: MplExpr.single(_M, c).terms[0][0],
+    "MplExpr.scaled": lambda c: MplExpr.single(_M).scaled(c).terms[0][0],
+    "MplExpr.of": lambda c: MplExpr.of([(c, _M)]).terms[0][0],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COEF_ENTRY_POINTS))
+def test_coefficients_follow_the_scalar_rule(entry):
+    """A coefficient is an int, a Fraction or a rational string, as a Scalar's
+    parts are: a float, a bool or a non-number is a DomainError."""
+    coef_of = _COEF_ENTRY_POINTS[entry]
+    for bad in (0.1, True, float("nan"), float("inf"), "x"):
         with pytest.raises(DomainError):
-            Pair(bad_k, bad_z)
-    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
-        assert type(twin) is Pair and twin == p and hash(twin) == hash(p)
-        assert all(a is b for a, b in zip(twin.z, p.z))
+            coef_of(bad)
+    for good, exact in ((3, F(3)), ("1/3", F(1, 3)), (F(2, 6), F(1, 3))):
+        got = coef_of(good)
+        assert type(got) is F and got == exact

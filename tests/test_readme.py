@@ -1,0 +1,10 @@
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples():
+    """The README's `>>>` examples print what they show."""
+    result = doctest.testfile(str(README), module_relative=False, verbose=False)
+    assert result.attempted > 0 and result.failed == 0

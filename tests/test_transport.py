@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from connsum import model, transport
+from connsum import boundary, model, transport
 from connsum.errors import (
     BudgetExceeded,
     DivergentInput,
@@ -20,6 +20,7 @@ from connsum.model import (
     MplTerm,
     Pair,
     ZExpr,
+    ZTerm,
     drop_all_empty_components,
     is_convergent,
     swap_components,
@@ -518,17 +519,26 @@ def _two_component_recipes(max_weight=5):
 
 
 def test_rewrite_outputs_are_valid_pairs(monkeypatch):
-    """The pairs that rewrites build without validation equal, and hash as,
-    the validated pair of the same parts, whose checks they pass."""
-    built = []
+    """The pairs, terms and polylogs that rewrites and boundary expansions
+    build without validation equal, and hash as, the validated value of the
+    same parts, whose checks they pass."""
+    terms = []
+    expanded = []
     rewrite = transport._rewrite
+    expansion = boundary._expansion
 
     def collecting_rewrite(t, trace, pairs):
         out = rewrite(t, trace, pairs)
-        built.extend(p for u in out for p in u.components + (u.bar,))
+        terms.extend(out)
         return out
 
+    def collecting_expansion(t):
+        for c, m in expansion(t):
+            expanded.append(m)
+            yield c, m
+
     monkeypatch.setattr(transport, "_rewrite", collecting_rewrite)
+    monkeypatch.setattr(boundary, "_expansion", collecting_expansion)
     for t in _seeded_reductions():
         reduce_to_z1(t)
     polylogs = []
@@ -541,6 +551,7 @@ def test_rewrite_outputs_are_valid_pairs(monkeypatch):
         relations += 1
         polylogs.extend(m for side in (rel.lhs, rel.rhs) for _, m in side.terms)
     assert relations == 416
+    built = [p for u in terms for p in u.components + (u.bar,)]
     assert len(built) > 10000
     for p in {id(p): p for p in built}.values():
         checked = Pair(p.k, p.z)
@@ -550,6 +561,11 @@ def test_rewrite_outputs_are_valid_pairs(monkeypatch):
                    for v in p.z)
     for m in polylogs:
         assert MplTerm(m.kind, m.k, m.z) == m and m.guard_ok()
+    assert len(terms) > 10000 and len(expanded) > 5000
+    for u in terms:
+        assert ZTerm(*u) == u and hash(ZTerm(*u)) == hash(u) and type(u.coef) is F
+    for m in expanded:
+        assert MplTerm(*m) == m and hash(MplTerm(*m)) == hash(m)
 
 
 def test_frontier_budget(monkeypatch):
