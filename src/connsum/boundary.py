@@ -9,11 +9,10 @@ converted to shuffle type for output.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, DivergentInput, GuardViolation, ZeroVariable
-from .model import MplExpr, MplTerm, ZTerm, _tuple_new, is_convergent
+from .model import Coef, MplExpr, MplTerm, ZTerm, _tuple_new, is_convergent
 from .scalars import ONE, ZERO, Scalar
 
 Chain = tuple[tuple[Scalar, int], ...]
@@ -97,7 +96,7 @@ def quasi_shuffle(strict: Chain, weak: Chain) -> list[Chain]:
     return out
 
 
-def _expansion(t: ZTerm) -> Iterator[tuple[Fraction, MplTerm]]:
+def _expansion(t: ZTerm) -> Iterator[tuple[Coef, MplTerm]]:
     """The (coefficient, shuffle-type term) items of an arity-1 term's
     polylog expansion, not yet merged: boundary_reduce normalises them."""
     if t.arity != 1:

@@ -14,7 +14,6 @@ exceptional exponents, and maps each exceptional variable through z/(z-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DualConditionViolated
 from .model import (
@@ -157,7 +156,7 @@ def duality_relation(p: Pair) -> Relation:
     """Two-sided relation Li(p) = sign * Li(p†) as shuffle polylog expressions."""
     sign, dual = dagger(p)
     lhs = MplExpr.single(MplTerm("shuffle", p.k, p.z))
-    rhs = MplExpr.single(MplTerm("shuffle", dual.k, dual.z), Fraction(sign))
+    rhs = MplExpr.single(MplTerm("shuffle", dual.k, dual.z), sign)
     return Relation(lhs=lhs, rhs=rhs, provenance={
         "route": "duality",
         "iota": iota(p.z),

@@ -6,10 +6,16 @@ connected-sum value with n >= 1 components and one bar slot; an MplTerm is
 one polylogarithm.  ZExpr / MplExpr are normalized linear combinations.  All
 values are immutable.
 
+A coefficient (``Coef``) has one form: an ``int`` when it is integral, else
+a ``Fraction`` with denominator > 1, so the integer coefficients of transport
+and of Ohno's relations run on C ints.  Every sum and product of
+coefficients is brought back to that form by ``_coef``.
+
 Pair, ZTerm and MplTerm are each the tuple of their fields, so their ``==``
 and ``hash`` are the tuple's.  Each has two constructors: calling the class
-coerces and checks its arguments, and ``_tuple_new(cls, fields)`` trusts
-them, for a rewrite's outputs, whose parts come from valid values.
+(and so ``_make`` and ``_replace``) coerces and checks its arguments, and
+``_tuple_new(cls, fields)`` trusts them, for a rewrite's outputs, whose parts
+come from valid values.
 """
 from __future__ import annotations
 
@@ -24,9 +30,10 @@ from .errors import (
     NoEmptyComponent,
     NotPeelable,
 )
-from .scalars import INF, ONE, ZERO, Scalar, _ratio, sc
+from .scalars import INF, ONE, ZERO, Scalar, _lowest, _ratio, sc
 
 Index = tuple[int, ...]
+Coef = int | Fraction
 
 
 def weight(k: Index) -> int:
@@ -52,13 +59,21 @@ def _as_index(entries: Iterable[int]) -> Index:
 _tuple_new = tuple.__new__
 
 
+def _value_tuple(name: str, fields: tuple[str, ...]):
+    """A namedtuple base whose _make, and so _replace, validates through the
+    subclass's constructor."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
+
+
 def _as_scalar(z) -> Scalar:
     if isinstance(z, Scalar):
         return z
     return sc(z)
 
 
-class Pair(namedtuple("Pair", ("k", "z"))):
+class Pair(_value_tuple("Pair", ("k", "z"))):
     """An index decorated with variables, one per entry.
 
     Variables must be finite and lie in the closed unit disk.  The empty pair
@@ -171,15 +186,19 @@ def peel(p: Pair, slot: Slot) -> tuple[Scalar, Pair, int]:
     return ZERO, base, 1
 
 
-def _coef(c) -> Fraction:
-    """A coefficient as a Fraction: an int, a Fraction or a rational string,
-    by Scalar's rule, so a float, a bool or a non-number is a DomainError."""
-    if type(c) is Fraction:
+def _coef(c) -> Coef:
+    """A coefficient in its one form, an int or a non-integral Fraction, from
+    an int, a Fraction or a rational string by Scalar's rule, so a float, a
+    bool or a non-number is a DomainError."""
+    if type(c) is int:
         return c
-    return Fraction(*_ratio(c))
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    n, d = _ratio(c)
+    return n if d == 1 else _lowest(n, d)
 
 
-class ZTerm(namedtuple("ZTerm", ("coef", "components", "bar"))):
+class ZTerm(_value_tuple("ZTerm", ("coef", "components", "bar"))):
     """coef * Z_n(components | bar), the tuple (coef, components, bar)."""
 
     __slots__ = ()
@@ -209,7 +228,7 @@ class ZTerm(namedtuple("ZTerm", ("coef", "components", "bar"))):
         return any(p.has_zero_variable() for p in self.components)
 
     def scaled(self, c) -> "ZTerm":
-        return _tuple_new(ZTerm, (self.coef * _coef(c), self.components, self.bar))
+        return _tuple_new(ZTerm, (_coef(self.coef * _coef(c)), self.components, self.bar))
 
     def with_coef(self, c) -> "ZTerm":
         return _tuple_new(ZTerm, (_coef(c), self.components, self.bar))
@@ -241,7 +260,7 @@ def zterm(components: Sequence[Pair], bar: Pair | None = None, coef=1) -> ZTerm:
 MplKind = Literal["shuffle", "harmonic"]
 
 
-class MplTerm(namedtuple("MplTerm", ("kind", "k", "z"))):
+class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
     """A polylogarithm value of one of the two series shapes, the tuple
     (kind, k, z).
 
@@ -308,7 +327,7 @@ def _normalize(items, zero_term_pred, term_sort):
             continue
         key = term.key()
         prev = acc.get(key)
-        acc[key] = (coef if prev is None else prev[0] + coef, term)
+        acc[key] = (coef if prev is None else _coef(prev[0] + coef), term)
     out = [(c, t) for c, t in acc.values() if c != 0]
     out.sort(key=lambda ct: term_sort(ct[1]))
     return tuple(out)
@@ -346,10 +365,10 @@ class ZExpr:
 class MplExpr:
     """Normalized linear combination of polylogarithm terms."""
 
-    terms: tuple[tuple[Fraction, MplTerm], ...] = ()
+    terms: tuple[tuple[Coef, MplTerm], ...] = ()
 
     @staticmethod
-    def of(items: Iterable[tuple[Fraction, MplTerm]]) -> "MplExpr":
+    def of(items: Iterable[tuple[Coef, MplTerm]]) -> "MplExpr":
         return MplExpr(_normalize(
             items,
             lambda t: False,

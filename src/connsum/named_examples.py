@@ -124,7 +124,7 @@ def _amtagpa_rel(n: int) -> Relation:
     target = MplTerm("shuffle", (1,) * (n - 1) + (2,), zs)
     return Relation(
         lhs=ZExpr.of([_ones_zterm(n + 1)]),
-        rhs=MplExpr.single(target, Fraction(math.factorial(n))),
+        rhs=MplExpr.single(target, math.factorial(n)),
         provenance={"route": "named", "name": f"amtagpa:{n}"},
     )
 
@@ -167,7 +167,7 @@ def run_dilcher(k: int, bound: int = 400, tol: float = 3e-4) -> ExampleResult:
     if k == 3:
         famous = Relation(
             lhs=MplExpr.single(_mzv_term((3,))),
-            rhs=MplExpr.single(_alt_mzv_term((1, 2), (1, -1)), Fraction(8)),
+            rhs=MplExpr.single(_alt_mzv_term((1, 2), (1, -1)), 8),
             provenance={"name": "zeta(3) = 8 * alternating(1,2)"},
         )
         fam = verify_relation(famous, tol=1e-6)
@@ -183,9 +183,9 @@ def run_dilog(tol: float = 1e-6) -> ExampleResult:
     lhs = reduce_to_mpl(t)
     combo = z1 + z2 - z1 * z2
     rhs = MplExpr.of([
-        (Fraction(1), MplTerm("shuffle", (2,), (z1,))),
-        (Fraction(1), MplTerm("shuffle", (2,), (z2,))),
-        (Fraction(-1), MplTerm("shuffle", (2,), (combo,))),
+        (1, MplTerm("shuffle", (2,), (z1,))),
+        (1, MplTerm("shuffle", (2,), (z2,))),
+        (-1, MplTerm("shuffle", (2,), (combo,))),
     ])
     rel = Relation(lhs=lhs, rhs=rhs, provenance={"route": "named", "name": "dilog"})
     report = verify_relation(rel, tol=tol)
@@ -199,7 +199,7 @@ def run_kummer_newman(tol: float = 1e-6) -> ExampleResult:
     """Six-term dilogarithm relation on a rational reciprocal-sum triple."""
     z1, z2, z3 = (sc(q) for q in _SIX_TERM_TRIPLE)
     lhs = MplExpr.of([
-        (Fraction(1), MplTerm("shuffle", (2,), (z,))) for z in (z1, z2, z3)
+        (1, MplTerm("shuffle", (2,), (z,))) for z in (z1, z2, z3)
     ])
     args = (-(z1 * z2) / z3, -(z2 * z3) / z1, -(z3 * z1) / z2)
     rhs = MplExpr.of([

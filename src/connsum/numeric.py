@@ -933,7 +933,7 @@ def _eval_side(side, bound: int, tol: float) -> tuple[complex, float, list]:
         items = [(t.coef, t) for t in side.as_terms()]
 
         def evaluate(term, budget):
-            rep = eval_zterm(term.with_coef(Fraction(1)), bound, budget)
+            rep = eval_zterm(term.with_coef(1), bound, budget)
             return rep.value, rep.tail_estimate
     else:
         items, evaluate = side.terms, eval_mpl_auto

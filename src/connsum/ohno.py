@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .boundary import boundary_reduce_all
@@ -25,7 +24,7 @@ from .errors import (
     PreconditionViolated,
     TruncationTooSmall,
 )
-from .model import MplExpr, MplTerm, Pair, zterm
+from .model import Coef, MplExpr, MplTerm, Pair, _coef, zterm
 from .records import Relation
 from .scalars import ONE, Scalar, reciprocal_sum
 from .transport import reduce_to_z1
@@ -97,7 +96,7 @@ def pair_of_word(w: Word) -> Pair:
     return Pair.from_letters(letters)
 
 
-Poly = dict[Word, Fraction]
+Poly = dict[Word, Coef]
 
 
 @dataclass(frozen=True)
@@ -109,29 +108,29 @@ class HSeries:
     """
 
     order: int
-    terms: dict[tuple[int, Word], Fraction]
+    terms: dict[tuple[int, Word], Coef]
 
     @staticmethod
-    def make(order: int, items: Iterable[tuple[tuple[int, Word], Fraction]]) -> "HSeries":
+    def make(order: int, items: Iterable[tuple[tuple[int, Word], Coef]]) -> "HSeries":
         """Sum the items, dropping degrees past order and zero coefficients."""
         if order < 0:
             raise TruncationTooSmall("truncation order must be >= 0")
-        terms: dict[tuple[int, Word], Fraction] = {}
+        terms: dict[tuple[int, Word], Coef] = {}
         for key, c in items:
             if key[0] <= order:
                 terms[key] = terms.get(key, 0) + c
-        return HSeries(order, {key: c for key, c in terms.items() if c != 0})
+        return HSeries(order, {key: _coef(c) for key, c in terms.items() if c != 0})
 
     @staticmethod
     def from_word(w: Word, order: int, deg: int = 0, coef=1) -> "HSeries":
         _check_word(w)
-        return HSeries.make(order, [((deg, tuple(w)), Fraction(coef))])
+        return HSeries.make(order, [((deg, tuple(w)), _coef(coef))])
 
     def __add__(self, other: "HSeries") -> "HSeries":
         return HSeries.make(self.order, itertools.chain(self.terms.items(), other.terms.items()))
 
     def scaled(self, c) -> "HSeries":
-        c = Fraction(c)
+        c = _coef(c)
         return HSeries.make(self.order, ((key, co * c) for key, co in self.terms.items()))
 
     def __mul__(self, other: "HSeries") -> "HSeries":
@@ -158,7 +157,7 @@ class HSeries:
 
 def _geometric(letter: Letter, order: int, sign: int, outer: Letter) -> HSeries:
     """outer * (1 - sign * letter * t)^(-1) truncated: sum sign^j outer letter^j t^j."""
-    return HSeries.make(order, [((j, (outer,) + (letter,) * j), Fraction(sign ** j))
+    return HSeries.make(order, [((j, (outer,) + (letter,) * j), sign ** j)
                                 for j in range(order + 1)])
 
 
@@ -175,7 +174,7 @@ def _image(name: str, letter: Letter, order: int) -> HSeries:
     if name == "sigma":
         return _geometric(X, order, 1, z)
     if name == "sigma_inv":
-        return HSeries.make(order, [((0, (z,)), Fraction(1)), ((1, (z, X)), Fraction(-1))])
+        return HSeries.make(order, [((0, (z,)), 1), ((1, (z, X)), -1)])
     if name == "rho":
         return _geometric(z, order, 1, z)
     if name == "rho_inv":
@@ -201,7 +200,7 @@ def apply_map(name: str, s: HSeries) -> HSeries:
         raise AlphabetViolation(f"unknown map {name!r}")
     order = s.order
     cache: dict[Letter, HSeries] = {}
-    items: list[tuple[tuple[int, Word], Fraction]] = []
+    items: list[tuple[tuple[int, Word], Coef]] = []
     for (deg, w), c in s.terms.items():
         prod = HSeries.make(order, [((deg, ()), c)])
         for letter in (reversed(w) if name in _ANTI else w):
@@ -266,7 +265,7 @@ def lift_sum(p: Pair, h: int) -> MplExpr:
     items = []
     for comp in _compositions(h, p.dep):
         k = tuple(e + c for e, c in zip(p.k, comp))
-        items.append((Fraction(1), MplTerm("shuffle", k, p.z)))
+        items.append((1, MplTerm("shuffle", k, p.z)))
     return MplExpr.of(items)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .model import MplExpr, MplTerm, Pair, ZExpr, ZTerm
+from .model import Coef, MplExpr, MplTerm, Pair, ZExpr, ZTerm
 from .records import Relation
 from .scalars import INF, Scalar
 
@@ -145,7 +145,7 @@ def zexpr_from_json(obj) -> ZExpr:
     return ZExpr.of([zterm_from_json(t) for t in _list_in(obj, "terms")])
 
 
-def mplterm_to_json(t: MplTerm, coef: Fraction | None = None) -> dict:
+def mplterm_to_json(t: MplTerm, coef: Coef | None = None) -> dict:
     out = {"kind": t.kind, "k": list(t.k), "z": [scalar_to_json(v) for v in t.z]}
     if coef is not None:
         out["coef"] = frac_to_json(coef)

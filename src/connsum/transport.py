@@ -10,6 +10,7 @@ receiving slot is one less than the input's, so reduction terminates.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import serialize
@@ -264,7 +265,7 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
             else:
                 coef, step = seen
                 if u.coef != coef:
-                    ratio = u.coef / coef
+                    ratio = Fraction(u.coef, coef)
                     step = [c.scaled(ratio) for c in step]
                 _record(trace, "transport-step", u, step, pairs)
             batch.extend(step)

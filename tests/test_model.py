@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import canonical_coef
 
 from connsum import serialize
 from connsum.errors import (
@@ -244,7 +245,10 @@ def test_pair_is_the_tuple_of_its_fields():
             assert type(twin) is cls and twin == value and hash(twin) == hash(value)
             if cls is Pair:
                 assert all(a is b for a, b in zip(twin.z, p.z))
-    assert type(t.coef) is F and type(ZTerm(3, (p,), bar).coef) is F
+    assert canonical_coef(t.coef) and t.coef == F(-2, 7)
+    for c, exact in ((3, 3), (F(6, 2), 3), ("4/2", 2)):
+        got = ZTerm(c, (p,), bar).coef
+        assert canonical_coef(got) and type(got) is int and got == exact
     assert m.key() is m and t.key() == ((p, EMPTY_PAIR), bar)
     assert str(t) == "-2/7*Z2((1/3-1/3i,-2/5 / 1,2); () | (1,1 / 1,1))"
     assert str(m) == "Li[1,2](1/3-1/3i, -2/5)"
@@ -272,6 +276,34 @@ def test_coefficients_follow_the_scalar_rule(entry):
     for bad in (0.1, True, float("nan"), float("inf"), "x"):
         with pytest.raises(DomainError):
             coef_of(bad)
-    for good, exact in ((3, F(3)), ("1/3", F(1, 3)), (F(2, 6), F(1, 3))):
+    for good, exact in ((3, 3), ("1/3", F(1, 3)), (F(2, 6), F(1, 3)),
+                        (F(6, 2), 3), ("4/2", 2)):
         got = coef_of(good)
-        assert type(got) is F and got == exact
+        assert canonical_coef(got) and type(got) is type(exact) and got == exact
+
+
+_T = ZTerm(1, (P1,), P1)
+_MAKE_CASES = {
+    "Pair": (Pair.ones((1, 2)), ((1, 2), (5,)), {"k": (0,)},
+             Pair((2,), ("1/2",)), {"k": [2], "z": ["1/2"]}),
+    "ZTerm": (_T, ("1/2", (), P1), {"coef": 0.5, "components": ()},
+              ZTerm(3, (P1,), P1), {"coef": F(6, 2)}),
+    "MplTerm": (_M, ("shuffle", (2,), (ONE, ONE)), {"kind": "stuffle"},
+                MplTerm("shuffle", (3,), ("-1",)), {"k": [3], "z": ["-1"]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAKE_CASES))
+def test_make_and_replace_validate(name):
+    """namedtuple's _make and _replace build through the validating
+    constructor: they coerce as the class does and reject what it rejects."""
+    value, bad_fields, bad_change, expected, change = _MAKE_CASES[name]
+    cls = type(value)
+    assert cls._make(tuple(value)) == value and type(cls._make(value)) is cls
+    with pytest.raises(DomainError):
+        cls._make(bad_fields)
+    with pytest.raises(DomainError):
+        value._replace(**bad_change)
+    got = value._replace(**change)
+    assert type(got) is cls and got == expected and tuple(got) == tuple(expected)
+    assert all(type(a) is type(b) for a, b in zip(got, expected))

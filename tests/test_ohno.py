@@ -7,6 +7,7 @@ import pytest
 from connsum.duality import dual_condition, duality_relation
 from connsum.errors import (
     AlphabetViolation,
+    DomainError,
     DualConditionViolated,
     GuardViolation,
     NotA0,
@@ -132,6 +133,23 @@ def test_series_invariant_after_cancellation_and_truncation():
         assert prod.degree_words(3) and not prod.degree_words(4)
         _assert_invariant(sig + sig.scaled(-1))
         assert (sig + sig.scaled(-1)).terms == {}
+
+
+def test_hseries_coefficients_follow_the_scalar_rule():
+    """A series coefficient is parsed as a term coefficient is: a float, a
+    bool or a non-number is a DomainError, and an integral value is an int."""
+    w = (ONE,)
+    for bad in (0.1, True, float("nan"), "x"):
+        with pytest.raises(DomainError):
+            HSeries.from_word(w, 2, coef=bad)
+        with pytest.raises(DomainError):
+            HSeries.from_word(w, 2).scaled(bad)
+    key = (0, w)
+    assert HSeries.from_word(w, 2, coef="1/3").terms == {key: F(1, 3)}
+    for s in (HSeries.from_word(w, 2, coef=F(6, 2)),
+              HSeries.from_word(w, 2, coef="1/2").scaled(6),
+              HSeries.from_word(w, 2, coef="3/2") + HSeries.from_word(w, 2, coef="3/2")):
+        assert s.terms == {key: 3} and type(s.terms[key]) is int
 
 
 def test_rho_inv_preserves_a0():

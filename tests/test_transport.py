@@ -5,8 +5,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import canonical_coef
 
-from connsum import boundary, model, transport
+from connsum import boundary, model, serialize, transport
 from connsum.errors import (
     BudgetExceeded,
     DivergentInput,
@@ -17,6 +18,7 @@ from connsum.errors import (
 )
 from connsum.model import (
     EMPTY_PAIR,
+    MplExpr,
     MplTerm,
     Pair,
     ZExpr,
@@ -26,10 +28,11 @@ from connsum.model import (
     swap_components,
     zterm,
 )
-from connsum.duality import dagger, normalize_to_dual_basis
+from connsum.duality import dagger, dual_condition, duality_relation, normalize_to_dual_basis
 from connsum.numeric import eval_mpl_auto, eval_zterm
 from connsum.recipe import RecipeData, recipe_relation
-from connsum.ohno import HSeries, X, apply_map, ohno_relation
+from connsum.named_examples import EXAMPLE_NAMES, run_example
+from connsum.ohno import MAP_NAMES, HSeries, X, apply_map, multi_term_relations, ohno_relation
 from connsum.serialize import relation_to_json, zterm_from_json
 from connsum.transport import (
     condition_violation,
@@ -563,9 +566,91 @@ def test_rewrite_outputs_are_valid_pairs(monkeypatch):
         assert MplTerm(m.kind, m.k, m.z) == m and m.guard_ok()
     assert len(terms) > 10000 and len(expanded) > 5000
     for u in terms:
-        assert ZTerm(*u) == u and hash(ZTerm(*u)) == hash(u) and type(u.coef) is F
+        assert ZTerm(*u) == u and hash(ZTerm(*u)) == hash(u) and canonical_coef(u.coef)
     for m in expanded:
         assert MplTerm(*m) == m and hash(MplTerm(*m)) == hash(m)
+
+
+def _coefs(value):
+    """The term coefficients of a ZExpr, an MplExpr, a Relation or an HSeries."""
+    if hasattr(value, "lhs"):
+        return _coefs(value.lhs) + _coefs(value.rhs)
+    if isinstance(value, HSeries):
+        return list(value.terms.values())
+    if isinstance(value, ZExpr):
+        return [t.coef for t in value.terms]
+    return [c for c, _ in value.terms]
+
+
+def test_coefficients_are_canonical(monkeypatch):
+    """Every coefficient the engine builds is an int when integral and a
+    Fraction with denominator > 1 otherwise: never a float, never an
+    integral Fraction."""
+    seen = []
+    record = transport._record
+
+    def collecting_record(trace, rule, premise, conclusions, pairs=None):
+        seen.extend(u.coef for u in (premise, *conclusions))
+        record(trace, rule, premise, conclusions, pairs)
+
+    monkeypatch.setattr(transport, "_record", collecting_record)
+    for t in _seeded_reductions(count=12):
+        for c in (1, "1/2", "-2/3"):
+            u = t.scaled(c)
+            seen.extend(_coefs(reduce_to_z1(u, trace=[])))
+            mpl = reduce_to_mpl(u)
+            seen.extend(_coefs(mpl) + _coefs(normalize_to_dual_basis(mpl)))
+    assert len(seen) > 5000
+    pairs = [p for w in range(1, 5) for p in _signed_pairs(w) if dual_condition(p)]
+    for p in pairs:
+        seen.extend(_coefs(duality_relation(p)))
+        for h in range(3):
+            seen.extend(_coefs(ohno_relation(p, h)))
+    for w in ((ONE, X), (sc(-1), X, ONE), (sc(F(1, 2)), sc(F(1, 3)), X)):
+        for name in MAP_NAMES:
+            for c in (1, "1/2", F(4, 2)):
+                seen.extend(_coefs(apply_map(name, HSeries.from_word(w, 3, coef=c))))
+    for data in itertools.islice(_two_component_recipes(max_weight=4), 0, None, 5):
+        try:
+            seen.extend(_coefs(recipe_relation(data)))
+        except PreconditionViolated:
+            continue
+    for zs in ((F(-1, 2), F(-1, 3), F(1, 6)), (F(-1, 2), F(-1, 2), F(-1, 3), F(1, 8))):
+        seen.extend(_coefs(multi_term_relations(tuple(sc(z) for z in zs))))
+    for name in EXAMPLE_NAMES:
+        seen.extend(_coefs(run_example(name, bound=20).relation))
+    m = MplTerm("shuffle", (2,), (ONE,))
+    u = serialize.zterm_from_json({"coef": [6, 2], "components": [serialize.pair_to_json(ONES1)]})
+    mpl = serialize.mplexpr_from_json([{**serialize.mplterm_to_json(m), "coef": [6, 2]}])
+    half = zt([ONES1], coef="1/2")
+    merged = (ZExpr.of([half, half]), MplExpr.single(m, 2).scaled("1/2"))
+    assert u.coef == 3 and [_coefs(e) for e in (mpl, *merged)] == [[3], [1], [1]]
+    seen.extend([u.coef, *_coefs(mpl), *_coefs(merged[0]), *_coefs(merged[1])])
+    bad = [c for c in seen if not canonical_coef(c)]
+    assert not bad, bad[:5]
+    assert any(type(c) is F for c in seen) and any(type(c) is int for c in seen)
+
+
+def test_integer_reduction_builds_no_fraction(monkeypatch):
+    """An integer-coefficient reduction runs on ints: neither reduce_to_z1
+    (traced) nor reduce_to_mpl constructs a Fraction."""
+    t = zt([Pair.ones((1, 2)), Pair.ones((2,)), ONES1], Pair.ones((1, 1)))
+    new = F.__new__
+    built = [0]
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    counts = []
+    for run in (lambda: reduce_to_z1(t, trace=[]), lambda: reduce_to_mpl(t)):
+        built[0] = 0
+        assert not run().is_zero()
+        counts.append(built[0])
+    F(1, 2)
+    assert built[0] == 1  # the wrapper counts
+    assert counts == [0, 0]
 
 
 def test_frontier_budget(monkeypatch):
