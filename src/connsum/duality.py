@@ -141,7 +141,7 @@ def normalize_to_dual_basis(expr: MplExpr) -> MplExpr:
     its dual; integral reductions land on leading-1, positive-variable terms."""
     items = []
     for coef, term in expr.terms:
-        nice = all(v.is_real() and 0 < v.re <= 1 for v in term.z)
+        nice = all(v.in_unit_interval() for v in term.z)
         # the kind first: a harmonic term's variables may leave the closed disk
         p = None if nice or term.kind != "shuffle" else Pair(term.k, term.z)
         if p is None or not dual_condition(p):

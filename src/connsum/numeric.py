@@ -4,19 +4,18 @@ An arity-1 connected sum is evaluated through its boundary expansion into
 polylogarithms (boundary_reduce), each by eval_mpl_auto below.  A sum of
 arity n >= 2 is summed by dynamic programming over per-component top values
 (each capped at the bound), combined through a banded connector convolution
-whose weights 1/C(T, j) are running products (no factorial, no log-gamma),
 and closed with the bar-chain weight.  The single-escape rows past the cap
 of a top letter on the unit circle are one recursion in r per distinct top
 letter, in closed form or over a window with a telescoped remainder, folded
 into the value and their residuals into the tail.  The convolution keeps
-only the connector weights near its two edges (rows j <= B), and each row
-only up to the total where its weight falls to 1/C(2B+2, B+1), the weight of
-the first split with both parts past the band: the totals below 256 are one
-dense block, the rest one pair of slices per row up to its end.  Each split
-it drops weighs at most that much; the mass it drops, and that of the rows
-no escape correction covers (two tops past the cap, or one past it while
-the others total more than the escape cut-off), enter the tail through
-proved bounds.
+only the connector weights 1/C(T, j) near its two edges (rows j <= B), and
+each row only up to the total where its weight falls to 1/C(2B+2, B+1), the
+weight of the first split with both parts past the band.  The weights are
+running products (no factorial, no log-gamma), cached in blocks of totals,
+each one matrix-vector product per edge.  Each split it drops weighs at
+most that much; the mass it drops, and that of the rows no escape
+correction covers (two tops past the cap, or one past it while the others
+total more than the escape cut-off), enter the tail through proved bounds.
 
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
 one first-order recurrence per letter (_scan, with a proved rounding bound
@@ -71,6 +70,8 @@ _EDGE = 2 * _BAND + 2  # the least total with a split whose parts both exceed th
 # the largest weight the band drops: 1/C(2B+2, B+1), 2.61e-36; bounded in the tail
 _DELTA = 1 / math.comb(_EDGE, _BAND + 1)
 _CORNER = 256  # totals below this are summed as one dense block
+_BLOCK = 1024  # the width of the weight blocks past 1024 totals
+_BLOCKS_MAX = 32  # weight blocks kept per process: totals below 31,744
 _CAP = 1 << 21  # outer index past which no Hölder piece is summed
 _U = 2.0 ** -53  # unit roundoff of float64
 _LOOP_MAX = 128  # longest _scan run as a Python loop; numpy passes win past it
@@ -234,35 +235,38 @@ _ROW_END = [0] + [_row_end(j) for j in range(1, _BAND + 1)]
 
 
 @functools.cache
-def _corner_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, W1, W2), each _CORNER x B, for the totals T < _CORNER in column
-    j-1 of row j: S = max(T-j, 0), W1 = 1/C(T, j) where T > j, W2 = the same
-    where T-j > B, zero elsewhere.  The weights are the running product
-    that _binom_conv's rows continue past the block, factor by factor.
-    Built once per process, on the first convolution."""
-    ts = np.arange(1, _CORNER + 1, dtype=np.float64)
-    w = np.ones(_CORNER)
-    w1 = np.zeros((_CORNER, _BAND))
-    w2 = np.zeros((_CORNER, _BAND))
+def _corner_table() -> np.ndarray:
+    """The _CORNER x B weights of the totals T < _CORNER: 1/C(T, j) in column
+    j-1 where T >= j (1 where T < j, whose window entries are 0), the running
+    product of the factors j/(T-j+1) from 1, within about 2j u.  Read-only."""
+    w, table = np.ones(_CORNER), np.empty((_CORNER, _BAND))
     for j in range(1, _BAND + 1):
-        w[j:] *= j / ts[:_CORNER - j]
-        w1[j + 1:, j - 1] = w[j + 1:]
-        w2[_BAND + 1 + j:, j - 1] = w[_BAND + 1 + j:]
-    s = np.arange(_CORNER)[:, None] - np.arange(1, _BAND + 1)
-    tables = np.maximum(s, 0, out=s), w1, w2
-    for table in tables:  # shared by every call
-        table.flags.writeable = False
-    return tables
+        w[j:] *= j / np.arange(1.0, _CORNER + 1 - j)  # T-j+1 at T >= j
+        table[:, j - 1] = w
+    table.flags.writeable = False  # shared by every call
+    return table
 
 
-def _gather(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """x[s] for a block s of the corner's S (every entry below its row count),
-    zero where s is past the end of x."""
-    if x.size >= len(s):
-        return x[s]
-    out = x[np.minimum(s, x.size - 1)]
-    out[s >= x.size] = 0.0
-    return out
+@functools.lru_cache(maxsize=_BLOCKS_MAX)
+def _weight_block(lo: int) -> np.ndarray:
+    """Read-only weights of the totals T in [lo, lo + min(lo, _BLOCK)), lo >=
+    _CORNER, for the rows j that run past lo: [j-1, T-lo] is 1/C(T, j), the
+    running product of _corner_table, and exactly 0 from T_end(j) on."""
+    width = min(lo, _BLOCK)
+    rows = sum(end > lo for end in _ROW_END[1:])  # a prefix: the ends fall with j
+    block, w = np.empty((rows, width)), np.ones(width)
+    for j in range(1, rows + 1):
+        w *= j / np.arange(lo + 1.0 - j, lo + width + 1.0 - j)  # T-j+1
+        block[j - 1] = w
+        block[j - 1, min(_ROW_END[j], lo + width) - lo:] = 0.0
+    block.flags.writeable = False
+    return block
+
+
+def _window(pad: np.ndarray, lo: int, rows: int, width: int) -> np.ndarray:
+    """The view [j-1, t] = x[lo + t - j], j <= rows, t < width, of pad = B zeros + x."""
+    s = pad.itemsize
+    return np.ndarray((rows, width), pad.dtype, pad, (_BAND + lo - 1) * s, (-s, s))
 
 
 def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int,
@@ -271,13 +275,13 @@ def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int,
 
     Only the edge splits are summed: row j = 1..B (B = _BAND) holds the
     splits m = j and T-m = j, which both weigh 1/C(T, j), and it runs only
-    for T < T_end(j) (_ROW_END).  The weights are a running product with no
-    factorial and no log-gamma (1/C(T, j-1) times j/(T-j+1), within about
-    2j u).  The totals below _CORNER are one dense block over every row,
-    from a per-process table of the same products; past it, each row is two
-    numpy slices up to its end, so row j costs O(min(T_end(j), size)) and
-    rows 27..B, which end below _CORNER, cost nothing past it.  a has cap+1
-    entries.  Returns (out, k), out real when g and a are.
+    for T < T_end(j) (_ROW_END).  Each edge of a block of totals is one
+    elementwise product of its weights with a window (_window) over a
+    zero-padded copy of g or a, then one matrix-vector product with the
+    other's entries 1..B.  The corner (T < _CORNER, every row) is cut to
+    size; the blocks of _weight_block are computed whole, so out's head does
+    not depend on size.  a has cap+1 entries.  Returns (out, k), out real
+    when g and a are.
 
     Dropped mass.  Every split left out at T weighs at most _DELTA =
     1/C(2B+2, B+1), and none is left out below 2B+2: a split with both parts
@@ -291,30 +295,25 @@ def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int,
     sum_{m>=j0} |a[m]|.
     """
     n_out = g.size + cap if size is None else min(size, g.size + cap)
-    out = np.zeros(n_out, dtype=np.result_type(g, a, np.float64))
-    # the block: row j's edges at T < c read g[T-j] a[j] and g[j] a[T-j]
-    c = min(_CORNER, n_out)
-    s, w1, w2 = (table[:c] for table in _corner_tables())
-    a_row = np.zeros(_BAND, a.dtype)
-    a_row[:min(cap, _BAND)] = a[1:_BAND + 1]
-    g_row = np.zeros(_BAND, g.dtype)
-    g_row[:min(g.size - 1, _BAND)] = g[1:_BAND + 1]
-    out[:c] = (w1 * _gather(g, s)) @ a_row + (w2 * _gather(a, s)) @ g_row
-    lo = _CORNER  # above B+1+B, so the other part of a row-j split here exceeds B
-    ts = np.arange(1, n_out + 1, dtype=np.float64)
-    w = np.ones(max(n_out - lo, 0))  # 1/C(T, j) at T = lo + i, row by row
-    for j in range(1, _BAND + 1):
-        hi = min(_ROW_END[j], n_out)  # falls with j, so w[:hi-lo] holds row j-1
-        if hi <= lo:
-            break
-        w[:hi - lo] *= j / ts[lo - j:hi - j]
-        top = min(hi, g.size + j)  # m = j: T - j < g.size
-        if j <= cap and top > lo:
-            out[lo:top] += g[lo - j:top - j] * a[j] * w[:top - lo]
-        top = min(hi, cap + 1 + j)  # T - j = m <= cap
-        if j < g.size and top > lo:
-            out[lo:top] += g[j] * a[lo - j:top - j] * w[:top - lo]
-    j0 = 1 + sum(end >= n_out for end in _ROW_END[1:])  # the rows that run to n_out come first
+    out = np.empty(n_out, dtype=np.result_type(g, a, np.float64))
+    # x[i] at pad[B + i] for 0 < i < n_out, zero elsewhere, past the last block's end
+    gp, ap = (np.zeros(_BAND + max(n_out, _CORNER) + _BLOCK, x.dtype) for x in (g, a))
+    for x, pad in ((g, gp), (a, ap)):
+        pad[_BAND + 1:_BAND + min(x.size, n_out)] = x[1:n_out]
+    g_row, a_row = gp[_BAND + 1:2 * _BAND + 1], ap[_BAND + 1:2 * _BAND + 1].copy()  # x[1..B]
+    ap[_BAND + 1:2 * _BAND + 1] = 0.0  # a split with T-m <= B is row T-m of the first edge
+    w = _corner_table()[:n_out]
+    c = len(w)
+    out[:c] = (w * _window(gp, 0, _BAND, c).T) @ a_row + (w * _window(ap, 0, _BAND, c).T) @ g_row
+    lo = _CORNER
+    while lo < n_out:
+        block = _weight_block(lo)
+        rows, width = block.shape
+        part = a_row[:rows] @ (block * _window(gp, lo, rows, width)) + \
+            g_row[:rows] @ (block * _window(ap, lo, rows, width))
+        out[lo:lo + width] = part[:n_out - lo]
+        lo += width
+    j0 = 1 + sum(hi >= n_out for hi in _ROW_END[1:])  # the rows that run to n_out come first
     k = float(np.max(np.abs(g[j0:]), initial=0.0)) * float(np.sum(np.abs(a[j0:cap + 1])))
     return out, k
 
@@ -424,10 +423,11 @@ def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, w: np.ndarray) -> float:
     n = t.arity
     depth = sum(p.dep for p in t.components)
     q = depth + t.bar.dep - 2
+    end = min(w.size, 2 * (cap + max(cap, r_cut)) + 68)  # H_0..H_(end-1), both regions
+    harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, end, dtype=np.float64))))
 
     def region(j: int, lo: int, rows) -> float:
         end = min(w.size, 2 * lo + 64)
-        harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, end, dtype=np.float64))))
         ts = np.arange(lo, end)
         edges = _edge_weights(j, lo, end)
         inside = np.sum(rows(ts, harm) * np.abs(w[lo:end]) * edges)

@@ -304,6 +304,18 @@ class Scalar:
         a, b, d = self._g
         return a * a + b * b == d * d
 
+    def abs_geq_one(self) -> bool:
+        """|z| >= 1, as a^2 + b^2 >= d^2 on the triple; infinity is rejected, as by abs_sq."""
+        if self._g is None:
+            raise DomainError("abs_geq_one(inf)")
+        a, b, d = self._g
+        return a * a + b * b >= d * d
+
+    def in_unit_interval(self) -> bool:
+        """z real with 0 < z <= 1; false at infinity."""
+        g = self._g
+        return g is not None and g[1] == 0 and 0 < g[0] <= g[2]
+
     def mobius(self) -> "Scalar":
         """z / (z - 1); needs a finite z != 1.  Involutive on its domain."""
         if self._g is None:
@@ -375,4 +387,4 @@ def in_reciprocal_ball(vs: Sequence[Scalar], t: Scalar) -> bool:
         if v.is_zero() or not (v.is_inf or v.in_closed_disk()):
             raise DomainError(f"arrow value {v} outside (closed disk - 0) + inf")
     total = reciprocal_sum(vs)
-    return total == t or (t - total).abs_sq() >= 1
+    return total == t or (t - total).abs_geq_one()

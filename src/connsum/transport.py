@@ -94,7 +94,7 @@ def _rewrite(t: ZTerm, trace: Optional[Trace], pairs: Optional[dict]) -> list[ZT
     inv_recv_v = bar_t - reciprocal_sum(v for v, _, _ in peels)
     if inv_recv_v.is_zero():
         recv_v: Scalar = INF
-    elif inv_recv_v.abs_sq() >= 1:
+    elif inv_recv_v.abs_geq_one():
         recv_v = inv_recv_v.inv()
     else:
         raise NotTransportableStep(

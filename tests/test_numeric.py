@@ -329,14 +329,23 @@ def test_row_ends_exact():
     assert min(ends[1:6]) > 34_000_000 and max(ends[6:]) < 3_000_000
     assert (ends[12], ends[20], ends[30], set(ends[55:])) == (4_889, 509, 200, {123})
     # the dense block's weights are the rows' running products, each within
-    # 2j roundings of 1/C(T, j), and zero where a split has an empty part
-    s, w1, w2 = numeric._corner_tables()
-    for t in range(numeric._CORNER):
+    # 2j roundings of 1/C(T, j) (1 where T < j); its windows read x[T-j] over
+    # the padded copy, 0 where T-j < 0
+    table = numeric._corner_table()
+    corner = numeric._CORNER
+    pad = np.concatenate((np.zeros(band), np.arange(1.0, corner)))  # x[i] = i + 1
+    s = numeric._window(pad, 0, band, corner).T
+    for t in range(corner):
         for j in range(1, band + 1):
-            exact = 1 / math.comb(t, j) if t > j else 0.0
-            assert abs(w1[t, j - 1] - exact) <= 2.01 * j * 2.0 ** -53 * exact, (t, j)
-            assert w2[t, j - 1] == (w1[t, j - 1] if t - j > band else 0.0)
-            assert s[t, j - 1] == max(t - j, 0)
+            exact = 1 / math.comb(t, j) if t >= j else 1.0
+            assert abs(table[t, j - 1] - exact) <= 2.01 * j * 2.0 ** -53 * exact, (t, j)
+            assert s[t, j - 1] == max(t - j + 1, 0)
+    # a split with an empty part weighs nothing: g[0] and a[0] are never read
+    rng = np.random.default_rng(316)
+    g, a = rng.normal(size=300), rng.normal(size=301)
+    out, _ = numeric._binom_conv(g, a, 300)
+    g[0], a[0] = np.inf, np.nan
+    assert np.array_equal(numeric._binom_conv(g, a, 300)[0], out)
 
 
 def _binom_conv_at(g, a, cap, t, weights):
@@ -411,24 +420,19 @@ def test_binom_conv_rows_end_where_their_weight_does():
 
 
 def test_connector_convolution_linear_in_bound(monkeypatch):
-    # the full convolution reads one (T, m) pair per weight, so its cost grows
-    # with the square of the cap; the banded one reads each input slice once
-    # per band offset and grows linearly.  Reads are counted as the elements
-    # that indexing its inputs returns
+    # the full convolution multiplies one weight per (T, m) pair, so its cost
+    # grows with the square of the cap; the banded one multiplies at most B
+    # weights per total and edge and grows linearly.  The work is counted as
+    # the window entries the kernel multiplies by its weights
     counted = [0]
+    window = numeric._window
 
-    class Reads(np.ndarray):
-        def __getitem__(self, key):
-            out = super().__getitem__(key)
-            counted[0] += np.size(out)
-            return out
+    def counting_window(*args):
+        out = window(*args)
+        counted[0] += out.size
+        return out
 
-    conv = numeric._binom_conv
-
-    def counting_conv(g, a, *args, **kwargs):
-        return conv(g.view(Reads), a.view(Reads), *args, **kwargs)
-
-    monkeypatch.setattr(numeric, "_binom_conv", counting_conv)
+    monkeypatch.setattr(numeric, "_window", counting_window)
     term = zterm([Pair.ones((1,))] * 3, Pair.ones((1, 1)))
     counts = []
     for bound in (400, 1600):
@@ -436,6 +440,52 @@ def test_connector_convolution_linear_in_bound(monkeypatch):
         eval_zterm(term, bound)
         counts.append(counted[0])
     assert counts[0] > 0 and counts[1] <= 4.5 * counts[0], counts
+
+
+def test_binom_conv_blocks_are_the_row_products():
+    # past the corner the weights are cached blocks: [256, 512), [512, 1024),
+    # then _BLOCK totals wide.  Each holds the rows that run past its start;
+    # an entry is the row loop's running product, bit for bit, up to the
+    # row's end and exactly 0 from there.  The blocks and the corner table
+    # are read-only, and at most _BLOCKS_MAX blocks are kept
+    band, ends, corner = numeric._BAND, numeric._ROW_END, numeric._CORNER
+    assert not numeric._corner_table().flags.writeable
+    numeric._weight_block.cache_clear()
+    lo, starts = corner, []
+    while len(starts) < numeric._BLOCKS_MAX + 4:
+        starts.append(lo)
+        lo += min(lo, numeric._BLOCK)
+    assert starts[:4] == [256, 512, 1024, 2048] and starts[-1] == 1024 * (len(starts) - 2)
+    for lo in starts:
+        block = numeric._weight_block(lo)
+        hi = lo + min(lo, numeric._BLOCK)
+        rows = sum(e > lo for e in ends[1:])
+        assert block.shape == (rows, hi - lo) and not block.flags.writeable
+        assert rows < band and ends[rows + 1] <= lo
+        ts = np.arange(1, hi + 1, dtype=np.float64)
+        w = np.ones(hi - lo)
+        for j in range(1, rows + 1):
+            w *= j / ts[lo - j:hi - j]
+            stop = min(ends[j], hi) - lo
+            assert np.array_equal(block[j - 1, :stop], w[:stop]), (lo, j)
+            assert np.all(block[j - 1, stop:] == 0.0), (lo, j)
+    info = numeric._weight_block.cache_info()
+    assert info.maxsize == numeric._BLOCKS_MAX == 32 and info.currsize == info.maxsize
+    # a convolution past the last cached total only recycles blocks
+    g = np.zeros(starts[-1] + 10)
+    g[1] = 1.0
+    out, _ = numeric._binom_conv(g, np.array([0.0, 1.0]), 1)
+    assert out.size == g.size + 1 and out[2] == 0.5
+    assert numeric._weight_block.cache_info().currsize == numeric._BLOCKS_MAX
+    # each block is computed whole, so past the corner a cut output is the
+    # head of the full one, for real and complex inputs alike
+    rng = np.random.default_rng(2323)
+    g = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+    a = rng.normal(size=701) + 1j * rng.normal(size=701)
+    for gg, aa in ((g, a), (g.real.copy(), a.real.copy())):
+        full, _ = numeric._binom_conv(gg, aa, 700)
+        for size in (corner + 1, 600, 1025, 2100, full.size - 1):
+            assert np.array_equal(numeric._binom_conv(gg, aa, 700, size)[0], full[:size]), size
 
 
 def _escape_ratios(cap, r_max):

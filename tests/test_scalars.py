@@ -348,6 +348,8 @@ def test_kernel_matches_fraction_formulas():
         assert x.in_closed_disk() == (r <= 1)
         assert x.in_open_disk() == (r < 1)
         assert x.abs_eq_one() == (r == 1)
+        assert x.abs_geq_one() == (x.abs_sq() >= 1)
+        assert x.in_unit_interval() == (x.is_real() and 0 < x.re <= 1)
         assert x.is_zero() == (xr == (0, 0))
         assert x.is_one() == (xr == (1, 0))
         assert x.is_real() == (xr[1] == 0)
@@ -402,12 +404,13 @@ def test_kernel_undefined_forms_unchanged():
     for form in (lambda: INF + INF, lambda: INF - INF, lambda: INF / INF, lambda: INF ** 0):
         with pytest.raises(UndefinedArithmetic):
             form()
-    for form in (INF.abs_sq, INF.mobius, ONE.mobius, INF.re_leq_half, INF.re_lt_half,
-                 INF.re_eq_half, INF.__complex__):
+    for form in (INF.abs_sq, INF.abs_geq_one, INF.mobius, ONE.mobius, INF.re_leq_half,
+                 INF.re_lt_half, INF.re_eq_half, INF.__complex__):
         with pytest.raises(DomainError):
             form()
     assert ZERO.inv() is INF and INF.inv() is ZERO
-    assert not (INF.in_closed_disk() or INF.in_open_disk() or INF.abs_eq_one())
+    assert not (INF.in_closed_disk() or INF.in_open_disk() or INF.abs_eq_one()
+                or INF.in_unit_interval())
     assert not (INF.is_zero() or INF.is_one() or INF.is_real())
     assert -INF is INF and INF.conj() is INF
 

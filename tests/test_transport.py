@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import canonical_coef
 
-from connsum import boundary, model, serialize, transport
+from connsum import boundary, model, scalars, serialize, transport
 from connsum.errors import (
     BudgetExceeded,
     DivergentInput,
@@ -651,6 +651,25 @@ def test_integer_reduction_builds_no_fraction(monkeypatch):
     F(1, 2)
     assert built[0] == 1  # the wrapper counts
     assert counts == [0, 0]
+
+
+def test_modulus_and_interval_predicates_build_no_fraction(monkeypatch):
+    """transport_step's |1/v| >= 1 test and normalize_to_dual_basis's
+    0 < z <= 1 test compare the triples' integers: neither reads a field."""
+    built = [0]
+    lowest = scalars._lowest
+
+    def counting_lowest(n, d):
+        built[0] += 1
+        return lowest(n, d)
+
+    monkeypatch.setattr(scalars, "_lowest", counting_lowest)
+    t = zt([Pair((1,), (sc(F(1, 2)),)), ONES1], Pair.ones((2,)))  # 1/v = -2
+    assert transport_step(t).as_terms()
+    kept = MplExpr.single(MplTerm("shuffle", (2, 1), (sc(F(1, 2)), ONE)))
+    assert normalize_to_dual_basis(kept) == kept
+    assert built[0] == 0
+    assert sc(F(1, 2)).re == F(1, 2) and built[0] == 1  # the wrapper counts
 
 
 def test_frontier_budget(monkeypatch):
