@@ -11,11 +11,13 @@ into the value and their residuals into the tail.  The convolution keeps
 only the connector weights 1/C(T, j) near its two edges (rows j <= B), and
 each row only up to the total where its weight falls to 1/C(2B+2, B+1), the
 weight of the first split with both parts past the band.  The weights are
-running products (no factorial, no log-gamma), cached in blocks of totals,
-each one matrix-vector product per edge.  Each split it drops weighs at
-most that much; the mass it drops, and that of the rows no escape
-correction covers (two tops past the cap, or one past it while the others
-total more than the escape cut-off), enter the tail through proved bounds.
+running products (no factorial, no log-gamma), cached in blocks of totals
+from 0, each one matrix-vector product per edge; a block is computed whole
+and then cut, so a convolution cut to any size is the head of the full one,
+bit for bit.  Each split it drops weighs at most that much; the mass it
+drops, and that of the rows no escape correction covers (two tops past the
+cap, or one past it while the others total more than the escape cut-off),
+enter the tail through proved bounds.
 
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
 one first-order recurrence per letter (_scan, with a proved rounding bound
@@ -69,16 +71,20 @@ _BAND = 60
 _EDGE = 2 * _BAND + 2  # the least total with a split whose parts both exceed the band
 # the largest weight the band drops: 1/C(2B+2, B+1), 2.61e-36; bounded in the tail
 _DELTA = 1 / math.comb(_EDGE, _BAND + 1)
-_CORNER = 256  # totals below this are summed as one dense block
+_CORNER = 256  # the width of the first weight block, [0, 256)
 _BLOCK = 1024  # the width of the weight blocks past 1024 totals
-_BLOCKS_MAX = 32  # weight blocks kept per process: totals below 31,744
+_BLOCKS_MAX = 32  # weight blocks kept per process: totals below 30,720
 _CAP = 1 << 21  # outer index past which no Hölder piece is summed
 _U = 2.0 ** -53  # unit roundoff of float64
 _LOOP_MAX = 128  # longest _scan run as a Python loop; numpy passes win past it
 
 
 def connector(a: Sequence[int]) -> Fraction:
-    """Inverse multinomial weight a_1! ... a_n! / (a_1 + ... + a_n)!."""
+    """Inverse multinomial weight a_1! ... a_n! / (a_1 + ... + a_n)!; an
+    entry that is not a non-negative integer is a DomainError."""
+    for x in a:
+        if type(x) is bool or not isinstance(x, (int, np.integer)) or x < 0:
+            raise DomainError(f"connector entries must be non-negative integers: {x!r} in {a}")
     num, _, den = _connector_form(a, _factorials(sum(a)))
     return Fraction(num, den)
 
@@ -234,32 +240,22 @@ def _row_end(j: int) -> int:
 _ROW_END = [0] + [_row_end(j) for j in range(1, _BAND + 1)]
 
 
-@functools.cache
-def _corner_table() -> np.ndarray:
-    """The _CORNER x B weights of the totals T < _CORNER: 1/C(T, j) in column
-    j-1 where T >= j (1 where T < j, whose window entries are 0), the running
-    product of the factors j/(T-j+1) from 1, within about 2j u.  Read-only."""
-    w, table = np.ones(_CORNER), np.empty((_CORNER, _BAND))
-    for j in range(1, _BAND + 1):
-        w[j:] *= j / np.arange(1.0, _CORNER + 1 - j)  # T-j+1 at T >= j
-        table[:, j - 1] = w
-    table.flags.writeable = False  # shared by every call
-    return table
-
-
 @functools.lru_cache(maxsize=_BLOCKS_MAX)
 def _weight_block(lo: int) -> np.ndarray:
-    """Read-only weights of the totals T in [lo, lo + min(lo, _BLOCK)), lo >=
-    _CORNER, for the rows j that run past lo: [j-1, T-lo] is 1/C(T, j), the
-    running product of _corner_table, and exactly 0 from T_end(j) on."""
-    width = min(lo, _BLOCK)
+    """Read-only weights of the totals T in [lo, lo + width), width = lo
+    clamped to [_CORNER, _BLOCK], for the rows j that run past lo:
+    [j-1, T-lo] is 1/C(T, j), the running product of the factors
+    j/(T-j+1) from 1, within about 2j u; 1 where T < j (the window is 0
+    there), and exactly 0 from T_end(j) on."""
+    width = min(max(lo, _CORNER), _BLOCK)
     rows = sum(end > lo for end in _ROW_END[1:])  # a prefix: the ends fall with j
     block, w = np.empty((rows, width)), np.ones(width)
     for j in range(1, rows + 1):
-        w *= j / np.arange(lo + 1.0 - j, lo + width + 1.0 - j)  # T-j+1
+        t0 = max(j - lo, 0)  # the first column with T >= j
+        w[t0:] *= j / np.arange(lo + t0 + 1.0 - j, lo + width + 1.0 - j)  # T-j+1
         block[j - 1] = w
         block[j - 1, min(_ROW_END[j], lo + width) - lo:] = 0.0
-    block.flags.writeable = False
+    block.flags.writeable = False  # shared by every call
     return block
 
 
@@ -278,10 +274,10 @@ def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int,
     for T < T_end(j) (_ROW_END).  Each edge of a block of totals is one
     elementwise product of its weights with a window (_window) over a
     zero-padded copy of g or a, then one matrix-vector product with the
-    other's entries 1..B.  The corner (T < _CORNER, every row) is cut to
-    size; the blocks of _weight_block are computed whole, so out's head does
-    not depend on size.  a has cap+1 entries.  Returns (out, k), out real
-    when g and a are.
+    other's entries 1..B.  The blocks (_weight_block) start at total 0 and
+    each is computed whole and then cut, so out[:size] is the head of the
+    full convolution, bit for bit, at every size.  a has cap+1 entries.
+    Returns (out, k), out real when g and a are.
 
     Dropped mass.  Every split left out at T weighs at most _DELTA =
     1/C(2B+2, B+1), and none is left out below 2B+2: a split with both parts
@@ -296,23 +292,24 @@ def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int,
     """
     n_out = g.size + cap if size is None else min(size, g.size + cap)
     out = np.empty(n_out, dtype=np.result_type(g, a, np.float64))
-    # x[i] at pad[B + i] for 0 < i < n_out, zero elsewhere, past the last block's end
-    gp, ap = (np.zeros(_BAND + max(n_out, _CORNER) + _BLOCK, x.dtype) for x in (g, a))
+    blocks, end = [], 0  # (start, weights) of each block below n_out
+    while end < n_out:
+        blocks.append((end, _weight_block(end)))
+        end += blocks[-1][1].shape[1]
+    # x[i] at pad[B + i] for 0 < i < n_out, zero elsewhere, to the last block's end
+    gp, ap = (np.zeros(_BAND + end, x.dtype) for x in (g, a))
     for x, pad in ((g, gp), (a, ap)):
         pad[_BAND + 1:_BAND + min(x.size, n_out)] = x[1:n_out]
     g_row, a_row = gp[_BAND + 1:2 * _BAND + 1], ap[_BAND + 1:2 * _BAND + 1].copy()  # x[1..B]
     ap[_BAND + 1:2 * _BAND + 1] = 0.0  # a split with T-m <= B is row T-m of the first edge
-    w = _corner_table()[:n_out]
-    c = len(w)
-    out[:c] = (w * _window(gp, 0, _BAND, c).T) @ a_row + (w * _window(ap, 0, _BAND, c).T) @ g_row
-    lo = _CORNER
-    while lo < n_out:
-        block = _weight_block(lo)
+    # each edge's elementwise product goes to one buffer, allocated once per call
+    buf = np.empty(max((b.size for _, b in blocks), default=0), out.dtype)
+    for lo, block in blocks:
         rows, width = block.shape
-        part = a_row[:rows] @ (block * _window(gp, lo, rows, width)) + \
-            g_row[:rows] @ (block * _window(ap, lo, rows, width))
+        prod = buf[:block.size].reshape(rows, width)
+        part = a_row[:rows] @ np.multiply(block, _window(gp, lo, rows, width), out=prod)
+        part += g_row[:rows] @ np.multiply(block, _window(ap, lo, rows, width), out=prod)
         out[lo:lo + width] = part[:n_out - lo]
-        lo += width
     j0 = 1 + sum(hi >= n_out for hi in _ROW_END[1:])  # the rows that run to n_out come first
     k = float(np.max(np.abs(g[j0:]), initial=0.0)) * float(np.sum(np.abs(a[j0:cap + 1])))
     return out, k

@@ -38,6 +38,9 @@ def test_connector_examples():
     assert connector((1, 1, 1)) == F(1, 6)
     assert connector((0, 5)) == 1
     assert connector(()) == 1
+    for bad in ((-1,), (3, -1), (1.5, 2), (True, 1)):
+        with pytest.raises(DomainError, match="connector entries"):
+            connector(bad)
 
 
 def test_connector_symmetry_and_bound():
@@ -302,12 +305,13 @@ def test_binom_conv_matches_full_loop():
         assert np.all(drop[:2 * band + 2] == 0)
         assert np.all(np.abs(out - ref) <= drop + 1e-13 * scale), (g_size, cap)
         seen_drop |= bool(np.any(np.abs(ref) > 1e-13 * scale + 1e-300) and middle)
-        for size in (1, band, 2 * band + 3):
-            head, _ = numeric._binom_conv(g, a, cap, size)
-            assert np.array_equal(head, out[:size])
         # real inputs stay real, and give the real part of the same sums
         real, _ = numeric._binom_conv(g.real, a.real, cap)
         assert real.dtype == np.float64
+        # a cut output is the head of the full one, bit for bit, at every size
+        for gg, aa, full in ((g, a, out), (g.real, a.real, real)):
+            for size in range(1, full.size + 1):
+                assert np.array_equal(numeric._binom_conv(gg, aa, cap, size)[0], full[:size]), size
         assert np.all(np.abs(real - _binom_conv_reference(g.real, a.real, cap).real)
                       <= drop + 1e-13 * scale), (g_size, cap)
     assert seen_drop
@@ -328,18 +332,22 @@ def test_row_ends_exact():
         assert j == 1 or ends[j] <= ends[j - 1]
     assert min(ends[1:6]) > 34_000_000 and max(ends[6:]) < 3_000_000
     assert (ends[12], ends[20], ends[30], set(ends[55:])) == (4_889, 509, 200, {123})
-    # the dense block's weights are the rows' running products, each within
-    # 2j roundings of 1/C(T, j) (1 where T < j); its windows read x[T-j] over
-    # the padded copy, 0 where T-j < 0
-    table = numeric._corner_table()
+    # the first block's weights are the rows' running products, each within
+    # 2j roundings of 1/C(T, j) (1 where T < j) up to the row's end, and 0
+    # from there; its windows read x[T-j] over the padded copy, 0 where T-j < 0
+    block = numeric._weight_block(0)
     corner = numeric._CORNER
+    assert block.shape == (band, corner)
     pad = np.concatenate((np.zeros(band), np.arange(1.0, corner)))  # x[i] = i + 1
-    s = numeric._window(pad, 0, band, corner).T
+    s = numeric._window(pad, 0, band, corner)
     for t in range(corner):
         for j in range(1, band + 1):
             exact = 1 / math.comb(t, j) if t >= j else 1.0
-            assert abs(table[t, j - 1] - exact) <= 2.01 * j * 2.0 ** -53 * exact, (t, j)
-            assert s[t, j - 1] == max(t - j + 1, 0)
+            if t >= ends[j]:
+                assert block[j - 1, t] == 0.0, (t, j)
+            else:
+                assert abs(block[j - 1, t] - exact) <= 2.01 * j * 2.0 ** -53 * exact, (t, j)
+            assert s[j - 1, t] == max(t - j + 1, 0)
     # a split with an empty part weighs nothing: g[0] and a[0] are never read
     rng = np.random.default_rng(316)
     g, a = rng.normal(size=300), rng.normal(size=301)
@@ -394,16 +402,16 @@ def test_binom_conv_clipped_rows_match_exact_sums():
 
 def test_binom_conv_rows_end_where_their_weight_does():
     # a single row j on either edge: its split is summed at T_end(j) - 1 and
-    # left out from T_end(j) on, where the drop bound covers it (rows that end
-    # inside the dense block are summed to its edge).  Row 11 is the least
-    # row that ends below the output size here, so k must count it
-    band, ends, corner = numeric._BAND, numeric._ROW_END, numeric._CORNER
+    # left out from T_end(j) on, where the drop bound covers it, inside the
+    # first block too.  Row 11 is the least row that ends below the output
+    # size here, so k must count it
+    band, ends = numeric._BAND, numeric._ROW_END
     long, short = 9000, 200
     wide = np.zeros(long + 1)
     wide[band + 1:] = 1.0
     probed = []
     for j in range(1, band + 1):
-        end = max(ends[j], corner)
+        end = ends[j]
         if end > long + j:  # the split's other part would pass the input
             continue
         unit = np.zeros(short + 1)
@@ -443,29 +451,28 @@ def test_connector_convolution_linear_in_bound(monkeypatch):
 
 
 def test_binom_conv_blocks_are_the_row_products():
-    # past the corner the weights are cached blocks: [256, 512), [512, 1024),
-    # then _BLOCK totals wide.  Each holds the rows that run past its start;
-    # an entry is the row loop's running product, bit for bit, up to the
-    # row's end and exactly 0 from there.  The blocks and the corner table
-    # are read-only, and at most _BLOCKS_MAX blocks are kept
+    # the weights are cached blocks: [0, 256), [256, 512), [512, 1024), then
+    # _BLOCK totals wide.  Each holds the rows that run past its start; an
+    # entry is the row loop's running product, bit for bit (1 where T < j),
+    # up to the row's end and exactly 0 from there.  The blocks are
+    # read-only, and at most _BLOCKS_MAX blocks are kept
     band, ends, corner = numeric._BAND, numeric._ROW_END, numeric._CORNER
-    assert not numeric._corner_table().flags.writeable
     numeric._weight_block.cache_clear()
-    lo, starts = corner, []
+    lo, starts = 0, []
     while len(starts) < numeric._BLOCKS_MAX + 4:
         starts.append(lo)
-        lo += min(lo, numeric._BLOCK)
-    assert starts[:4] == [256, 512, 1024, 2048] and starts[-1] == 1024 * (len(starts) - 2)
+        lo += min(max(lo, corner), numeric._BLOCK)
+    assert starts[:5] == [0, 256, 512, 1024, 2048] and starts[-1] == 1024 * (len(starts) - 3)
     for lo in starts:
         block = numeric._weight_block(lo)
-        hi = lo + min(lo, numeric._BLOCK)
+        hi = lo + min(max(lo, corner), numeric._BLOCK)
         rows = sum(e > lo for e in ends[1:])
         assert block.shape == (rows, hi - lo) and not block.flags.writeable
-        assert rows < band and ends[rows + 1] <= lo
-        ts = np.arange(1, hi + 1, dtype=np.float64)
+        assert all(e > lo for e in ends[1:rows + 1]) and all(e <= lo for e in ends[rows + 1:])
+        ts = np.arange(lo, hi, dtype=np.float64)
         w = np.ones(hi - lo)
         for j in range(1, rows + 1):
-            w *= j / ts[lo - j:hi - j]
+            w[ts >= j] *= j / (ts[ts >= j] - j + 1)
             stop = min(ends[j], hi) - lo
             assert np.array_equal(block[j - 1, :stop], w[:stop]), (lo, j)
             assert np.all(block[j - 1, stop:] == 0.0), (lo, j)
@@ -477,15 +484,22 @@ def test_binom_conv_blocks_are_the_row_products():
     out, _ = numeric._binom_conv(g, np.array([0.0, 1.0]), 1)
     assert out.size == g.size + 1 and out[2] == 0.5
     assert numeric._weight_block.cache_info().currsize == numeric._BLOCKS_MAX
-    # each block is computed whole, so past the corner a cut output is the
-    # head of the full one, for real and complex inputs alike
+    # each block is computed whole, so a cut output is the head of the full
+    # one, bit for bit, at every size and across every block edge, for real
+    # and complex inputs alike.  In the seed-404 real case, cutting the totals
+    # below 256 to size changes the head from size 14 on
+    rng = np.random.default_rng(404)
+    g, a = rng.normal(size=400), rng.normal(size=301)
+    cases = [(g, a, 300), (g + 1j * rng.normal(size=400), a + 1j * rng.normal(size=301), 300)]
     rng = np.random.default_rng(2323)
     g = rng.normal(size=2000) + 1j * rng.normal(size=2000)
     a = rng.normal(size=701) + 1j * rng.normal(size=701)
-    for gg, aa in ((g, a), (g.real.copy(), a.real.copy())):
-        full, _ = numeric._binom_conv(gg, aa, 700)
-        for size in (corner + 1, 600, 1025, 2100, full.size - 1):
-            assert np.array_equal(numeric._binom_conv(gg, aa, 700, size)[0], full[:size]), size
+    cases += [(g, a, 700), (g.real.copy(), a.real.copy(), 700)]
+    for gg, aa, cap in cases:
+        full, _ = numeric._binom_conv(gg, aa, cap)
+        assert full.size == gg.size + cap
+        for size in range(1, full.size + 1):
+            assert np.array_equal(numeric._binom_conv(gg, aa, cap, size)[0], full[:size]), size
 
 
 def _escape_ratios(cap, r_max):
