@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import (
@@ -50,10 +51,18 @@ def is_admissible(k: Index) -> bool:
 
 
 def _as_index(entries: Iterable[int]) -> Index:
-    k = tuple(int(e) for e in entries)
+    k = tuple(e if type(e) is int else _index_entry(e) for e in entries)
     if any(e < 1 for e in k):
         raise DomainError(f"index entries must be positive: {k}")
     return k
+
+
+def _index_entry(e) -> int:
+    """An index entry that is not an int: an integer such as a numpy one, or
+    a DomainError (a float, bool or string is not truncated or parsed)."""
+    if type(e) is bool or not isinstance(e, Integral):
+        raise DomainError(f"index entries must be integers: {e!r}")
+    return int(e)
 
 
 _tuple_new = tuple.__new__

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, PreconditionViolated
+from .errors import PreconditionViolated
 from .model import MplExpr, MplTerm, Pair, ZExpr, zterm
-from .numeric import verify_relation
+from .numeric import _check_bound, verify_relation
 from .ohno import multi_term_relations
 from .recipe import RecipeData, recipe_relation
 from .records import Relation, VerifyReport
@@ -229,12 +229,12 @@ def run_example(name: str, bound: Optional[int] = None,
     """Dispatch by name; amtagpa:n and dilcher:k carry a parameter.
 
     Only the arguments given are passed on, so each runner's own defaults
-    apply.  A bound below 1 is rejected for every name; dilog, kummer-newman
-    and eight-term have pure-polylog sides, which take no bound, so they
-    ignore it.
+    apply.  A bound that is not an integer >= 1 is rejected for every name;
+    dilog, kummer-newman and eight-term have pure-polylog sides, which take
+    no bound, so they ignore it.
     """
-    if bound is not None and bound < 1:
-        raise DomainError(f"truncation bound must be >= 1, got {bound}")
+    if bound is not None:
+        _check_bound(bound)
     tol_kw = {} if tol is None else {"tol": tol}
     kw = tol_kw if bound is None else dict(tol_kw, bound=bound)
     if name == "cloitre":

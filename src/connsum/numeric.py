@@ -36,10 +36,9 @@ lam are the suffixes of b, and those at 1-lam the suffixes of the reversed
 reflected word, so each is an inner layer of its side's chain: one value
 chain and one absolute chain per side give every piece (_side).  A side's
 chain runs to one cut N, the least at which every piece's proved remainder
-is within tol / (4 (w+1)); N comes from the log of that remainder in closed
-form, then integer steps (_cut).  Each piece carries a proved rounding bound
-from the absolute chain; one that would need more than 2^21 terms sums
-nothing and is bounded as a whole.
+is within tol / (4 (w+1)), found by a search over the integers (_cut).
+Each piece carries a proved rounding bound from the absolute chain; one that
+would need more than 2^21 terms sums nothing and is bounded as a whole.
 """
 from __future__ import annotations
 
@@ -216,22 +215,30 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
     return totals if sums else (layer, below)
 
 
+def _least(holds, lo: int, hi: int) -> int:
+    """The least n in [lo, hi] with holds(n), for a predicate that stays true
+    once it holds, or hi where none does: steps of 1, 2, 4, ... up from lo,
+    then bisection below the first n that holds."""
+    below, n, step = lo - 1, lo, 1  # holds(below) is false, or below < lo
+    while not holds(n):
+        if n >= hi:
+            return hi
+        below, n, step = n, min(n + step, hi), 2 * step
+    while n - below > 1:
+        mid = (below + n) // 2
+        if holds(mid):
+            n = mid
+        else:
+            below = mid
+    return n
+
+
 def _row_end(j: int) -> int:
     """T_end(j): the least T >= 2B+2 with C(T, j) >= C(2B+2, B+1), so that
     1/C(T, j) <= _DELTA from T_end(j) on (C(T, j) grows with T).  Exact, on
-    integers: the least power-of-two multiple of 2B+2 that reaches the
-    threshold, then bisection below it."""
+    integers; C(need, j) >= need bounds the search."""
     need = math.comb(_EDGE, _BAND + 1)
-    lo = hi = _EDGE
-    while math.comb(hi, j) < need:
-        lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if math.comb(mid, j) >= need:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _least(lambda t: math.comb(t, j) >= need, _EDGE, need)
 
 
 # T_end(j) for rows j = 1..B (entry 0 unused).  It falls with j, since
@@ -470,8 +477,8 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_bound(bound: int) -> None:
-    if bound < 1:
-        raise DomainError(f"truncation bound must be >= 1, got {bound}")
+    if type(bound) is bool or not isinstance(bound, (int, np.integer)) or bound < 1:
+        raise DomainError(f"truncation bound must be an integer >= 1, got {bound!r}")
 
 
 def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
@@ -572,42 +579,9 @@ def _exp(x: float) -> float:
 
 def _cut(q: int, rho: float, target: float) -> tuple[int, float]:
     """(N, R): the least N >= max(1, q-1) with R = _remainder(q, rho, N) <=
-    target, or (_CAP, its R) if N would pass _CAP.
-
-    g(x) = log R(x) - log target is solved for a real x >= the least N with
-    r < 1, starting at x = log target / log rho: first one fixed-point step
-    x + 1 = (log target - log C(x, q-1) + log(1 - r)) / log rho, which is a
-    Newton step with slope log rho, then Newton steps with g's slope, the
-    digamma difference of log C(x, q-1) taken as log((x+1) / (x+2-q)), until
-    a step moves x by less than 1/2.  Integer steps with R itself then find
-    the least N.
-    """
-    lo = max(1, q - 1)
-    top = _remainder(q, rho, _CAP)
-    if not top <= target:
-        return _CAP, top
-    n = lo
-    if rho > 0.0:
-        first = max(lo, math.floor((q - 2 + rho) / (1.0 - rho)) + 1)
-        while rho * (first + 1) >= first + 2 - q:  # the least N with r < 1
-            first += 1
-        lr, lt = math.log(rho), math.log(target)
-        x = max(float(first), lt / lr - 1.0)
-        for step in range(8):
-            d = x + 2 - q
-            r = rho * (x + 1) / d
-            g = math.lgamma(x + 1) - math.lgamma(q) - math.lgamma(d) + \
-                (x + 1) * lr - math.log1p(-r) - lt
-            slope = lr if step == 0 else \
-                lr + math.log((x + 1) / d) + rho * (1 - q) / (d * d * (1.0 - r))
-            x, moved = min(max(float(first), x - g / slope), float(_CAP)), x
-            if abs(x - moved) < 0.5:
-                break
-        n = math.ceil(x)
-    while n > lo and _remainder(q, rho, n - 1) <= target:
-        n -= 1
-    while _remainder(q, rho, n) > target:
-        n += 1
+    target, or (_CAP, its R) if N would pass _CAP.  _remainder is infinite
+    while r >= 1 and falls after, so the search is monotone."""
+    n = _least(lambda n: _remainder(q, rho, n) <= target, max(1, q - 1), _CAP)
     return n, _remainder(q, rho, n)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Optional, Sequence, Union
 
 from .boundary import boundary_reduce_all
@@ -256,8 +257,8 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 
 def lift_sum(p: Pair, h: int) -> MplExpr:
     """Sum of shuffle polylogs over all exponent lifts of total h >= 0."""
-    if h < 0:
-        raise PreconditionViolated("h must be non-negative")
+    if type(h) is bool or not isinstance(h, Integral) or h < 0:
+        raise PreconditionViolated(f"h must be a non-negative integer, got {h!r}")
     if p.is_empty():
         return MplExpr.single(MplTerm("shuffle", (), ())) if h == 0 else MplExpr.zero()
     if p.k[-1] == 1 and p.z[-1].abs_eq_one():

@@ -3,9 +3,12 @@
 A rewrite peels the first n-1 components and the bar simultaneously, solves
 the reciprocal constraint for the value received by the last slot, and emits
 the n right-hand terms: the move is legal exactly when the received value is
-again a nonzero disk point or infinity, plus four boundary bullets guarding
-empty slots and unit-circle targets.  Each emitted term's weight outside the
-receiving slot is one less than the input's, so reduction terminates.
+again a nonzero disk point or infinity, plus three boundary bullets guarding
+empty slots and unit-circle targets.  (A fourth, that a slot the peel empties
+takes no infinity arrow, always holds: a slot peels to infinity only from an
+exponent >= 2, which leaves its base non-empty.)  Each emitted term's weight
+outside the receiving slot is one less than the input's, so reduction
+terminates.
 """
 from __future__ import annotations
 
@@ -101,9 +104,6 @@ def _rewrite(t: ZTerm, trace: Optional[Trace], pairs: Optional[dict]) -> list[ZT
             f"received value 1/v = {inv_recv_v} is neither 0 nor of modulus >= 1"
         )
 
-    for v_i, base_i, _ in peels:
-        if base_i.is_empty() and v_i.is_inf:
-            raise NotTransportableStep("emptied slot cannot carry an infinity arrow")
     if recv.is_empty() and recv_v.is_inf:
         raise NotTransportableStep(
             "receiving slot is empty and the reciprocal sum equals the bar value"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -137,6 +138,11 @@ def test_examples_command(capsys):
     # dilog's sides are pure polylogs and take no bound, yet 0 is still rejected
     assert main(["examples", "--name", "dilog", "--bound", "0"]) == 2
     capsys.readouterr()
+    # the text form: one status line with the difference, then its notes indented
+    assert main(["examples", "--name", "cloitre"]) == 0
+    status, note = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"\[pass\] cloitre  diff=\d\.\d{3}e-\d\d tol=1\.0e-04", status)
+    assert note.startswith("    |value - pi^2/6| = ")
 
 
 def test_emitted_json_reparses(tmp_path, capsys):

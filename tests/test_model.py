@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from conftest import canonical_coef
 
@@ -50,6 +51,13 @@ def test_pair_invariants():
         Pair((1,), (sc(2),))
     with pytest.raises(DomainError):
         Pair((1,), (INF,))
+    # an index entry that is not an integer is named, not truncated or parsed
+    for bad in (2.7, True, "3"):
+        with pytest.raises(DomainError, match=f"integers: {bad!r}"):
+            Pair((bad,), (ONE,))
+    with pytest.raises(DomainError, match="integers: 2.5"):
+        MplTerm("shuffle", (2.5,), (ONE,))
+    assert Pair((np.int64(2),), (ONE,)) == Pair.ones((2,))
     assert EMPTY_PAIR.is_empty()
 
 

@@ -205,9 +205,15 @@ def test_divergent_inputs_rejected():
 
 def test_bound_below_one_rejected():
     t = zterm([Pair.ones((1,)), Pair.ones((1,))])
-    for bound in (0, -1):
-        with pytest.raises(DomainError):
+    rel = _single(MplTerm("shuffle", (2,), (ONE,)))
+    # so is one that is not an integer: a float bound was a bare TypeError,
+    # a bool one a numpy broadcast error
+    for bound in (0, -1, 10.5, 400.0, True):
+        with pytest.raises(DomainError, match="integer >= 1"):
             eval_zterm(t, bound)
+        with pytest.raises(DomainError, match="integer >= 1"):
+            verify_relation(rel, bound=bound)
+    assert eval_zterm(t, np.int64(10)).value == eval_zterm(t, 10).value
     # a component deeper than the bound leaves no index chain: Z1((1,1)|(2)),
     # which is zeta(3), would read 0
     with pytest.raises(DomainError):
@@ -944,10 +950,14 @@ def test_cut_matches_bisection():
                 n, rem = numeric._cut(q, rho, target)
                 n_ref, rem_ref = _bisect_cut(q, rho, target)
                 assert (rem > target) == (rem_ref > target), (q, rho, target)
-                if rem > target:
+                assert rem == numeric._remainder(q, rho, n)
+                if numeric._remainder(q, rho, numeric._CAP) > target:
                     capped += 1
                     assert n == n_ref == numeric._CAP
                 else:
+                    # the least n >= max(1, q-1) with _remainder(q, rho, n) <= target
+                    assert rem <= target
+                    assert n == max(1, q - 1) or numeric._remainder(q, rho, n - 1) > target
                     assert n == n_ref, (q, rho, target, n, n_ref)
     assert capped > 0
 

@@ -207,6 +207,12 @@ def test_lift_sum_counts():
     for q in (Pair.ones((2,)), Pair.ones((2, 2)), Pair()):
         with pytest.raises(PreconditionViolated):
             lift_sum(q, -1)
+    # nor is a lift total that is not an integer truncated, or a bool read as 0 or 1
+    for h in (1.5, True, 2.0):
+        with pytest.raises(PreconditionViolated, match="non-negative integer"):
+            lift_sum(p, h)
+        with pytest.raises(PreconditionViolated, match="non-negative integer"):
+            ohno_relation(Pair.ones((3,)), h)
 
 
 def test_insert_lift():

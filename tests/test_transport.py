@@ -127,6 +127,17 @@ def test_step_preconditions():
     # empty receiver must not receive an infinity arrow
     with pytest.raises(NotTransportableStep):
         transport_step(zt([ONES1, EMPTY_PAIR]))
+    # n = 2 with bar value 1: Z2((1/2 / 1); (1 / 1) | (1 / 1)) empties slot 1
+    # with |1 - 1/v| = |1 - 2| = 1, and Z2((-1 / 1); () | (1 / 1)) sends
+    # 1/v = 2 into an empty slot with |v| = 1
+    emptying = zt([Pair((1,), (sc(F(1, 2)),)), ONES1], ONES1)
+    with pytest.raises(NotTransportableStep, match="^emptying slot with .bar value. = 1"):
+        transport_step(emptying)
+    with pytest.raises(NotTransportableStep, match="^empty receiving slot with .bar value. = 1"):
+        transport_step(zt([Pair((1,), (sc(-1),)), EMPTY_PAIR], ONES1))
+    # the transportability bullet |w - 1/z| = 1 refuses the first up front
+    with pytest.raises(NotTransportable, match="does not qualify"):
+        reduce_to_z1(emptying, j=1)
 
 
 @pytest.mark.parametrize("t, slot", [
