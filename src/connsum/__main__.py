@@ -1,0 +1,7 @@
+"""python -m connsum: the connsum command line."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

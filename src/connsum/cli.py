@@ -172,7 +172,3 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -50,19 +50,19 @@ def is_admissible(k: Index) -> bool:
     return len(k) == 0 or k[-1] >= 2
 
 
+def _integer(x, least: int, error: type[Exception], message: str) -> int:
+    """x as an int, if it is an integer (a numpy one too) of at least least;
+    else error(message + " " + repr(x)).  A float, bool or string is never
+    truncated or parsed, whatever its value."""
+    if type(x) is bool or not isinstance(x, Integral) or x < least:
+        raise error(f"{message} {x!r}")
+    return int(x)
+
+
 def _as_index(entries: Iterable[int]) -> Index:
-    k = tuple(e if type(e) is int else _index_entry(e) for e in entries)
-    if any(e < 1 for e in k):
-        raise DomainError(f"index entries must be positive: {k}")
-    return k
-
-
-def _index_entry(e) -> int:
-    """An index entry that is not an int: an integer such as a numpy one, or
-    a DomainError (a float, bool or string is not truncated or parsed)."""
-    if type(e) is bool or not isinstance(e, Integral):
-        raise DomainError(f"index entries must be integers: {e!r}")
-    return int(e)
+    return tuple(e if type(e) is int and e >= 1 else
+                 _integer(e, 1, DomainError, "index entries must be positive integers:")
+                 for e in entries)
 
 
 _tuple_new = tuple.__new__

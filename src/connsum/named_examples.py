@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import PreconditionViolated
-from .model import MplExpr, MplTerm, Pair, ZExpr, zterm
-from .numeric import _check_bound, verify_relation
+from .errors import DomainError, PreconditionViolated
+from .model import MplExpr, MplTerm, Pair, ZExpr, _integer, zterm
+from .numeric import verify_relation
 from .ohno import multi_term_relations
 from .recipe import RecipeData, recipe_relation
 from .records import Relation, VerifyReport
@@ -224,6 +224,14 @@ def run_eight_term(tol: float = 1e-6) -> ExampleResult:
     return result
 
 
+def _parameter(name: str) -> int:
+    """The integer after the colon of amtagpa:n or dilcher:k."""
+    try:
+        return int(name.split(":", 1)[1])
+    except ValueError:
+        raise PreconditionViolated(f"example {name!r} needs an integer parameter") from None
+
+
 def run_example(name: str, bound: Optional[int] = None,
                 tol: Optional[float] = None) -> ExampleResult:
     """Dispatch by name; amtagpa:n and dilcher:k carry a parameter.
@@ -234,7 +242,7 @@ def run_example(name: str, bound: Optional[int] = None,
     no bound, so they ignore it.
     """
     if bound is not None:
-        _check_bound(bound)
+        _integer(bound, 1, DomainError, "truncation bound must be an integer >= 1, got")
     tol_kw = {} if tol is None else {"tol": tol}
     kw = tol_kw if bound is None else dict(tol_kw, bound=bound)
     if name == "cloitre":
@@ -246,9 +254,9 @@ def run_example(name: str, bound: Optional[int] = None,
     if name == "triple":
         return run_triple(**kw)
     if name.startswith("amtagpa:"):
-        return run_amtagpa(int(name.split(":", 1)[1]), **kw)
+        return run_amtagpa(_parameter(name), **kw)
     if name.startswith("dilcher:"):
-        return run_dilcher(int(name.split(":", 1)[1]), **kw)
+        return run_dilcher(_parameter(name), **kw)
     if name == "dilog":
         return run_dilog(**tol_kw)
     if name == "kummer-newman":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterable, Optional, Sequence, Union
 
 from .boundary import boundary_reduce_all
@@ -25,7 +24,7 @@ from .errors import (
     PreconditionViolated,
     TruncationTooSmall,
 )
-from .model import Coef, MplExpr, MplTerm, Pair, _coef, zterm
+from .model import Coef, MplExpr, MplTerm, Pair, _coef, _integer, zterm
 from .records import Relation
 from .scalars import ONE, Scalar, reciprocal_sum
 from .transport import reduce_to_z1
@@ -257,8 +256,7 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 
 def lift_sum(p: Pair, h: int) -> MplExpr:
     """Sum of shuffle polylogs over all exponent lifts of total h >= 0."""
-    if type(h) is bool or not isinstance(h, Integral) or h < 0:
-        raise PreconditionViolated(f"h must be a non-negative integer, got {h!r}")
+    _integer(h, 0, PreconditionViolated, "h must be a non-negative integer, got")
     if p.is_empty():
         return MplExpr.single(MplTerm("shuffle", (), ())) if h == 0 else MplExpr.zero()
     if p.k[-1] == 1 and p.z[-1].abs_eq_one():
@@ -274,8 +272,8 @@ def insert_lift(p: Pair, bs: Sequence[int]) -> Pair:
     """Insert b_i depth-1 copies of the i-th variable other than 1 before its letter."""
     if len(bs) != iota(p.z):
         raise PreconditionViolated(f"need {iota(p.z)} insertion counts, got {len(bs)}")
-    if any(b < 0 for b in bs):
-        raise PreconditionViolated(f"insertion counts must be non-negative: {tuple(bs)}")
+    for b in bs:
+        _integer(b, 0, PreconditionViolated, "insertion counts must be non-negative integers:")
     counts = iter(bs)
     letters: list[tuple[Scalar, int]] = []
     for v, e in p.letters():

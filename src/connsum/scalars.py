@@ -18,7 +18,7 @@ constructor, which returns the Scalar of a primitive triple.  ``+``, ``-`` and
 build their triples directly; the disk predicates compare integers (a^2 +
 b^2 against d^2), and ``is_zero``/``is_one`` compare objects (one value is
 one object, below).  A loop that only
-combines values (the exact oracles in numeric) runs the same kernels on the
+combines values (the exact oracles in exact) runs the same kernels on the
 triples themselves and builds one Scalar for its result.
 
 A Scalar is immutable and keeps nothing but ``_g`` (``__slots__``): what is
@@ -82,7 +82,7 @@ def _ratio(x: RationalLike) -> tuple[int, int]:
 
 # Integer-form kernels: each takes and returns primitive triples (a, b, d),
 # gcd(a, b, d) = 1 and d > 0.  Scalar arithmetic and the exact oracles in
-# numeric both run on them.
+# exact both run on them.
 
 def _primitive(a: int, b: int, d: int) -> tuple[int, int, int]:
     """(a, b, d) for d > 0 divided by gcd(a, b, d)."""

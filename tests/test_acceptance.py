@@ -10,13 +10,8 @@ from fractions import Fraction as F
 
 from connsum.duality import dagger, dual_condition, duality_relation
 from connsum.model import Pair, ZTerm, is_convergent, zterm
-from connsum.numeric import (
-    eval_mpl_partial_exact,
-    eval_zterm,
-    eval_zterm_partial_exact,
-    telescoping_check,
-    verify_relation,
-)
+from connsum.exact import eval_mpl_partial_exact, eval_zterm_partial_exact, telescoping_check
+from connsum.numeric import eval_zterm, verify_relation
 from connsum.boundary import boundary_reduce
 from connsum.named_examples import run_amtagpa, run_dilcher, run_oloa, run_zeta4
 from connsum.ohno import (

@@ -12,8 +12,8 @@ from connsum.boundary import (
     shuffle_to_harmonic,
 )
 from connsum.errors import BudgetExceeded, DivergentInput, GuardViolation, ZeroVariable
+from connsum.exact import eval_mpl_partial_exact, eval_zterm_partial_exact
 from connsum.model import MplExpr, MplTerm, Pair, ZTerm, is_convergent, zterm
-from connsum.numeric import eval_mpl_partial_exact, eval_zterm_partial_exact
 from connsum.scalars import ONE, Scalar, sc
 
 random.seed(21)

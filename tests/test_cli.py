@@ -109,6 +109,16 @@ def test_import_loads_no_scipy():
     assert out.split() == ["True", "[]"], out
 
 
+def test_python_m_connsum_runs():
+    # the package runs as a module, through cli.main and its exit code
+    src = os.path.dirname(os.path.dirname(connsum.__file__))
+    run = subprocess.run([sys.executable, "-m", "connsum", "examples", "--name", "cloitre"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("[pass] cloitre"), run.stdout
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     pair = _write(tmp_path, "p.json", {"k": [1]})  # fails the dual condition
     assert main(["dual", "--pair", pair]) == 2
@@ -138,6 +148,10 @@ def test_examples_command(capsys):
     # dilog's sides are pure polylogs and take no bound, yet 0 is still rejected
     assert main(["examples", "--name", "dilog", "--bound", "0"]) == 2
     capsys.readouterr()
+    # a parameter that is not an integer names the example; it was a bare ValueError
+    for name in ("amtagpa:x", "dilcher:2.0"):
+        assert main(["examples", "--name", name]) == 2, name
+        assert capsys.readouterr().err.startswith(f"error: example {name!r}"), name
     # the text form: one status line with the difference, then its notes indented
     assert main(["examples", "--name", "cloitre"]) == 0
     status, note = capsys.readouterr().out.splitlines()

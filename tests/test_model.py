@@ -14,6 +14,7 @@ from connsum.errors import (
     NoEmptyComponent,
     NotPeelable,
 )
+from connsum.exact import eval_zterm_partial_exact
 from connsum.model import (
     EMPTY_PAIR,
     MplExpr,
@@ -30,7 +31,6 @@ from connsum.model import (
     swap_components,
     zterm,
 )
-from connsum.numeric import eval_zterm_partial_exact
 from connsum.scalars import INF, ONE, ZERO, sc
 
 P1 = Pair.ones((1,))

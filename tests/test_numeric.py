@@ -1,7 +1,11 @@
+import ast
 import inspect
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import types
 from bisect import bisect_left
 from fractions import Fraction as F
@@ -9,19 +13,17 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from connsum import numeric, scalars
+from connsum import exact, numeric, scalars
 from connsum.boundary import harmonic_to_shuffle
 from connsum.errors import DivergentInput, DomainError, HypothesisViolated, NotConverged
-from connsum.model import MplExpr, MplTerm, Pair, zterm
-from connsum.numeric import (
+from connsum.exact import (
     connector,
-    eval_mpl_auto,
     eval_mpl_partial_exact,
-    eval_zterm,
     eval_zterm_partial_exact,
     telescoping_check,
-    verify_relation,
 )
+from connsum.model import MplExpr, MplTerm, Pair, zterm
+from connsum.numeric import eval_mpl_auto, eval_zterm, verify_relation
 from connsum.recipe import RecipeData, recipe_relation
 from connsum.records import Relation
 from connsum.scalars import ONE, ZERO, Scalar, sc
@@ -38,9 +40,10 @@ def test_connector_examples():
     assert connector((1, 1, 1)) == F(1, 6)
     assert connector((0, 5)) == 1
     assert connector(()) == 1
-    for bad in ((-1,), (3, -1), (1.5, 2), (True, 1)):
+    for bad in ((-1,), (3, -1), (1.5, 2), (True, 1), (np.True_, 1)):
         with pytest.raises(DomainError, match="connector entries"):
             connector(bad)
+    assert connector((np.int64(2), np.uint8(3))) == F(1, 10)
 
 
 def test_connector_symmetry_and_bound():
@@ -213,7 +216,15 @@ def test_bound_below_one_rejected():
             eval_zterm(t, bound)
         with pytest.raises(DomainError, match="integer >= 1"):
             verify_relation(rel, bound=bound)
+        # the exact oracles too: a bool bound read as 1, a float one was a bare TypeError
+        with pytest.raises(DomainError, match="integer >= 1"):
+            eval_zterm_partial_exact(t, bound)
+        with pytest.raises(DomainError, match="integer >= 1"):
+            eval_mpl_partial_exact(MplTerm("shuffle", (2,), (ONE,)), bound)
     assert eval_zterm(t, np.int64(10)).value == eval_zterm(t, 10).value
+    # the report carries a Python int, which JSON can write
+    assert type(eval_zterm(t, np.int64(10)).truncation) is int
+    assert eval_zterm_partial_exact(t, np.int64(10)) == eval_zterm_partial_exact(t, 10)
     # a component deeper than the bound leaves no index chain: Z1((1,1)|(2)),
     # which is zeta(3), would read 0
     with pytest.raises(DomainError):
@@ -245,7 +256,7 @@ def test_exact_chain_matches_nested_sum():
                 bound = rng.randint(depth, 8)
                 # the reference sums Scalars; the chain sums integer forms
                 chain = {m: scalars._make(*g)
-                         for m, g in numeric._exact_chain(letters, bound, kind).items()}
+                         for m, g in exact._exact_chain(letters, bound, kind).items()}
                 assert chain == _nested_sum(letters, bound, kind), (kind, letters, bound)
 
 
@@ -254,7 +265,7 @@ def test_exact_chain_linear_in_bound(monkeypatch):
     # over levels would grow about fourfold when the bound doubles.  Only
     # the result becomes a Scalar, whatever the bound
     calls, built = [0], [0]
-    mul, make = numeric._g_mul, scalars._make
+    mul, make = exact._g_mul, scalars._make
 
     def counting_mul(x, y):
         calls[0] += 1
@@ -264,10 +275,10 @@ def test_exact_chain_linear_in_bound(monkeypatch):
         built[0] += 1
         return make(*args)
 
-    monkeypatch.setattr(numeric, "_g_mul", counting_mul)
+    monkeypatch.setattr(exact, "_g_mul", counting_mul)
     # every Scalar is built by the one constructor, wherever it is called from
     monkeypatch.setattr(scalars, "_make", counting_make)
-    monkeypatch.setattr(numeric, "_make", counting_make)
+    monkeypatch.setattr(exact, "_make", counting_make)
     term = MplTerm("shuffle", (1, 2, 1), (sc(F(1, 2)), sc(-1), sc(F(3, 5), F(4, 5))))
     counts, scalars_built = [], []
     for bound in (30, 60):
@@ -709,12 +720,51 @@ def _float_code(reached):
 def test_exact_oracles_share_no_float_code():
     # a certificate means something only while the exact oracles stay
     # independent of the float evaluators they check
-    for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact, numeric._exact_chain,
+    for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact, exact._exact_chain,
                telescoping_check):
         assert _float_code(_reached(fn)) == [], fn.__name__
     for fn in (eval_zterm_partial_exact, eval_mpl_partial_exact):
-        assert any(obj is numeric._exact_chain for _, obj in _reached(fn))
+        assert any(obj is exact._exact_chain for _, obj in _reached(fn))
     assert "_scan" in _float_code(_reached(eval_mpl_auto))
+
+
+def _imported_and_named(module):
+    """(the dotted parts of every module and name module imports, every name
+    and attribute its code reads), function bodies included."""
+    imported, named = set(), set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            imported |= {p for name in parts for p in name.split(".")}
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return imported, named
+
+
+def test_exact_module_names_no_float_module():
+    # the separation is in the source: exact imports no numpy and names
+    # nothing of numeric, and numeric imports nothing from exact
+    imported, named = _imported_and_named(exact)
+    assert not imported & {"numpy", "numeric"}, imported
+    assert not named & {"np", "numpy", "numeric"}, named
+    assert "exact" not in _imported_and_named(numeric)[0]
+
+
+def test_exact_module_loads_without_numpy():
+    # in a fresh interpreter where numpy cannot be imported, and with the
+    # package's __init__ not run, importing exact loads errors, model and
+    # scalars and no other connsum module
+    code = ("import sys, types; sys.modules['numpy'] = None; "
+            "bare = types.ModuleType('connsum'); bare.__path__ = [sys.argv[1]]; "
+            "sys.modules['connsum'] = bare; import connsum.exact; "
+            "print(*sorted(m for m in sys.modules if m.startswith('connsum.')))")
+    run = subprocess.run([sys.executable, "-c", code, os.path.dirname(exact.__file__)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["connsum.errors", "connsum.exact", "connsum.model",
+                                  "connsum.scalars"], run.stdout
 
 
 def test_one_float_kernel():
@@ -800,9 +850,9 @@ def test_telescoping_random_instances():
 def test_telescoping_detects_a_wrong_weight(monkeypatch):
     # the check compares two independently summed sides: a connector weight
     # doubled at odd totals must break it, so it is not a tautology
-    form = numeric._connector_form
-    monkeypatch.setattr(numeric, "_connector_form", lambda a, fact:
-                        numeric._g_mul(form(a, fact), (2 if sum(a) % 2 else 1, 0, 1)))
+    form = exact._connector_form
+    monkeypatch.setattr(exact, "_connector_form", lambda a, fact:
+                        exact._g_mul(form(a, fact), (2 if sum(a) % 2 else 1, 0, 1)))
     assert not telescoping_check(1, 2, [0], [1], 0, [sc(1)], sc(1), 10)
     assert not telescoping_check(1, 3, [2], [1, 1], 1, [sc(0, 1)], sc(0, -1), 11)
     vs = [sc(-1), sc(F(1, 2), F(1, 2))]  # reciprocal sum -i
@@ -1064,7 +1114,7 @@ def test_side_past_the_loop_threshold_within_its_bound():
     y, target = 0.875, 1e-13
     word = [1, 0, -1, 1j, 0, 0, 2]
     pieces = numeric._side([complex(c) for c in word], y, target)
-    exact = {1: ONE, -1: sc(-1), 1j: sc(0, -1), 2: sc(F(1, 2))}  # y/c over y
+    inverse = {1: ONE, -1: sc(-1), 1j: sc(0, -1), 2: sc(F(1, 2))}  # y/c over y
     assert numeric._cut(4, y * (1 + 4 * numeric._U), target)[0] + 1 > numeric._LOOP_MAX
     for j, (value, err) in enumerate(pieces):
         letters, s = [], 1
@@ -1072,7 +1122,7 @@ def test_side_past_the_loop_threshold_within_its_bound():
             if c == 0:
                 s += 1
             else:
-                letters.append((exact[c] * sc(F(7, 8)), s))
+                letters.append((inverse[c] * sc(F(7, 8)), s))
                 s = 1
         if not letters:
             assert (value, err) == (1, 0.0)
@@ -1080,7 +1130,7 @@ def test_side_past_the_loop_threshold_within_its_bound():
         letters.reverse()
         far = 400
         ref = sum(complex(scalars._make(*g))
-                  for g in numeric._exact_chain(letters, far).values())
+                  for g in exact._exact_chain(letters, far).values())
         q = len(letters)
         assert abs(value - (-1) ** q * ref) <= err + numeric._remainder(q, y, far), (j, err)
 

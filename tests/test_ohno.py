@@ -226,6 +226,10 @@ def test_insert_lift():
         insert_lift(p, (2, -1))
     with pytest.raises(PreconditionViolated):
         insert_lift(Pair((2,), (sc(-1),)), (-1,))
+    # a count that is not an integer is named, and a bool is not read as 0 or 1
+    for bad in (1.5, True):
+        with pytest.raises(PreconditionViolated, match=f"non-negative integers: {bad!r}"):
+            insert_lift(Pair((1, 2), (sc(-1), ONE)), [bad])
 
 
 def test_ohno_relation_classical_instance():
