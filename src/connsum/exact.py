@@ -160,16 +160,19 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
     """Exact check of the finite-truncation rearrangement identity.
 
     In exact arithmetic, the two capped double sums must differ by precisely
-    the explicit boundary shell at total = bound (0**0 counted as 1).
+    the explicit boundary shell at total = bound (0**0 counted as 1).  A
+    float or bool d, n, q, bound or m-/m+ entry is a HypothesisViolated.
     """
-    if not (1 <= d <= n):
-        raise HypothesisViolated("need 1 <= d <= n")
+    d = _integer(d, 1, HypothesisViolated, "d must be an integer >= 1, got")
+    n = _integer(n, d, HypothesisViolated, "n must be an integer >= d, got")
     if len(m_minus) != d or len(m_plus) != n - d:
         raise HypothesisViolated("parameter lengths do not match d, n")
-    if any(x < 0 for x in m_minus) or any(x < 1 for x in m_plus):
-        raise HypothesisViolated("m- must be non-negative, m+ positive")
-    if q < 0:
-        raise HypothesisViolated("q must be non-negative")
+    m_minus = [_integer(x, 0, HypothesisViolated, "m- entries must be integers >= 0:")
+               for x in m_minus]
+    m_plus = [_integer(x, 1, HypothesisViolated, "m+ entries must be integers >= 1:")
+              for x in m_plus]
+    q = _integer(q, 0, HypothesisViolated, "q must be an integer >= 0, got")
+    bound = _integer(bound, 1, HypothesisViolated, "bound must be an integer >= 1, got")
     if len(vs) != d:
         raise HypothesisViolated("need one v per horizontal slot")
     for v in vs:

@@ -298,25 +298,6 @@ def _binom_conv(g: np.ndarray, a: np.ndarray, cap: int,
     return out, k
 
 
-def _edge_weights(j: int, lo: int, end: int) -> np.ndarray:
-    """Upper bounds on 1/C(T, j) for lo <= T < end, lo >= 2j.
-
-    A split T = s + m with both parts >= j has connector weight at most
-    1/C(T, j).  The weights are one running product: 1/C(lo, j) =
-    prod_{i<=j} i/(lo-j+i), then 1/C(T, j) = 1/C(T-1, j) (T-j)/T.  Entry i
-    carries at most 2(j + i) roundings, a relative error below
-    2.02 (j + i) u; every entry is raised by 4(j + end - lo)u, which keeps
-    it at or above the exact weight, with room for two more roundings (the
-    far bound in _uncovered_bound scales the last entry).  (An entry below
-    float64's normal range, 2^-1022, loses that guarantee; such weights add
-    less than 1e-280 to a tail, far below eval_zterm's rounding term.)
-    """
-    i = np.arange(1, j + 1, dtype=np.float64)
-    ts = np.arange(lo + 1, end, dtype=np.float64)
-    steps = np.concatenate((i / (lo - j + i), (ts - j) / ts))
-    return np.cumprod(steps)[j - 1:] * (1.0 + 4.0 * (j + end - lo) * _U)
-
-
 def _connect(tops: Sequence[np.ndarray], cap: int,
              size: Optional[int] = None) -> tuple[np.ndarray, float]:
     """Connector-weighted convolution of the component arrays, T < size.
@@ -374,62 +355,33 @@ def _escape_rows(bar: Pair, w: np.ndarray, cap: int, r_max: int, k_top: int,
     return value, resid + np.abs(rem)
 
 
-def _uncovered_bound(t: ZTerm, cap: int, r_cut: int, w: np.ndarray) -> float:
-    """Bound on the rows that neither the capped sum nor the escape rows cover.
+def _uncovered_bound(t: ZTerm, cap: int, r_cut: int) -> float:
+    """Bound on the rows that neither the capped sum nor the escape rows cover:
+    (a) two or more component tops past cap, (b) one past it while the
+    others, each at most cap, total more than r_cut.  Such a row T splits
+    into parts s, T - s >= J = min(cap, r_cut) + 1, so T >= lo = cap + J + 1
+    and its connector weight is at most 1/C(T, s) <= 1/C(T, J).
 
-    Those are (a) the rows where two or more component tops exceed cap, and
-    (b) the rows where one top m_j exceeds cap and the others, each at most
-    cap, total more than r_cut.  In both, T splits into two parts of at least
-    J (J = cap+1 in (a), min(cap, r_cut)+1 in (b)), so the connector weight
-    is at most 1/C(T, J) (_edge_weights).  With every variable in the closed
-    disk and every exponent >= 1, a component top of depth d at m <= T is at
-    most H_T^(d-1) / m.  Writing 1/(m_1...m_n) = (m_1+...+m_n)/(T m_1...m_n)
-    and summing each free top over its range (D = sum of the depths, H = H_T):
+    With every variable in the closed disk and every exponent >= 1, a top of
+    depth d at m <= T is at most H_T^(d-1) / m and the bar weight |W[T]| at
+    most T^(1-e) H_T^(d-1) (e, d the bar's top exponent and depth).  As
+    1/(m_1...m_n) = (m_1+...+m_n)/(T m_1...m_n), row T is at most
+    n (1 + ln T)^q / T, q = D + d - 2 (D the sum of the depths), which falls
+    once ln T >= q - 1.  With x = max(lo, e^(q-1)) and
+    sum_{T>=lo} 1/C(T, J) = J/((J-1) C(lo-1, J-1)), the bound is
 
-      (a) one pair escaped, tops in (cap, T-cap-1] with harmonic mass
-          delta = H_(T-cap-1) - H_cap:  H^(D-3) (delta/T) (2H + (n-2) delta);
-      (b) one top escaped, in (cap, T-r_cut-1] (mass delta_b), the others'
-          mass S <= H_cap^(n-1) - H_(r_cut div (n-1))^(n-1):
-          H^(D-n) (S + (n-1) delta_b H_cap^(n-2)) / T;
+      C(n+1, 2) n (1 + ln x)^q / x * J / ((J-1) C(lo-1, J-1)),
 
-    times |W[T]|, over the C(n, 2) pairs and the n tops; rows are summed for
-    T < 2 lo + 64 (lo the least row total of the region).  Past that the
-    bar weight is at most T^(1-e) H_T^(d-1) (e its top exponent, d its
-    depth), so each row total is at most n (1 + ln T)^q / T with
-    q = D + d - 2, which decreases once ln T >= q - 1; the reciprocal
-    binomials sum in closed form, sum_{T>=N} 1/C(T, J) = J/((J-1) C(N-1, J-1))
-    = (N-J)/((J-1) C(N-1, J)).
+    one row bound per pair of (a) and per top of (b) where one would do.
+    That margin of 3 or more covers the rounding: a correctly rounded
+    quotient of exact integers (or one below float64's normal range, far
+    under eval_zterm's rounding term) and a few float operations, (2q + 8) u.
     """
-    n = t.arity
-    depth = sum(p.dep for p in t.components)
-    q = depth + t.bar.dep - 2
-    end = min(w.size, 2 * (cap + max(cap, r_cut)) + 68)  # H_0..H_(end-1), both regions
-    harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, end, dtype=np.float64))))
-
-    def region(j: int, lo: int, rows) -> float:
-        end = min(w.size, 2 * lo + 64)
-        ts = np.arange(lo, end)
-        edges = _edge_weights(j, lo, end)
-        inside = np.sum(rows(ts, harm) * np.abs(w[lo:end]) * edges)
-        x = max(float(end), math.exp(q - 1))
-        # sum_{T>=end} 1/C(T, J) = (end-J)/((J-1) C(end-1, J)), from the last weight
-        far = n * (1.0 + math.log(x)) ** q / x * (edges[-1] * (end - j) / (j - 1))
-        return float(inside) + far
-
-    def pair_rows(ts, harm):
-        h, delta = harm[ts], harm[ts - cap - 1] - harm[cap]
-        return h ** (depth - 3) * (delta / ts) * (2.0 * h + (n - 2) * delta)
-
-    def one_rows(ts, harm):
-        h_cap = harm[cap]
-        mass = h_cap ** (n - 1) - harm[r_cut // (n - 1)] ** (n - 1)
-        delta = harm[ts - r_cut - 1] - h_cap
-        return harm[ts] ** (depth - n) * (mass + (n - 1) * delta * h_cap ** (n - 2)) / ts
-
-    out = math.comb(n, 2) * region(cap + 1, 2 * cap + 2, pair_rows)
-    if (n - 1) * cap > r_cut:
-        out += n * region(min(cap, r_cut) + 1, cap + r_cut + 2, one_rows)
-    return out
+    n, j = t.arity, min(cap, r_cut) + 1
+    q = sum(p.dep for p in t.components) + t.bar.dep - 2
+    x = max(cap + j + 1, math.exp(q - 1))
+    weights = j / ((j - 1) * math.comb(cap + j, j - 1))  # sum_{T>=lo} 1/C(T, J)
+    return math.comb(n + 1, 2) * n * (1.0 + math.log(x)) ** q / x * weights
 
 
 def _merge_zero_bar_letters(t: ZTerm) -> ZTerm:
@@ -479,8 +431,7 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     n = t.arity
     cap = bound
     r_cut = max(2, int(45.0 / max(math.log(cap), 1.0))) + n
-    # every index read as an array: n cap + 1 totals, _uncovered_bound's regions
-    reach = max(n * cap + 1, 2 * (cap + max(cap, r_cut)) + 68)
+    reach = n * cap + 1  # the capped sum's totals
     # W[T] = T * (bar-chain mass ending exactly at T); the escape rows of a
     # top letter on the unit circle read it past reach, through their window
     on_circle = [abs(complex(p.z[-1])) >= 1.0 - 1e-12 for p in t.components]
@@ -493,7 +444,7 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     g, k = _connect(tops, cap)
     value = complex(np.sum(g * w[:g.size]))
     tail = k * _DELTA * float(np.sum(np.abs(w[_EDGE:g.size])))
-    tail += _uncovered_bound(t, cap, r_cut, w)
+    tail += _uncovered_bound(t, cap, r_cut)
     rows = {}  # escape rows by top letter (k, z), shared by the components
     for j, p in enumerate(t.components):
         z_top, k_top = p.z[-1], p.k[-1]

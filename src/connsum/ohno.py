@@ -122,9 +122,9 @@ class HSeries:
         return HSeries(order, {key: _coef(c) for key, c in terms.items() if c != 0})
 
     @staticmethod
-    def from_word(w: Word, order: int, deg: int = 0, coef=1) -> "HSeries":
+    def from_word(w: Word, order: int) -> "HSeries":
         _check_word(w)
-        return HSeries.make(order, [((deg, tuple(w)), _coef(coef))])
+        return HSeries.make(order, [((0, tuple(w)), 1)])
 
     def __add__(self, other: "HSeries") -> "HSeries":
         return HSeries.make(self.order, itertools.chain(self.terms.items(), other.terms.items()))
@@ -287,8 +287,6 @@ def ohno_relation(p: Pair, h: int) -> Relation:
     """Lift-by-h relation: lift_sum(p, h) against the signed dual expansion."""
     if not dual_condition(p):
         raise DualConditionViolated(f"{p} fails the dual condition")
-    if not p.is_empty() and p.k[-1] == 1 and p.z[-1].abs_eq_one():
-        raise GuardViolation("|last variable| != 1 required when the last exponent is 1")
     lhs = lift_sum(p, h)
     d = iota(p.z)
     sign, dual = dagger(p)

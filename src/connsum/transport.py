@@ -64,16 +64,14 @@ def _record(trace: Optional[Trace], rule: str, premise: ZTerm, conclusions,
     })
 
 
-def transport_step(t: ZTerm, trace: Optional[Trace] = None,
-                   pairs: Optional[dict] = None) -> ZExpr:
+def transport_step(t: ZTerm, trace: Optional[Trace] = None) -> ZExpr:
     """Apply one transport rewrite to a term of arity >= 2.
 
     Components 1..n-1 and the bar must all be peelable; the receiving slot is
     the last component.  Raises NotTransportableStep naming the violated
-    precondition.  ``pairs`` is the JSON memo of the records of one reduction
-    (see reduce_to_z1).
+    precondition.
     """
-    return ZExpr.of(_rewrite(t, trace, pairs))
+    return ZExpr.of(_rewrite(t, trace, None))
 
 
 def _peel_slot(p: Pair, slot: str, name: str):

@@ -609,22 +609,46 @@ def test_escape_rows_once_per_top_letter(monkeypatch):
         assert len(calls) == len(set(calls)) == letters, calls
 
 
-def test_edge_weights_bound_exact_reciprocal_binomials():
-    # one running product of about 2(j + end - lo) roundings, raised by
-    # 4(j + end - lo)u: every weight in float64's normal range lies in
-    # [1/C(T, j), 1/C(T, j) (1 + 8(j + end - lo)u)]
-    u = 2.0 ** -53
-    for j, lo, end in ((2, 4, 200), (3, 9, 90), (11, 22, 300), (61, 140, 400),
-                       (401, 802, 1668), (5, 10, 6000), (560, 1120, 1300)):
-        w = numeric._edge_weights(j, lo, end)
-        assert w.shape == (end - lo,)
-        allowance = 1 + F(8 * (j + end - lo)) * F(u)
-        for t, got in zip(range(lo, end), w):
-            exact = F(1, math.comb(t, j))
-            if exact >= F(2) ** -1022:
-                assert exact <= F(float(got)) <= exact * allowance, (j, t)
-            else:
-                assert 0 <= got < 2.0 ** -1021, (j, t)
+def _uncovered_masses(tops, w, caps):
+    """(cap, r_cut, mass) for each cap: the rows eval_zterm neither sums nor
+    escapes, summed directly in magnitudes over every top tuple below
+    len(tops[0]).  Those are two or more tops past cap, or one past it while
+    the others total more than r_cut.  Each split weighs
+    |a_1[m_1]| ... |a_n[m_n]| |W[T]| m_1! ... m_n! / T!, the factorials
+    from lgamma."""
+    grid = np.ix_(*[np.arange(tops[0].size)] * len(tops))
+    total = sum(grid)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(total.max() + 1)])
+    mass = np.exp(sum(log_fact[m] for m in grid) - log_fact[total]) * np.abs(w[total])
+    for a, m in zip(tops, grid):
+        mass = mass * np.abs(a[m])
+    for cap in caps:
+        r_cut = max(2, int(45.0 / max(math.log(cap), 1.0))) + len(tops)
+        past = sum(m > cap for m in grid)
+        low = sum(m * (m <= cap) for m in grid)  # the total of the tops at most cap
+        yield cap, r_cut, float(np.sum(mass, where=(past >= 2) | ((past == 1) & (low > r_cut))))
+
+
+def test_uncovered_bound_covers_the_uncovered_rows():
+    # the closed form bounds the rows left out of both the capped sum and
+    # the escape rows, summed directly: arity 2 over tops below 1,000 and
+    # arity 3 below 100, all-ones and phased tops of depth <= 2, the bars
+    # (1), (1,1) and (2,1)
+    ones, ones2 = Pair.ones((1,)), Pair.ones((1, 1))
+    minus = Pair((1,), (sc(-1),))
+    phased2 = Pair((1, 1), (sc(0, 1), sc(F(3, 5), F(-4, 5))))
+    for comps, size, caps in (([ones, ones], 1000, (2, 3, 4, 6, 9, 12, 16, 20, 32, 50, 64, 100)),
+                              ([ones2, ones], 1000, (2, 3, 5, 8, 12, 20, 40, 100)),
+                              ([minus, phased2], 1000, (2, 3, 5, 8, 12, 20, 40, 100)),
+                              ([ones, ones, ones], 100, range(2, 13)),
+                              ([ones2, minus, phased2], 100, (2, 3, 5, 8, 11, 12))):
+        tops = [numeric._chain(p.letters(), size - 1)[0] for p in comps]
+        for bar in ((1,), (1, 1), (2, 1)):
+            t = zterm(comps, Pair.ones(bar))
+            total = len(comps) * (size - 1)
+            w = numeric._chain(t.bar.letters(), total, weak=True)[0] * np.arange(total + 1)
+            for cap, r_cut, mass in _uncovered_masses(tops, w, caps):
+                assert 0 < mass <= numeric._uncovered_bound(t, cap, r_cut), (str(t), cap)
 
 
 def test_bar_weight_covers_every_read(monkeypatch):
@@ -825,6 +849,13 @@ def test_telescoping_hypotheses():
         telescoping_check(1, 2, [0], [1], 0, [sc(2)], sc(F(1, 2)), 10)
     with pytest.raises(HypothesisViolated):
         telescoping_check(1, 2, [0], [1], 20, [sc(1)], sc(1), 10)
+    # integer parameters are integers: no float or bool passes, whatever its value
+    good = dict(d=1, n=2, m_minus=[0], m_plus=[1], q=0, vs=[sc(1)], t=sc(1), bound=10)
+    assert telescoping_check(**good)
+    for name, bad in (("bound", 10.5), ("bound", 10.0), ("m_minus", [0.5]), ("m_minus", [0.0]),
+                      ("d", True), ("m_plus", [True]), ("n", 2.0), ("q", False)):
+        with pytest.raises(HypothesisViolated):
+            telescoping_check(**{**good, name: bad})
 
 
 def test_telescoping_random_instances():

@@ -141,14 +141,12 @@ def test_hseries_coefficients_follow_the_scalar_rule():
     w = (ONE,)
     for bad in (0.1, True, float("nan"), "x"):
         with pytest.raises(DomainError):
-            HSeries.from_word(w, 2, coef=bad)
-        with pytest.raises(DomainError):
             HSeries.from_word(w, 2).scaled(bad)
     key = (0, w)
-    assert HSeries.from_word(w, 2, coef="1/3").terms == {key: F(1, 3)}
-    for s in (HSeries.from_word(w, 2, coef=F(6, 2)),
-              HSeries.from_word(w, 2, coef="1/2").scaled(6),
-              HSeries.from_word(w, 2, coef="3/2") + HSeries.from_word(w, 2, coef="3/2")):
+    assert HSeries.from_word(w, 2).scaled("1/3").terms == {key: F(1, 3)}
+    for s in (HSeries.from_word(w, 2).scaled(F(6, 2)),
+              HSeries.from_word(w, 2).scaled("1/2").scaled(6),
+              HSeries.from_word(w, 2).scaled("3/2") + HSeries.from_word(w, 2).scaled("3/2")):
         assert s.terms == {key: 3} and type(s.terms[key]) is int
 
 

@@ -620,7 +620,7 @@ def test_coefficients_are_canonical(monkeypatch):
     for w in ((ONE, X), (sc(-1), X, ONE), (sc(F(1, 2)), sc(F(1, 3)), X)):
         for name in MAP_NAMES:
             for c in (1, "1/2", F(4, 2)):
-                seen.extend(_coefs(apply_map(name, HSeries.from_word(w, 3, coef=c))))
+                seen.extend(_coefs(apply_map(name, HSeries.from_word(w, 3).scaled(c))))
     for data in itertools.islice(_two_component_recipes(max_weight=4), 0, None, 5):
         try:
             seen.extend(_coefs(recipe_relation(data)))
