@@ -217,6 +217,9 @@ class ZTerm(_value_tuple("ZTerm", ("coef", "components", "bar"))):
         components = tuple(components)
         if len(components) < 1:
             raise DomainError("a connected-sum term needs at least one component")
+        for p in components + (bar,):
+            if not isinstance(p, Pair):
+                raise DomainError(f"a term's components and bar must be Pairs, got {p!r}")
         return _tuple_new(cls, (coef, components, bar))
 
     @property
@@ -417,6 +420,7 @@ class MplExpr:
 def swap_components(t: ZTerm, perm: Sequence[int]) -> ZTerm:
     """Reorder components by perm (a permutation of range(n)); value-preserving."""
     n = t.arity
+    perm = [_integer(i, 0, DomainError, "not a component slot:") for i in perm]
     if sorted(perm) != list(range(n)):
         raise DomainError(f"{perm} is not a permutation of 0..{n - 1}")
     return _tuple_new(ZTerm, (t.coef, tuple(t.components[i] for i in perm), t.bar))

@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -398,10 +399,10 @@ def _merge_zero_bar_letters(t: ZTerm) -> ZTerm:
 
 
 def _check_tol(tol: float) -> None:
-    """A tolerance must be finite and positive: no tail can meet one that is
-    not, and a NaN one fails every comparison, so it reads as a failure."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    """A tolerance must be a finite positive real, not a bool: no tail can meet
+    one that is not, and a NaN one fails every comparison, so it reads as a failure."""
+    if type(tol) is bool or not isinstance(tol, Real) or not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be a finite positive real, got {tol!r}")
 
 
 def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:

@@ -100,33 +100,34 @@ def pair_from_json(obj) -> Pair:
     return Pair(k, zz)
 
 
-def _pair_json(p: Pair, pairs: dict | None) -> dict:
-    if pairs is None:
-        return pair_to_json(p)
-    out = pairs.get(p)
-    if out is None:
-        out = pairs[p] = pair_to_json(p)
-    return out
+def zterm_to_json(t: ZTerm) -> dict:
+    return {"coef": frac_to_json(t.coef), "components": [pair_to_json(p) for p in t.components],
+            "bar": pair_to_json(t.bar)}
 
 
-def zterm_to_json(t: ZTerm, pairs: dict | None = None) -> dict:
-    """JSON of a term.  With a memo ``pairs``, every term encoded through the
-    same memo reuses one dict per distinct pair and one list per distinct
-    tuple of components."""
+def trace_to_json(records) -> list[dict]:
+    """The JSON of a trace's (rule, premise, conclusions) records, whose
+    premise and conclusions are terms.  The records share one dict per
+    distinct pair and one list per distinct tuple of components."""
     # both kinds of key share the memo and cannot collide: a Pair is the
     # tuple (k, z) whose first entry is a tuple of ints, while a tuple of
     # components has Pairs as entries, and an int never equals a tuple
-    if pairs is None:
-        comps = [pair_to_json(p) for p in t.components]
-    else:
-        comps = pairs.get(t.components)
+    memo: dict = {}
+
+    def pair(p: Pair) -> dict:
+        out = memo.get(p)
+        if out is None:
+            out = memo[p] = pair_to_json(p)
+        return out
+
+    def term(t: ZTerm) -> dict:
+        comps = memo.get(t.components)
         if comps is None:
-            comps = pairs[t.components] = [_pair_json(p, pairs) for p in t.components]
-    return {
-        "coef": frac_to_json(t.coef),
-        "components": comps,
-        "bar": _pair_json(t.bar, pairs),
-    }
+            comps = memo[t.components] = [pair(p) for p in t.components]
+        return {"coef": frac_to_json(t.coef), "components": comps, "bar": pair(t.bar)}
+
+    return [{"rule": rule, "premise": term(p), "conclusions": [term(c) for c in cs]}
+            for rule, p, cs in records]
 
 
 def zterm_from_json(obj) -> ZTerm:

@@ -22,6 +22,7 @@ from .duality import dual_condition
 from .errors import (
     BudgetExceeded,
     DivergentInput,
+    DomainError,
     DualConditionViolated,
     NotPeelable,
     NotTransportable,
@@ -33,6 +34,7 @@ from .model import (
     Pair,
     ZExpr,
     ZTerm,
+    _integer,
     _tuple_new,
     arrow,
     drop_all_empty_components,
@@ -53,17 +55,6 @@ FRONTIER_CAP = 50_000
 BALL_TESTS_CAP = 10_000
 
 
-def _record(trace: Optional[Trace], rule: str, premise: ZTerm, conclusions,
-            pairs: Optional[dict] = None) -> None:
-    if trace is None:
-        return
-    trace.append({
-        "rule": rule,
-        "premise": serialize.zterm_to_json(premise, pairs),
-        "conclusions": [serialize.zterm_to_json(c, pairs) for c in conclusions],
-    })
-
-
 def transport_step(t: ZTerm, trace: Optional[Trace] = None) -> ZExpr:
     """Apply one transport rewrite to a term of arity >= 2.
 
@@ -71,7 +62,10 @@ def transport_step(t: ZTerm, trace: Optional[Trace] = None) -> ZExpr:
     the last component.  Raises NotTransportableStep naming the violated
     precondition.
     """
-    return ZExpr.of(_rewrite(t, trace, None))
+    out = _rewrite(t)
+    if trace is not None:
+        trace.extend(serialize.trace_to_json([("transport-step", t, out)]))
+    return ZExpr.of(out)
 
 
 def _peel_slot(p: Pair, slot: str, name: str):
@@ -81,9 +75,9 @@ def _peel_slot(p: Pair, slot: str, name: str):
         raise NotTransportableStep(f"{name} cannot be peeled: {exc}") from exc
 
 
-def _rewrite(t: ZTerm, trace: Optional[Trace], pairs: Optional[dict]) -> list[ZTerm]:
+def _rewrite(t: ZTerm) -> list[ZTerm]:
     """transport_step's conclusions as emitted, one per peeled slot, before
-    any merging; records them as transport_step does."""
+    any merging."""
     n = t.arity
     if n < 2:
         raise NotTransportableStep("transport needs arity >= 2")
@@ -125,7 +119,6 @@ def _rewrite(t: ZTerm, trace: Optional[Trace], pairs: Optional[dict]) -> list[ZT
         out.append(_tuple_new(ZTerm, (-coef if s_i * recv_sign > 0 else coef, comps, t.bar)))
     comps = head + (recv_new,)
     out.append(_tuple_new(ZTerm, (-coef if recv_sign > 0 else coef, comps, bar_base)))
-    _record(trace, "transport-step", t, out, pairs)
     return out
 
 
@@ -177,9 +170,15 @@ def condition_violation(others: Sequence[Pair], bar: Pair) -> Optional[str]:
     return None
 
 
+def _slot(j) -> int:
+    """A receiving slot as an int; one out of range does not qualify."""
+    return _integer(j, float("-inf"), DomainError, "a receiving slot must be an integer, got")
+
+
 def is_transportable(t: ZTerm, j: int) -> bool:
     """Whether receiving slot j guarantees every rewrite along the reduction
     (see condition_violation for the bullets checked)."""
+    j = _slot(j)
     t = drop_all_empty_components(t)
     if t.is_structurally_zero():
         return True
@@ -208,74 +207,84 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
     run until every branch reaches arity 1; emptied components and
     structurally-zero terms are dropped along the way.  A term reached by
     several branches of one generation is rewritten once and recorded once
-    per branch.  The records this call appends to ``trace`` share one JSON
-    dict per distinct pair and one list per distinct tuple of components, so
-    a trace is to be read, not edited in place.  A generation of more than
-    FRONTIER_CAP terms raises BudgetExceeded.
+    per branch.  A traced call keeps its records as terms and, when it
+    returns or raises, serializes them once into ``trace`` by
+    serialize.trace_to_json, so they share one JSON dict per distinct pair
+    and one list per distinct tuple of components (a trace is to be read, not
+    edited in place), and the records made before an error still reach the
+    trace.  A generation of more than FRONTIER_CAP terms raises BudgetExceeded.
     """
-    pairs: dict = {}
-    t0 = t
-    t = drop_all_empty_components(t)
-    if t.is_structurally_zero():
-        return ZExpr.of([])
-    if not is_convergent(t):
-        raise DivergentInput(f"{t} does not converge absolutely")
-    if t.arity >= 2:
-        if j is None:
-            j = transportable_pick(t)
+    if j is not None:
+        j = _slot(j)
+    records: list = []  # (rule, premise, conclusions), kept only for a trace
+    try:
+        t0 = t
+        t = drop_all_empty_components(t)
+        if t.is_structurally_zero():
+            return ZExpr.of([])
+        if not is_convergent(t):
+            raise DivergentInput(f"{t} does not converge absolutely")
+        if t.arity >= 2:
             if j is None:
-                raise NotTransportable(f"no receiving slot qualifies for {t0}")
-        elif not is_transportable(t, j):
-            raise NotTransportable(f"receiving slot {j} does not qualify for {t0}")
-        if j != t.arity - 1:
-            perm = [i for i in range(t.arity) if i != j] + [j]
-            t = swap_components(t, perm)
-            _record(trace, "swap-components", t0, [t], pairs)
+                j = transportable_pick(t)
+                if j is None:
+                    raise NotTransportable(f"no receiving slot qualifies for {t0}")
+            elif not is_transportable(t, j):
+                raise NotTransportable(f"receiving slot {j} does not qualify for {t0}")
+            if j != t.arity - 1:
+                perm = [i for i in range(t.arity) if i != j] + [j]
+                t = swap_components(t, perm)
+                if trace is not None:
+                    records.append(("swap-components", t0, (t,)))
 
-    out: list[ZTerm] = []
-    active = ZExpr.of([t]).as_terms()
-    while active:
-        batch: list[ZTerm] = []
-        # distinct branches can drop their empty components to one key; the
-        # transport measure falls by one per generation, so a key recurs only
-        # within its generation: rewrite it once, replay it for the repeats
-        done: dict = {}
-        for u in active:
-            v = drop_all_empty_components(u)
-            if v is not u:
-                _record(trace, "drop-empty", u, [v], pairs)
-            # ZExpr.of has dropped the structural zeros, and dropping empty
-            # components leaves a term's structural zeroness as it was
-            u = v
-            if u.arity == 1:
-                out.append(u)
-                continue
-            key = u.key()
-            seen = done.get(key)
-            if seen is None:
-                try:
-                    step = _rewrite(u, trace, pairs)
-                except NotTransportableStep as exc:
-                    raise StepPreconditionFailed(
-                        f"rewrite failed after transportability was confirmed: {u}: {exc}"
-                    ) from exc
-                done[key] = (u.coef, step)
-            else:
-                coef, step = seen
-                if u.coef != coef:
-                    ratio = Fraction(u.coef, coef)
-                    step = [c.scaled(ratio) for c in step]
-                _record(trace, "transport-step", u, step, pairs)
-            batch.extend(step)
-        # coalescing structurally equal branches between generations keeps
-        # symmetric inputs polynomial instead of exponential
-        active = ZExpr.of(batch).as_terms()
-        if len(active) > FRONTIER_CAP:
-            raise BudgetExceeded(
-                f"a reduction generation holds {len(active)} terms, over the cap "
-                f"of {FRONTIER_CAP}"
-            )
-    return ZExpr.of(out)
+        out: list[ZTerm] = []
+        active = ZExpr.of([t]).as_terms()
+        while active:
+            batch: list[ZTerm] = []
+            # distinct branches can drop their empty components to one key; the
+            # transport measure falls by one per generation, so a key recurs
+            # only within its generation: rewrite it once, replay it for the repeats
+            done: dict = {}
+            for u in active:
+                v = drop_all_empty_components(u)
+                if v is not u and trace is not None:
+                    records.append(("drop-empty", u, (v,)))
+                # ZExpr.of has dropped the structural zeros, and dropping empty
+                # components leaves a term's structural zeroness as it was
+                u = v
+                if u.arity == 1:
+                    out.append(u)
+                    continue
+                key = u.key()
+                seen = done.get(key)
+                if seen is None:
+                    try:
+                        step = _rewrite(u)
+                    except NotTransportableStep as exc:
+                        raise StepPreconditionFailed(
+                            f"rewrite failed after transportability was confirmed: {u}: {exc}"
+                        ) from exc
+                    done[key] = (u.coef, step)
+                else:
+                    coef, step = seen
+                    if u.coef != coef:
+                        ratio = Fraction(u.coef, coef)
+                        step = [c.scaled(ratio) for c in step]
+                if trace is not None:
+                    records.append(("transport-step", u, step))
+                batch.extend(step)
+            # coalescing structurally equal branches between generations keeps
+            # symmetric inputs polynomial instead of exponential
+            active = ZExpr.of(batch).as_terms()
+            if len(active) > FRONTIER_CAP:
+                raise BudgetExceeded(
+                    f"a reduction generation holds {len(active)} terms, over the cap "
+                    f"of {FRONTIER_CAP}"
+                )
+        return ZExpr.of(out)
+    finally:
+        if trace is not None:
+            trace.extend(serialize.trace_to_json(records))
 
 
 def reduce_to_mpl(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = None):

@@ -100,6 +100,11 @@ def test_swap_and_drop():
     t = zterm([Pair.ones((1,)), Pair.ones((2,))], Pair.ones((1,)))
     s = swap_components(t, [1, 0])
     assert s.components == (Pair.ones((2,)), Pair.ones((1,)))
+    assert swap_components(t, (np.int64(1), np.int64(0))) == s
+    # a permutation's entries are integers: a bool or float is not a slot
+    for bad in ((True, False), [1.0, 0], ["1", "0"], [0, 0], [0, 2], [-1, 0]):
+        with pytest.raises(DomainError):
+            swap_components(t, bad)
     t3 = zterm([P1, EMPTY_PAIR, Pair.ones((2,))])
     assert drop_empty_component(t3).components == (P1, Pair.ones((2,)))
     with pytest.raises(NoEmptyComponent):
@@ -236,7 +241,8 @@ def test_pair_is_the_tuple_of_its_fields():
         (p, ((1, 2), z), Pair([1, 2], [sc(F(1, 3), F(-1, 3)), "-2/5"]),
          [((1,), (sc(2),)), ((1,), (INF,)), ((1, 2), (ONE,)), ((0,), (ONE,))]),
         (t, (F(-2, 7), (p, EMPTY_PAIR), bar), ZTerm("-4/14", [p, EMPTY_PAIR], bar),
-         [(F(1), (), bar), (0.5, (p,), bar), ("x", (p,), bar)]),
+         [(F(1), (), bar), (0.5, (p,), bar), ("x", (p,), bar),
+          (1, (((1,), (ONE,)),), bar), (1, (p,), ((1,), (ONE,)))]),
         (m, ("shuffle", (1, 2), z), MplTerm("shuffle", [1, 2], [z[0], "-2/5"]),
          [("shuffle", (1,), ()), ("stuffle", (1,), (ONE,)), ("harmonic", (0,), (ONE,))]),
     ]
@@ -253,6 +259,8 @@ def test_pair_is_the_tuple_of_its_fields():
             assert type(twin) is cls and twin == value and hash(twin) == hash(value)
             if cls is Pair:
                 assert all(a is b for a, b in zip(twin.z, p.z))
+    with pytest.raises(DomainError, match="components and bar must be Pairs, got None"):
+        ZTerm(1, (p,), None)
     assert canonical_coef(t.coef) and t.coef == F(-2, 7)
     for c, exact in ((3, 3), (F(6, 2), 3), ("4/2", 2)):
         got = ZTerm(c, (p,), bar).coef

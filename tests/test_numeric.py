@@ -996,13 +996,16 @@ def test_bad_tol_rejected():
     # one fails every comparison: Li2(1) summed each piece to 2^21 against it
     li2 = MplTerm("shuffle", (2,), (ONE,))
     t = zterm([Pair.ones((1,)), Pair.ones((1,))])
-    for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+    # a bool is not read as 1.0, nor a string or None fed to math.isfinite
+    for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1e-3", None):
         with pytest.raises(DomainError):
             eval_mpl_auto(li2, tol)
         with pytest.raises(DomainError):
             eval_zterm(t, 100, tol)
         with pytest.raises(DomainError):
             verify_relation(_single(li2), tol=tol)
+    value, err = eval_mpl_auto(li2, np.float64(1e-3))
+    assert abs(value - math.pi ** 2 / 6) <= err <= 1e-3
 
 
 def _bisect_cut(q, rho, target):

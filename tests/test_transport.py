@@ -1,9 +1,12 @@
+import ast
 import hashlib
+import inspect
 import itertools
 import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from conftest import canonical_coef
 
@@ -11,6 +14,7 @@ from connsum import boundary, model, scalars, serialize, transport
 from connsum.errors import (
     BudgetExceeded,
     DivergentInput,
+    DomainError,
     NotPeelable,
     NotTransportable,
     NotTransportableStep,
@@ -184,6 +188,19 @@ def test_transportable_examples():
     # |1 - 1/z| < 1 with the reciprocal sum off-target: rejected
     edge = zt([Pair((1,), (sc(F(3, 5), F(4, 5)),)), ONES1], Pair.ones((1,)))
     assert not is_transportable(edge, 1)
+    # a slot is an integer (a numpy one too), never a bool, float or string;
+    # an integer out of range is a slot that does not qualify
+    assert is_transportable(t, np.int64(1))
+    assert reduce_to_z1(t, j=np.int64(0)) == reduce_to_z1(t, j=0)
+    for bad in (True, False, 1.0, "1"):
+        with pytest.raises(DomainError, match="receiving slot must be an integer"):
+            is_transportable(t, bad)
+        with pytest.raises(DomainError, match="receiving slot must be an integer"):
+            reduce_to_z1(t, j=bad)
+    for out_of_range in (-1, 2):
+        assert not is_transportable(t, out_of_range)
+        with pytest.raises(NotTransportable):
+            reduce_to_z1(t, j=out_of_range)
 
 
 def test_transportable_vertical_closure():
@@ -481,9 +498,9 @@ def test_reduction_rewrites_each_key_once(monkeypatch):
     rewritten, normalized = [], [0]
     rewrite, normalize = transport._rewrite, model._normalize
 
-    def counting_rewrite(t, trace, pairs):
+    def counting_rewrite(t):
         rewritten.append(t.key())
-        return rewrite(t, trace, pairs)
+        return rewrite(t)
 
     def counting_normalize(*args):
         normalized[0] += 1
@@ -541,8 +558,8 @@ def test_rewrite_outputs_are_valid_pairs(monkeypatch):
     rewrite = transport._rewrite
     expansion = boundary._expansion
 
-    def collecting_rewrite(t, trace, pairs):
-        out = rewrite(t, trace, pairs)
+    def collecting_rewrite(t):
+        out = rewrite(t)
         terms.extend(out)
         return out
 
@@ -598,18 +615,26 @@ def test_coefficients_are_canonical(monkeypatch):
     Fraction with denominator > 1 otherwise: never a float, never an
     integral Fraction."""
     seen = []
-    record = transport._record
+    rewrite, trace_to_json = transport._rewrite, serialize.trace_to_json
 
-    def collecting_record(trace, rule, premise, conclusions, pairs=None):
-        seen.extend(u.coef for u in (premise, *conclusions))
-        record(trace, rule, premise, conclusions, pairs)
+    def collecting_rewrite(t):
+        out = rewrite(t)
+        seen.extend(u.coef for u in (t, *out))
+        return out
 
-    monkeypatch.setattr(transport, "_record", collecting_record)
+    def collecting_trace_to_json(records):
+        for _, premise, conclusions in records:
+            seen.extend(u.coef for u in (premise, *conclusions))
+        return trace_to_json(records)
+
+    # every rewrite, traced or not, and every record of a traced call
+    monkeypatch.setattr(transport, "_rewrite", collecting_rewrite)
+    monkeypatch.setattr(serialize, "trace_to_json", collecting_trace_to_json)
     for t in _seeded_reductions(count=12):
         for c in (1, "1/2", "-2/3"):
             u = t.scaled(c)
             seen.extend(_coefs(reduce_to_z1(u, trace=[])))
-            mpl = reduce_to_mpl(u)
+            mpl = reduce_to_mpl(u, trace=[])
             seen.extend(_coefs(mpl) + _coefs(normalize_to_dual_basis(mpl)))
     assert len(seen) > 5000
     pairs = [p for w in range(1, 5) for p in _signed_pairs(w) if dual_condition(p)]
@@ -623,7 +648,7 @@ def test_coefficients_are_canonical(monkeypatch):
                 seen.extend(_coefs(apply_map(name, HSeries.from_word(w, 3).scaled(c))))
     for data in itertools.islice(_two_component_recipes(max_weight=4), 0, None, 5):
         try:
-            seen.extend(_coefs(recipe_relation(data)))
+            seen.extend(_coefs(recipe_relation(data, trace=[])))
         except PreconditionViolated:
             continue
     for zs in ((F(-1, 2), F(-1, 3), F(1, 6)), (F(-1, 2), F(-1, 2), F(-1, 3), F(1, 8))):
@@ -685,12 +710,55 @@ def test_modulus_and_interval_predicates_build_no_fraction(monkeypatch):
 
 def test_frontier_budget(monkeypatch):
     t = zt([Pair.ones((1, 2)), Pair.ones((2,)), ONES1], Pair.ones((1, 1)))
-    expected = reduce_to_z1(t)  # its largest generation holds 26 terms
+    full, capped = [], []
+    expected = reduce_to_z1(t, trace=full)  # its largest generation holds 26 terms
     monkeypatch.setattr(transport, "FRONTIER_CAP", 26)
     assert reduce_to_z1(t) == expected
     monkeypatch.setattr(transport, "FRONTIER_CAP", 25)
     with pytest.raises(BudgetExceeded, match="26 terms"):
-        reduce_to_z1(t)
+        reduce_to_z1(t, trace=capped)
+    # the records made before the budget ran out still reach the trace
+    assert capped and capped == full[:len(capped)]
+
+
+def test_traced_reduction_serializes_once(monkeypatch):
+    """A traced reduce_to_z1 builds its trace's JSON in one trace_to_json
+    call and never through zterm_to_json; an untraced one builds none."""
+    t = zt([Pair.ones((1, 2)), Pair.ones((2,)), ONES1], Pair.ones((1, 1)))
+    calls = {"zterm_to_json": 0, "trace_to_json": 0}
+
+    def counting(name):
+        original = getattr(serialize, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(serialize, name, counting(name))
+    trace = []
+    reduce_to_z1(t, trace=trace)
+    assert len(trace) > 10 and calls == {"zterm_to_json": 0, "trace_to_json": 1}
+    reduce_to_z1(t)
+    assert calls == {"zterm_to_json": 0, "trace_to_json": 1}
+
+
+def test_transport_serializes_only_through_trace_to_json():
+    """The rewrite engine holds terms: the one thing it asks of serialize
+    is trace_to_json, called at the edge of a traced call."""
+    tree = ast.parse(inspect.getsource(transport))
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "serialize"]
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "serialize"]
+    assert uses
+    for node in uses:
+        attribute = parent[node]
+        assert isinstance(attribute, ast.Attribute) and attribute.attr == "trace_to_json"
+        call = parent[attribute]
+        assert isinstance(call, ast.Call) and call.func is attribute
 
 
 def test_ball_tests_budget(monkeypatch):
