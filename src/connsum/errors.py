@@ -62,7 +62,7 @@ class NotA0(ConnsumError):
 
 
 class TruncationTooSmall(ConnsumError, ValueError):
-    """Series truncation order must be non-negative."""
+    """Series truncation order must be a non-negative integer."""
 
 
 class HypothesisViolated(ConnsumError, ValueError):

@@ -380,9 +380,13 @@ def _uncovered_bound(t: ZTerm, cap: int, r_cut: int) -> float:
     """
     n, j = t.arity, min(cap, r_cut) + 1
     q = sum(p.dep for p in t.components) + t.bar.dep - 2
-    x = max(cap + j + 1, math.exp(q - 1))
     weights = j / ((j - 1) * math.comb(cap + j, j - 1))  # sum_{T>=lo} 1/C(T, J)
-    return math.comb(n + 1, 2) * n * (1.0 + math.log(x)) ** q / x * weights
+    try:  # exp and float ** int raise where e^(q-1) or the power passes float64
+        x = max(cap + j + 1, math.exp(q - 1))
+        power = (1.0 + math.log(x)) ** q
+    except OverflowError:
+        return math.inf
+    return math.comb(n + 1, 2) * n * power / x * weights
 
 
 def _merge_zero_bar_letters(t: ZTerm) -> ZTerm:

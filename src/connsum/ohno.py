@@ -113,8 +113,9 @@ class HSeries:
     @staticmethod
     def make(order: int, items: Iterable[tuple[tuple[int, Word], Coef]]) -> "HSeries":
         """Sum the items, dropping degrees past order and zero coefficients."""
-        if order < 0:
-            raise TruncationTooSmall("truncation order must be >= 0")
+        if type(order) is not int or order < 0:
+            order = _integer(order, 0, TruncationTooSmall,
+                             "truncation order must be an integer >= 0, got")
         terms: dict[tuple[int, Word], Coef] = {}
         for key, c in items:
             if key[0] <= order:

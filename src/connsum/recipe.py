@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .boundary import boundary_reduce_all
-from .errors import PreconditionViolated
+from .errors import DomainError, PreconditionViolated
 from .model import (
     EMPTY_PAIR,
     Pair,
@@ -32,6 +32,10 @@ class RecipeData:
     bar: Pair
 
     def __post_init__(self):
+        object.__setattr__(self, "components", tuple(self.components))
+        for p in self.components + (self.bar,):
+            if not isinstance(p, Pair):
+                raise DomainError(f"recipe components and bar must be Pairs, got {p!r}")
         if len(self.components) < 1:
             raise PreconditionViolated("need at least one component")
         if any(p.is_empty() for p in self.components) or self.bar.is_empty():

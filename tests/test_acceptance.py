@@ -13,7 +13,7 @@ from connsum.model import Pair, ZTerm, is_convergent, zterm
 from connsum.exact import eval_mpl_partial_exact, eval_zterm_partial_exact, telescoping_check
 from connsum.numeric import eval_zterm, verify_relation
 from connsum.boundary import boundary_reduce
-from connsum.named_examples import run_amtagpa, run_dilcher, run_oloa, run_zeta4
+from connsum.named_examples import run_example
 from connsum.ohno import (
     HSeries,
     X,
@@ -47,13 +47,13 @@ def test_criterion_2_oloa():
     rep = eval_zterm(zterm([Pair.ones((1,)), Pair.ones((1,))], Pair.ones((1, 1))),
                      400, tol=1e-4)
     diff = abs(rep.value.real / 3 - ZETA3)
-    symbolic = run_oloa().ok
+    symbolic = run_example("oloa").ok
     _report(2, diff <= 1e-4 and symbolic,
             f"Z2(1;1|1,1)/3 vs zeta(3): diff={diff:.2e}, symbolic split exact: {symbolic}")
 
 
 def test_criterion_3_zeta4():
-    res = run_zeta4(bound=400, tol=1e-4)
+    res = run_example("zeta4", bound=400, tol=1e-4)
     diff = abs(res.report.lhs_value.real - 17 / 8 * math.pi ** 4 / 90)
     _report(3, res.ok and diff <= 1e-4,
             f"Z2(1;1|2,1) vs 17/8 zeta(4): diff={diff:.2e}, 3-term split exact")
@@ -62,7 +62,7 @@ def test_criterion_3_zeta4():
 def test_criterion_4_amtagpa():
     oks, details = [], []
     for n in (2, 3, 4):
-        res = run_amtagpa(n, bound=200, tol=1e-3)
+        res = run_example(f"amtagpa:{n}", bound=200, tol=1e-3)
         oks.append(res.ok)
         details.append(f"n={n} diff={res.report.difference:.2e}")
     _report(4, all(oks), "; ".join(details))
@@ -222,7 +222,7 @@ def test_criterion_9_dilcher():
     details = []
     ok = True
     for k in range(2, 7):
-        res = run_dilcher(k)
+        res = run_example(f"dilcher:{k}")
         ok = ok and res.ok
         details.append(f"k={k} diff={res.report.difference:.2e}")
     _report(9, ok, "; ".join(details) + " (k=3 includes zeta(3)=8zeta(1,bar2) at 1e-6)")

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -46,6 +47,12 @@ def test_eval_command_round_trip(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert abs(out["value"][0] - 1.6449340668) < 1e-6
         assert out["converged"]
+    # a tail bound past float64 is reported as not converged, not raised as
+    # OverflowError
+    deep = Pair.ones((1,) * 74 + (2,))
+    term = _write(tmp_path, "t.json", serialize.zterm_to_json(zterm([deep, deep])))
+    assert main(["--json", "eval", "--term", term, "--bound", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is False
 
 
 def test_dual_command(tmp_path, capsys):
@@ -109,6 +116,28 @@ def test_import_loads_no_scipy():
     assert out.split() == ["True", "[]"], out
 
 
+def test_modules_import_only_names_they_use():
+    # every name a module of the package imports is read in it (the package's
+    # __init__ imports to re-export)
+    package = os.path.dirname(connsum.__file__)
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(package, fname)) as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(set(imported) - used)
+        assert not unused, f"{fname} imports {unused} and never reads them"
+
+
 def test_python_m_connsum_runs():
     # the package runs as a module, through cli.main and its exit code
     src = os.path.dirname(os.path.dirname(connsum.__file__))
@@ -152,6 +181,13 @@ def test_examples_command(capsys):
     for name in ("amtagpa:x", "dilcher:2.0"):
         assert main(["examples", "--name", name]) == 2, name
         assert capsys.readouterr().err.startswith(f"error: example {name!r}"), name
+    # only ASCII decimal digits: int() would read each of these as a number
+    for name in ("amtagpa:2_0", "amtagpa: 3", "amtagpa:+2", "amtagpa:\u0663", "amtagpa:"):
+        assert main(["examples", "--name", name]) == 2, name
+        assert capsys.readouterr().err == (
+            f"error: example {name!r} needs an integer parameter\n"), name
+    assert main(["--json", "examples", "--name", "amtagpa:02", "--bound", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["name"] == "amtagpa:2"
     # the text form: one status line with the difference, then its notes indented
     assert main(["examples", "--name", "cloitre"]) == 0
     status, note = capsys.readouterr().out.splitlines()

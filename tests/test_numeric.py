@@ -651,6 +651,19 @@ def test_uncovered_bound_covers_the_uncovered_rows():
                 assert 0 < mass <= numeric._uncovered_bound(t, cap, r_cut), (str(t), cap)
 
 
+def test_uncovered_bound_past_float64_is_infinite():
+    # at q = 149, (1 + ln x)^q passes float64: the bound is inf, where it
+    # raised OverflowError; at q = 139 it is finite
+    deep = Pair.ones((1,) * 74 + (2,))
+    rep = eval_zterm(zterm([deep, deep]), 100)
+    assert rep.tail_estimate == math.inf and rep.converged is False
+    shallow = Pair.ones((1,) * 69 + (2,))
+    assert math.isfinite(eval_zterm(zterm([shallow, shallow]), 100).tail_estimate)
+    # at q = 711, e^(q-1) passes float64 before the power is taken
+    deeper = Pair.ones((1,) * 355 + (2,))
+    assert numeric._uncovered_bound(zterm([deeper, deeper]), 400, 12) == math.inf
+
+
 def test_bar_weight_covers_every_read(monkeypatch):
     # with no component top on the unit circle no escape row reads the bar
     # weight W, so it ends where the capped sum and the uncovered rows'

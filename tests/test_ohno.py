@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from connsum.duality import dual_condition, duality_relation
@@ -113,6 +114,18 @@ def test_map_inverses_and_involutions():
 def test_negative_order_rejected():
     with pytest.raises(TruncationTooSmall):
         HSeries.from_word((ONE, X), -1)
+    # an order that is not an integer is rejected where it enters, whatever
+    # its value; a numpy integer is an integer
+    for order in (2.5, "2", True, None, np.int64(-1)):
+        with pytest.raises(TruncationTooSmall):
+            HSeries.from_word((ONE, X), order)
+        with pytest.raises(TruncationTooSmall):
+            boundary_series((ONE, X), order)
+        with pytest.raises(TruncationTooSmall):
+            thm_sides((ONE, X), order)
+    s = HSeries.from_word((ONE, X), np.int64(2))
+    assert type(s.order) is int and s == HSeries.from_word((ONE, X), 2)
+    assert apply_map("tau", s) == apply_map("tau", HSeries.from_word((ONE, X), 2))
 
 
 def _assert_invariant(s):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from connsum.errors import PreconditionViolated
+from connsum.errors import DomainError, PreconditionViolated
 from connsum.model import MplExpr, MplTerm, Pair
 from connsum.numeric import verify_relation
 from connsum.ohno import HSeries, apply_map, word_of_pair, words_to_mpl
@@ -34,6 +34,16 @@ def test_assumption_bullets():
 def test_recipe_rejects_bad_data():
     with pytest.raises(PreconditionViolated):
         recipe_relation(RecipeData((Pair((1,), (ONE,)),), Pair.ones((1,))))
+    # components are stored as a tuple, so a list of them works as one does
+    data = RecipeData([Pair.ones((1,))], Pair.ones((2,)))
+    assert data.components == (Pair.ones((1,)),)
+    assert recipe_relation(data) == recipe_relation(RecipeData((Pair.ones((1,)),),
+                                                               Pair.ones((2,))))
+    # a part that is not a Pair is named, as the validating ZTerm does
+    one, two = Pair.ones((1,)), Pair.ones((2,))
+    for comps, bar in (([(1,)], two), ([one], (2,)), ([one, None], two), (one, two)):
+        with pytest.raises(DomainError, match="must be Pairs"):
+            RecipeData(comps, bar)
 
 
 def test_tautology_case():
