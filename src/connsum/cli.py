@@ -1,5 +1,9 @@
 """Command-line surface: reduce, eval, dual, ohno, verify, examples.
 
+Each command is a COMMANDS row whose handler returns (payload, text, exit
+code); main alone maps errors to exit codes and prints, its JSON strict: a
+non-finite float is the string "inf", "-inf" or "nan", as in the scalar codec.
+
 Exit codes: 0 pass, 1 numeric-verification failure, 2 precondition or domain
 error, 3 internal invariant breach.
 """
@@ -7,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import serialize
@@ -28,87 +33,80 @@ def _load(path: str):
         return json.load(fh)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
-def cmd_reduce(args) -> int:
+def _reduce(args):
     term = serialize.zterm_from_json(_load(args.term))
     trace: list = []
     expr = reduce_to_mpl(term, trace=trace)
     normalized = normalize_to_dual_basis(expr)
-    payload = {
-        "mpl": serialize.mplexpr_to_json(normalized),
-        "raw_mpl": serialize.mplexpr_to_json(expr),
-        "trace": trace,
-    }
     lines = [f"input: {term}", f"reduced: {expr}"]
     if normalized != expr:
         lines.append(f"dual-normalized: {normalized}")
     lines.append(f"trace: {len(trace)} rewrite records")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    payload = {"mpl": serialize.mplexpr_to_json(normalized),
+               "raw_mpl": serialize.mplexpr_to_json(expr), "trace": trace}
+    return payload, "\n".join(lines), EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    term = serialize.zterm_from_json(_load(args.term))
-    report = eval_zterm(term, args.bound, tol=args.tol)
-    _emit(args, report.to_json(),
-          f"value = {report.value}\ntruncation = {report.truncation}\n"
-          f"tail_estimate = {report.tail_estimate:.3e}\nconverged = {report.converged}")
-    return EXIT_OK
+def _eval(args):
+    report = eval_zterm(serialize.zterm_from_json(_load(args.term)), args.bound, tol=args.tol)
+    return report.to_json(), (
+        f"value = {report.value}\ntruncation = {report.truncation}\n"
+        f"tail_estimate = {report.tail_estimate:.3e}\nconverged = {report.converged}"), EXIT_OK
 
 
-def cmd_dual(args) -> int:
+def _dual(args):
     pair = serialize.pair_from_json(_load(args.pair))
     sign, dual = dagger(pair)
     rel = duality_relation(pair)
-    payload = {
-        "sign": sign,
-        "dual": serialize.pair_to_json(dual),
-        "relation": serialize.relation_to_json(rel),
-    }
-    _emit(args, payload, f"dual of {pair}: sign {sign}, pair {dual}\n{rel}")
-    return EXIT_OK
+    payload = {"sign": sign, "dual": serialize.pair_to_json(dual),
+               "relation": serialize.relation_to_json(rel)}
+    return payload, f"dual of {pair}: sign {sign}, pair {dual}\n{rel}", EXIT_OK
 
 
-def cmd_ohno(args) -> int:
-    pair = serialize.pair_from_json(_load(args.pair))
-    rel = ohno_relation(pair, args.h)
-    payload = {"relation": serialize.relation_to_json(rel)}
-    _emit(args, payload, str(rel))
-    return EXIT_OK
+def _ohno(args):
+    rel = ohno_relation(serialize.pair_from_json(_load(args.pair)), args.h)
+    return {"relation": serialize.relation_to_json(rel)}, str(rel), EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def _verify(args):
     rel = serialize.relation_from_json(_load(args.relation))
     report = verify_relation(rel, bound=args.bound, tol=args.tol)
-    _emit(args, report.to_json(),
-          f"lhs = {report.lhs_value}\nrhs = {report.rhs_value}\n"
-          f"difference = {report.difference:.3e} (tol {report.tol:.1e}, "
-          f"tails {report.tail_total:.3e})\nok = {report.ok}")
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    return report.to_json(), (
+        f"lhs = {report.lhs_value}\nrhs = {report.rhs_value}\n"
+        f"difference = {report.difference:.3e} (tol {report.tol:.1e}, "
+        f"tails {report.tail_total:.3e})\nok = {report.ok}"
+    ), EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
-def cmd_examples(args) -> int:
+def _examples(args):
     names = [args.name] if args.name else list(EXAMPLE_NAMES)
     results = [run_example(n, bound=args.bound, tol=args.tol) for n in names]
+    lines = []
     for res in results:
-        if args.json:
-            continue
-        status = "pass" if res.ok else "FAIL"
-        extra = ""
-        if res.report is not None:
-            extra = f"  diff={res.report.difference:.3e} tol={res.report.tol:.1e}"
-        print(f"[{status}] {res.name}{extra}")
-        for note in res.notes:
-            print(f"    {note}")
-    if args.json:
-        print(json.dumps([r.to_json() for r in results], indent=2, sort_keys=True))
-    return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
+        extra = "" if res.report is None else \
+            f"  diff={res.report.difference:.3e} tol={res.report.tol:.1e}"
+        lines.append(f"[{'pass' if res.ok else 'FAIL'}] {res.name}{extra}")
+        lines.extend(f"    {note}" for note in res.notes)
+    code = EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
+    return [r.to_json() for r in results], "\n".join(lines), code
+
+
+_NUMERIC = {"--bound": {"type": int, "default": 400}, "--tol": {"type": float, "default": 1e-6}}
+
+# name -> (help, {option: add_argument keywords}, handler)
+COMMANDS = {
+    "reduce": ("reduce a connected-sum term to polylogs",
+               {"--term": {"required": True, "help": "JSON file with the term"}}, _reduce),
+    "eval": ("numerically evaluate a term", {"--term": {"required": True}, **_NUMERIC}, _eval),
+    "dual": ("dual pair and duality relation", {"--pair": {"required": True}}, _dual),
+    "ohno": ("lift-by-h relation for a pair",
+             {"--pair": {"required": True}, "--h": {"type": int, "default": 1}}, _ohno),
+    "verify": ("numerically verify a relation record",
+               {"--relation": {"required": True}, **_NUMERIC}, _verify),
+    "examples": ("reproduce named identities",
+                 {"--name": {"help": "one example (default: all)"},
+                  "--bound": {"type": int}, "--tol": {"type": float}}, _examples),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,44 +120,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="human-readable output (default)")
     ap.set_defaults(json=False)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reduce", help="reduce a connected-sum term to polylogs")
-    p.add_argument("--term", required=True, help="JSON file with the term")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("eval", help="numerically evaluate a term")
-    p.add_argument("--term", required=True)
-    p.add_argument("--bound", type=int, default=400)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("dual", help="dual pair and duality relation")
-    p.add_argument("--pair", required=True)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("ohno", help="lift-by-h relation for a pair")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--h", type=int, default=1)
-    p.set_defaults(func=cmd_ohno)
-
-    p = sub.add_parser("verify", help="numerically verify a relation record")
-    p.add_argument("--relation", required=True)
-    p.add_argument("--bound", type=int, default=400)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("examples", help="reproduce named identities")
-    p.add_argument("--name", help="one example (default: all)")
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_examples)
+    for name, (help_text, options, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
     return ap
+
+
+def _strict(obj):
+    """obj with each non-finite float spelled as its str: "inf", "-inf", "nan"."""
+    if isinstance(obj, dict):
+        return {key: _strict(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, text, code = COMMANDS[args.command][2](args)
     except StepPreconditionFailed as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -169,6 +149,10 @@ def main(argv=None) -> int:
     except ConnsumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a missing file, or text that is not JSON
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.json:
+        text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
+    print(text)
+    return code

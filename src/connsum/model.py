@@ -60,9 +60,12 @@ def _integer(x, least: int, error: type[Exception], message: str) -> int:
 
 
 def _as_index(entries: Iterable[int]) -> Index:
-    return tuple(e if type(e) is int and e >= 1 else
-                 _integer(e, 1, DomainError, "index entries must be positive integers:")
-                 for e in entries)
+    try:  # caught, not tested for, so that valid input pays nothing
+        return tuple(e if type(e) is int and e >= 1 else
+                     _integer(e, 1, DomainError, "index entries must be positive integers:")
+                     for e in entries)
+    except TypeError:
+        raise DomainError(f"an index must be a sequence, got {entries!r}") from None
 
 
 _tuple_new = tuple.__new__
@@ -97,7 +100,10 @@ class Pair(_value_tuple("Pair", ("k", "z"))):
 
     def __new__(cls, k: Iterable[int] = (), z: Iterable = ()):
         k = _as_index(k)
-        z = tuple(_as_scalar(v) for v in z)
+        try:
+            z = tuple(_as_scalar(v) for v in z)
+        except TypeError:
+            raise DomainError(f"pair variables must be a sequence, got {z!r}") from None
         if len(k) != len(z):
             raise DomainError(f"index/variable length mismatch: {k} vs {z}")
         for v in z:
@@ -214,7 +220,10 @@ class ZTerm(_value_tuple("ZTerm", ("coef", "components", "bar"))):
 
     def __new__(cls, coef, components: Iterable[Pair], bar: Pair):
         coef = _coef(coef)
-        components = tuple(components)
+        try:
+            components = tuple(components)
+        except TypeError:
+            raise DomainError(f"term components must be a sequence, got {components!r}") from None
         if len(components) < 1:
             raise DomainError("a connected-sum term needs at least one component")
         for p in components + (bar,):
@@ -284,7 +293,10 @@ class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
 
     def __new__(cls, kind: MplKind, k: Iterable[int], z: Iterable):
         k = _as_index(k)
-        z = tuple(_as_scalar(v) for v in z)
+        try:
+            z = tuple(_as_scalar(v) for v in z)
+        except TypeError:
+            raise DomainError(f"polylog variables must be a sequence, got {z!r}") from None
         if len(k) != len(z):
             raise DomainError("index/variable length mismatch")
         if kind not in ("shuffle", "harmonic"):

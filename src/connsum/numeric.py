@@ -24,9 +24,9 @@ enter the tail through proved bounds.
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
 one first-order recurrence per letter (_scan, with a proved rounding bound
 on each of its three paths), in float64 when every variable is real and
-complex128 otherwise.  The module needs numpy alone: harmonic numbers come
-from _harmonic, reciprocal binomials from running products.  The one float
-polylogarithm evaluator, eval_mpl_auto, is a Hölder convolution.  With
+complex128 otherwise.  The module needs numpy alone: reciprocal binomials
+come from running products.  The one float polylogarithm evaluator,
+eval_mpl_auto, is a Hölder convolution.  With
 letters (z_i, k_i) innermost first, the value is (-1)^r G(b; 1) for the
 word b = (0^(k_r-1), 1/z_r, ..., 0^(k_1-1), 1/z_1), and
 
@@ -78,21 +78,6 @@ _BLOCKS_MAX = 32  # weight blocks kept per process: totals below 30,720
 _CAP = 1 << 21  # outer index past which no Hölder piece is summed
 _U = 2.0 ** -53  # unit roundoff of float64
 _LOOP_MAX = 128  # longest _scan run as a Python loop; numpy passes win past it
-
-
-def _harmonic(n: int) -> float:
-    """H_n = 1 + 1/2 + ... + 1/n for n >= 1.
-
-    Summed below 64.  From 64 on, the Euler-Maclaurin series
-    ln n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4) - 1/(252 n^6), whose
-    remainder has the sign of the next term, 1/(240 n^8), and is smaller: at
-    most 1.5e-17, below u H_n.
-    """
-    if n < 64:
-        return math.fsum(1.0 / k for k in range(1, n + 1))
-    r = 1.0 / (n * n)
-    return math.log(n) + np.euler_gamma + 0.5 / n - \
-        r * (1.0 / 12 - r * (1.0 / 120 - r / 252))
 
 
 def _scan(x: np.ndarray, z, weak: bool) -> np.ndarray:
@@ -336,7 +321,7 @@ def _escape_rows(bar: Pair, w: np.ndarray, cap: int, r_max: int, k_top: int,
     if z == 1 and k_top == 1 and ones and bar.k == (1,):
         return past(cap), np.zeros(r_max)
     if z == 1 and k_top == 1 and ones and bar.k == (1, 1):
-        h = _harmonic(cap + 1) + np.cumsum(1.0 / (cap + 1.0 + rs))  # H_(cap+r+1)
+        h = w[cap + 1 + rs]  # W[T] = H_T for this bar
         return past(cap) * h + past(cap + 1) / rs, np.zeros(r_max)
     b = cap + _KERNEL_WINDOW
     m = np.arange(cap + 1, b + 1, dtype=np.float64)

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
     TruncationTooSmall,
 )
-from .model import Coef, MplExpr, MplTerm, Pair, _coef, _integer, zterm
+from .model import Coef, MplExpr, MplTerm, Pair, _as_scalar, _coef, _integer, zterm
 from .records import Relation
 from .scalars import ONE, Scalar, reciprocal_sum
 from .transport import reduce_to_z1
@@ -51,8 +51,8 @@ Word = tuple[Letter, ...]
 
 def _check_word(w: Word) -> None:
     for letter in w:
-        if isinstance(letter, Scalar) and not in_ball_at_one(letter):
-            raise AlphabetViolation(f"letter variable {letter} outside the alphabet")
+        if letter is not X and not (isinstance(letter, Scalar) and in_ball_at_one(letter)):
+            raise AlphabetViolation(f"letter {letter!r} is neither x nor an alphabet variable")
 
 
 def in_a1(w: Word) -> bool:
@@ -271,8 +271,12 @@ def lift_sum(p: Pair, h: int) -> MplExpr:
 
 def insert_lift(p: Pair, bs: Sequence[int]) -> Pair:
     """Insert b_i depth-1 copies of the i-th variable other than 1 before its letter."""
-    if len(bs) != iota(p.z):
-        raise PreconditionViolated(f"need {iota(p.z)} insertion counts, got {len(bs)}")
+    try:
+        count = len(bs)
+    except TypeError:
+        raise PreconditionViolated(f"insertion counts must be a sequence, got {bs!r}") from None
+    if count != iota(p.z):
+        raise PreconditionViolated(f"need {iota(p.z)} insertion counts, got {count}")
     for b in bs:
         _integer(b, 0, PreconditionViolated, "insertion counts must be non-negative integers:")
     counts = iter(bs)
@@ -355,7 +359,7 @@ def multi_term_relations(zs: Sequence[Scalar]) -> Relation:
     reciprocal sum exactly 1; the four-variable case also needs the cyclic
     pair values g(a, b) = ab/(ab-a-b) inside the closed disk.
     """
-    zs = tuple(zs)
+    zs = tuple(_as_scalar(z) for z in zs)
     n = len(zs)
     if n not in (3, 4):
         raise PreconditionViolated("need exactly 3 or 4 variables")

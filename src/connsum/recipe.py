@@ -32,7 +32,11 @@ class RecipeData:
     bar: Pair
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        comps = self.components
+        try:
+            object.__setattr__(self, "components", tuple(comps))
+        except TypeError:
+            raise DomainError(f"recipe components must be a sequence, got {comps!r}") from None
         for p in self.components + (self.bar,):
             if not isinstance(p, Pair):
                 raise DomainError(f"recipe components and bar must be Pairs, got {p!r}")

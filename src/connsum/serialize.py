@@ -3,7 +3,8 @@
 Rationals travel as [numerator, denominator]; integers too wide for exact
 double round-trips are emitted as decimal strings and both forms are accepted
 on input.  A finite scalar is {"re": [n, d], "im": [n, d]}, infinity is the
-string "inf"; a bare integer is accepted as a scalar shorthand.
+string "inf"; a bare integer is accepted as a scalar shorthand.  A reader
+raises DomainError naming a required field that is missing.
 """
 from __future__ import annotations
 
@@ -45,6 +46,13 @@ def _object_in(v, what: str) -> dict:
     if not isinstance(v, dict):
         raise DomainError(f"expected {what} object, got {v!r}")
     return v
+
+
+def _field(obj: dict, name: str):
+    try:
+        return obj[name]
+    except KeyError:
+        raise DomainError(f"missing field {name!r}") from None
 
 
 def frac_to_json(q: Fraction) -> list:
@@ -133,7 +141,7 @@ def trace_to_json(records) -> list[dict]:
 def zterm_from_json(obj) -> ZTerm:
     _object_in(obj, "a term")
     coef = frac_from_json(obj.get("coef", 1))
-    comps = tuple(pair_from_json(p) for p in _list_in(obj["components"], "pairs"))
+    comps = tuple(pair_from_json(p) for p in _list_in(_field(obj, "components"), "pairs"))
     bar = pair_from_json(obj["bar"]) if "bar" in obj else Pair.ones((1,))
     return ZTerm(coef, comps, bar)
 
@@ -157,8 +165,8 @@ def mplterm_from_json(obj) -> MplTerm:
     _object_in(obj, "a polylog term")
     return MplTerm(
         obj.get("kind", "shuffle"),
-        tuple(_int_in(e) for e in _list_in(obj["k"], "exponents")),
-        tuple(scalar_from_json(v) for v in _list_in(obj["z"], "scalars")),
+        tuple(_int_in(e) for e in _list_in(_field(obj, "k"), "exponents")),
+        tuple(scalar_from_json(v) for v in _list_in(_field(obj, "z"), "scalars")),
     )
 
 
@@ -181,9 +189,8 @@ def _side_to_json(side) -> dict:
 
 
 def _side_from_json(obj):
-    if _object_in(obj, "a relation side").get("type") == "z":
-        return zexpr_from_json(obj["terms"])
-    return mplexpr_from_json(obj["terms"])
+    terms = _field(_object_in(obj, "a relation side"), "terms")
+    return zexpr_from_json(terms) if obj.get("type") == "z" else mplexpr_from_json(terms)
 
 
 def relation_to_json(r: Relation) -> dict:
@@ -197,7 +204,7 @@ def relation_to_json(r: Relation) -> dict:
 def relation_from_json(obj) -> Relation:
     _object_in(obj, "a relation")
     return Relation(
-        lhs=_side_from_json(obj["lhs"]),
-        rhs=_side_from_json(obj["rhs"]),
+        lhs=_side_from_json(_field(obj, "lhs")),
+        rhs=_side_from_json(_field(obj, "rhs")),
         provenance=dict(_object_in(obj.get("provenance", {}), "a provenance")),
     )

@@ -5,15 +5,18 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import connsum
-from connsum import boundary, serialize, transport
+from connsum import boundary, cli, serialize, transport
 from connsum.cli import main
 from connsum.model import MplExpr, MplTerm, Pair, ZExpr, zterm
 from connsum.records import Relation
 from connsum.scalars import ONE, sc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write(tmp_path, name, payload):
@@ -52,7 +55,8 @@ def test_eval_command_round_trip(tmp_path, capsys):
     deep = Pair.ones((1,) * 74 + (2,))
     term = _write(tmp_path, "t.json", serialize.zterm_to_json(zterm([deep, deep])))
     assert main(["--json", "eval", "--term", term, "--bound", "100"]) == 0
-    assert json.loads(capsys.readouterr().out)["converged"] is False
+    out = json.loads(capsys.readouterr().out)
+    assert out["converged"] is False and out["tail_estimate"] == "inf"
 
 
 def test_dual_command(tmp_path, capsys):
@@ -218,6 +222,56 @@ def test_malformed_term_is_a_domain_error(tmp_path, capsys):
         term = _write(tmp_path, "t.json", payload)
         assert main(["reduce", "--term", term]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_missing_field_is_named(tmp_path, capsys):
+    # each required field a reader looks up is named, exit 2; it was a bare
+    # KeyError that only a catch-all turned into exit 2
+    side = {"type": "mpl", "terms": [{"k": [2], "z": [1]}]}
+    cases = [("reduce", "--term", {"bar": {"k": [1]}}, "components"),
+             ("verify", "--relation", {"rhs": side}, "lhs"),
+             ("verify", "--relation", {"lhs": side}, "rhs"),
+             ("verify", "--relation", {"lhs": side, "rhs": {"type": "z"}}, "terms"),
+             ("verify", "--relation", {"lhs": side, "rhs": {"terms": [{"z": [1]}]}}, "k"),
+             ("verify", "--relation", {"lhs": side, "rhs": {"terms": [{"k": [2]}]}}, "z")]
+    for command, flag, payload, field in cases:
+        assert main([command, flag, _write(tmp_path, "in.json", payload)]) == 2, field
+        assert capsys.readouterr().err == f"error: missing field {field!r}\n"
+
+
+def test_every_command_is_documented_and_writes_strict_json(tmp_path, capsys):
+    # each row of cli.COMMANDS is in README's command block and in --help,
+    # and its --json output parses as RFC 8259 JSON, with no NaN or Infinity
+    # token: the depth-75 eval term's infinite tail is the string "inf"
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_text = capsys.readouterr().out
+    deep = Pair.ones((1,) * 74 + (2,))
+    pair = _write(tmp_path, "p.json", {"k": [1, 2], "z": [{"re": [-1, 1]}, 1]})
+    rel = Relation(lhs=ZExpr.of([zterm([Pair.ones((1,)), Pair.ones((1,))])]),
+                   rhs=MplExpr.single(MplTerm("shuffle", (2,), (ONE,))), provenance={})
+    argv = {
+        "reduce": ["--term", _write(tmp_path, "t.json", {
+            "components": [{"k": [1]}, {"k": [1]}], "bar": {"k": [1, 1]}})],
+        "eval": ["--term", _write(tmp_path, "deep.json",
+                                  serialize.zterm_to_json(zterm([deep, deep]))), "--bound", "100"],
+        "dual": ["--pair", pair],
+        "ohno": ["--pair", pair, "--h", "2"],
+        "verify": ["--relation", _write(tmp_path, "r.json", serialize.relation_to_json(rel)),
+                   "--tol", "1e-4"],
+        "examples": ["--name", "cloitre"],
+    }
+    assert set(argv) == set(cli.COMMANDS)
+
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    for name in cli.COMMANDS:
+        assert f"connsum {name} " in block, name
+        assert re.search(rf"^ +{name} ", help_text, re.M), name
+        assert main(["--json", name, *argv[name]]) == 0, name
+        json.loads(capsys.readouterr().out, parse_constant=reject)
 
 
 def test_malformed_relation_is_a_domain_error(tmp_path, capsys):

@@ -261,6 +261,13 @@ def test_pair_is_the_tuple_of_its_fields():
                 assert all(a is b for a, b in zip(twin.z, p.z))
     with pytest.raises(DomainError, match="components and bar must be Pairs, got None"):
         ZTerm(1, (p,), None)
+    # a part that is not a sequence is named, not a bare TypeError from tuple()
+    for make, part in ((lambda: Pair(5), "an index"), (lambda: Pair((1,), 5), "pair variables"),
+                       (lambda: ZTerm(1, 5, bar), "term components"), (lambda: zterm(5), "term"),
+                       (lambda: MplTerm("shuffle", 5, ()), "an index"),
+                       (lambda: MplTerm("shuffle", (), 5), "polylog variables")):
+        with pytest.raises(DomainError, match=f"{part}.* must be a sequence, got 5"):
+            make()
     assert canonical_coef(t.coef) and t.coef == F(-2, 7)
     for c, exact in ((3, 3), (F(6, 2), 3), ("4/2", 2)):
         got = ZTerm(c, (p,), bar).coef

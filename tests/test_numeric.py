@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import itertools
 import math
@@ -27,6 +28,7 @@ from connsum.numeric import eval_mpl_auto, eval_zterm, verify_relation
 from connsum.recipe import RecipeData, recipe_relation
 from connsum.records import Relation
 from connsum.scalars import ONE, ZERO, Scalar, sc
+from connsum.transport import reduce_to_mpl, transportable_pick
 
 random.seed(51)
 
@@ -666,9 +668,8 @@ def test_uncovered_bound_past_float64_is_infinite():
 
 def test_bar_weight_covers_every_read(monkeypatch):
     # with no component top on the unit circle no escape row reads the bar
-    # weight W, so it ends where the capped sum and the uncovered rows'
-    # regions end; a W 10,000 entries longer must leave every report
-    # bit-identical
+    # weight W, so it ends where the capped sum's totals end, at n * cap; a W
+    # 10,000 entries longer must leave every report bit-identical
     pool = [Pair((1,), (sc(F(1, 2)),)), Pair((1, 1), (sc(-1), sc(F(-1, 3)))),
             Pair((2,), (sc(0, F(1, 2)),)), Pair((1,), (sc(F(3, 5), F(-2, 5)),))]
     terms = [zterm([pool[i % 4] for i in range(n)], Pair.ones(bar))
@@ -703,6 +704,61 @@ def test_zterm_tail_covers_the_error():
         for bound in range(1, 61):
             rep = eval_zterm(t, bound)
             assert abs(rep.value - ref) <= rep.tail_estimate, (bar, bound)
+
+
+def _sweep_terms(seed=30, count=12):
+    """Seeded arity 2-3 terms over the all-ones bars (1), (1,1) and (2,1),
+    each component of depth <= 2 with entries 1 or 2 and its top variable on
+    the unit circle; a draw with no transportable slot is left out."""
+    tops = (ONE, sc(-1), sc(0, 1), sc(F(3, 5), F(4, 5)))
+    inner = (ONE, sc(-1), sc(F(1, 2)), sc(F(-1, 2)))
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        comps = []
+        for _ in range(rng.choice((2, 3))):
+            d = rng.choice((1, 2))
+            z = tuple(rng.choice(inner) for _ in range(d - 1)) + (rng.choice(tops),)
+            comps.append(Pair(tuple(rng.choice((1, 2)) for _ in range(d)), z))
+        t = zterm(comps, Pair.ones(rng.choice(((1,), (1, 1), (2, 1)))))
+        if transportable_pick(t) is not None:
+            out.append(t)
+    return out
+
+
+# the drawn terms at bounds 100 and 400, then the three offenders known
+# before the sweep
+_SWEEP = [(t, bound) for t in _sweep_terms() for bound in (100, 400)] + [
+    (zterm([Pair((1,), (sc(-1),)), Pair.ones((1, 1))]), 400),
+    (zterm([Pair.ones((1, 1)), Pair.ones((1,))], Pair.ones((1, 1))), 1600),
+    (zterm([Pair((1,), (sc(-1),)), Pair((1, 1, 1), (sc(F(-1, 2)), ONE, ONE))]), 400),
+]
+# (term, bound) of the cases whose error exceeds their tail, with their
+# error/tail ratio
+_SWEEP_FAILS = {
+    ("Z3((1,1i / 1,2); (-1,1i / 2,2); (-1 / 1) | (1,1 / 2,1))", 100),  # 7.5
+    ("Z3((1/2,-1 / 1,2); (1,-1 / 1,2); (1i / 2) | (1,1 / 2,1))", 100),  # 9.5
+    ("Z2((1,-1 / 2,2); (-1/2,-1 / 1,2) | (1,1 / 2,1))", 100),  # 6.2
+    ("Z2((-1 / 1); (1,1 / 1,1) | (1 / 1))", 400),  # 1.44
+    ("Z2((1,1 / 1,1); (1 / 1) | (1,1 / 1,1))", 1600),  # 1.60
+    ("Z2((-1 / 1); (-1/2,1,1 / 1,1,1) | (1 / 1))", 400),  # 1.44
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_reference(t):
+    """The term reduced to polylogarithms, each summed by eval_mpl_auto with
+    a proved tail; once per term, for its two bounds."""
+    return numeric._sum_terms(reduce_to_mpl(t).terms, 1e-13, eval_mpl_auto)[0]
+
+
+@pytest.mark.parametrize("t, bound", [
+    pytest.param(t, bound, id=f"{t}@{bound}", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1") if (str(t), bound) in _SWEEP_FAILS else ())
+    for t, bound in _SWEEP])
+def test_zterm_tail_sweep(t, bound):
+    # an arity >= 2 value lies within its tail of the reference
+    rep = eval_zterm(t, bound)
+    assert abs(rep.value - _sweep_reference(t)) <= rep.tail_estimate
 
 
 def test_arity_one_tail_covers_the_error():

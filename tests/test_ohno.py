@@ -78,6 +78,10 @@ def test_alphabet_violations():
         word_of_pair(Pair((1,), (sc(F(3, 5), F(4, 5)),)))  # Re > 1/2, not 1
     with pytest.raises(AlphabetViolation):
         pair_of_word((X, ONE))
+    # a letter is x or a Scalar: an int is not read as a variable
+    for word in ((5,), (X, ONE, "x")):
+        with pytest.raises(AlphabetViolation, match="neither x nor"):
+            HSeries.from_word(word, 2)
 
 
 def test_membership():
@@ -241,6 +245,8 @@ def test_insert_lift():
     for bad in (1.5, True):
         with pytest.raises(PreconditionViolated, match=f"non-negative integers: {bad!r}"):
             insert_lift(Pair((1, 2), (sc(-1), ONE)), [bad])
+    with pytest.raises(PreconditionViolated, match="must be a sequence, got 5"):
+        insert_lift(p, 5)
 
 
 def test_ohno_relation_classical_instance():
@@ -327,6 +333,11 @@ def test_multi_term_preconditions():
         multi_term_relations((sc(-2), sc(F(-1, 3)), sc(F(1, 6))))
     with pytest.raises(PreconditionViolated):
         multi_term_relations((sc(F(-1, 2)),))
+    # entries are read as a Pair reads its variables: a float is not exact
+    with pytest.raises(DomainError, match="0.5 is not an exact rational"):
+        multi_term_relations([0.5] * 3)
+    assert multi_term_relations([F(-1, 2), "-1/3", F(1, 6)]) == multi_term_relations(
+        (sc(F(-1, 2)), sc(F(-1, 3)), sc(F(1, 6))))
 
 
 def test_three_term_relation():

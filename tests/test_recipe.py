@@ -44,6 +44,8 @@ def test_recipe_rejects_bad_data():
     for comps, bar in (([(1,)], two), ([one], (2,)), ([one, None], two), (one, two)):
         with pytest.raises(DomainError, match="must be Pairs"):
             RecipeData(comps, bar)
+    with pytest.raises(DomainError, match="recipe components must be a sequence, got 5"):
+        RecipeData(5, two)
 
 
 def test_tautology_case():
