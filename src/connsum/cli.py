@@ -127,13 +127,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _strict(obj):
-    """obj with each non-finite float spelled as its str: "inf", "-inf", "nan"."""
-    if isinstance(obj, dict):
-        return {key: _strict(v) for key, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
-    return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
+def _strict(obj, done=None):
+    """obj, a container or float, with each non-finite float spelled as its
+    str: "inf", "-inf", "nan".  A container holding none is obj itself, and
+    a shared one (a trace shares its pair records) is walked once: done maps
+    its id to its result."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    done = {} if done is None else done
+    if id(obj) not in done:
+        entries = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        fixed = {key: new for key, v in entries if isinstance(v, (dict, list, tuple, float))
+                 and (new := _strict(v, done)) is not v}
+        out = (dict(obj) if isinstance(obj, dict) else list(obj)) if fixed else obj
+        for key, new in fixed.items():
+            out[key] = new
+        done[id(obj)] = out
+    return done[id(obj)]
 
 
 def main(argv=None) -> int:

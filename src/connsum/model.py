@@ -85,6 +85,14 @@ def _as_scalar(z) -> Scalar:
     return sc(z)
 
 
+def _as_tuple(xs: Iterable, what: str, convert=None) -> tuple:
+    """xs as a tuple, each entry through convert if one is given."""
+    try:  # caught, not tested for, as in _as_index
+        return tuple(xs if convert is None else map(convert, xs))
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence, got {xs!r}") from None
+
+
 class Pair(_value_tuple("Pair", ("k", "z"))):
     """An index decorated with variables, one per entry.
 
@@ -100,10 +108,7 @@ class Pair(_value_tuple("Pair", ("k", "z"))):
 
     def __new__(cls, k: Iterable[int] = (), z: Iterable = ()):
         k = _as_index(k)
-        try:
-            z = tuple(_as_scalar(v) for v in z)
-        except TypeError:
-            raise DomainError(f"pair variables must be a sequence, got {z!r}") from None
+        z = _as_tuple(z, "pair variables", _as_scalar)
         if len(k) != len(z):
             raise DomainError(f"index/variable length mismatch: {k} vs {z}")
         for v in z:
@@ -220,10 +225,7 @@ class ZTerm(_value_tuple("ZTerm", ("coef", "components", "bar"))):
 
     def __new__(cls, coef, components: Iterable[Pair], bar: Pair):
         coef = _coef(coef)
-        try:
-            components = tuple(components)
-        except TypeError:
-            raise DomainError(f"term components must be a sequence, got {components!r}") from None
+        components = _as_tuple(components, "term components")
         if len(components) < 1:
             raise DomainError("a connected-sum term needs at least one component")
         for p in components + (bar,):
@@ -293,10 +295,7 @@ class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
 
     def __new__(cls, kind: MplKind, k: Iterable[int], z: Iterable):
         k = _as_index(k)
-        try:
-            z = tuple(_as_scalar(v) for v in z)
-        except TypeError:
-            raise DomainError(f"polylog variables must be a sequence, got {z!r}") from None
+        z = _as_tuple(z, "polylog variables", _as_scalar)
         if len(k) != len(z):
             raise DomainError("index/variable length mismatch")
         if kind not in ("shuffle", "harmonic"):

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
     TruncationTooSmall,
 )
-from .model import Coef, MplExpr, MplTerm, Pair, _as_scalar, _coef, _integer, zterm
+from .model import Coef, MplExpr, MplTerm, Pair, _as_scalar, _as_tuple, _coef, _integer, zterm
 from .records import Relation
 from .scalars import ONE, Scalar, reciprocal_sum
 from .transport import reduce_to_z1
@@ -359,7 +359,7 @@ def multi_term_relations(zs: Sequence[Scalar]) -> Relation:
     reciprocal sum exactly 1; the four-variable case also needs the cyclic
     pair values g(a, b) = ab/(ab-a-b) inside the closed disk.
     """
-    zs = tuple(_as_scalar(z) for z in zs)
+    zs = _as_tuple(zs, "the variables", _as_scalar)
     n = len(zs)
     if n not in (3, 4):
         raise PreconditionViolated("need exactly 3 or 4 variables")

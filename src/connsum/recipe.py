@@ -12,12 +12,7 @@ from typing import Optional
 
 from .boundary import boundary_reduce_all
 from .errors import DomainError, PreconditionViolated
-from .model import (
-    EMPTY_PAIR,
-    Pair,
-    ZTerm,
-    is_admissible,
-)
+from .model import EMPTY_PAIR, Pair, ZTerm, _as_tuple, is_admissible
 from .records import Relation
 from .scalars import ZERO, reciprocal_sum
 from .transport import condition_violation, reduce_to_mpl, reduce_to_z1, transport_step
@@ -32,11 +27,7 @@ class RecipeData:
     bar: Pair
 
     def __post_init__(self):
-        comps = self.components
-        try:
-            object.__setattr__(self, "components", tuple(comps))
-        except TypeError:
-            raise DomainError(f"recipe components must be a sequence, got {comps!r}") from None
+        object.__setattr__(self, "components", _as_tuple(self.components, "recipe components"))
         for p in self.components + (self.bar,):
             if not isinstance(p, Pair):
                 raise DomainError(f"recipe components and bar must be Pairs, got {p!r}")

@@ -706,7 +706,7 @@ def test_zterm_tail_covers_the_error():
             assert abs(rep.value - ref) <= rep.tail_estimate, (bar, bound)
 
 
-def _sweep_terms(seed=30, count=12):
+def _sweep_terms(seed=1, count=12):
     """Seeded arity 2-3 terms over the all-ones bars (1), (1,1) and (2,1),
     each component of depth <= 2 with entries 1 or 2 and its top variable on
     the unit circle; a draw with no transportable slot is left out."""
@@ -726,21 +726,28 @@ def _sweep_terms(seed=30, count=12):
 
 
 # the drawn terms at bounds 100 and 400, then the three offenders known
-# before the sweep
+# before the sweep and two that other draws of its shape turned up
 _SWEEP = [(t, bound) for t in _sweep_terms() for bound in (100, 400)] + [
     (zterm([Pair((1,), (sc(-1),)), Pair.ones((1, 1))]), 400),
     (zterm([Pair.ones((1, 1)), Pair.ones((1,))], Pair.ones((1, 1))), 1600),
     (zterm([Pair((1,), (sc(-1),)), Pair((1, 1, 1), (sc(F(-1, 2)), ONE, ONE))]), 400),
+    *[(zterm([Pair((2,), (ONE,)), Pair((1, 2), (ONE, sc(-1))), Pair((2,), (sc(-1),))]), bound)
+      for bound in (100, 400)],
+    (zterm([Pair((1, 2), (ONE, sc(-1))), Pair((1, 2), (ONE, sc(F(3, 5), F(4, 5))))],
+           Pair.ones((1, 1))), 100),
 ]
 # (term, bound) of the cases whose error exceeds their tail, with their
 # error/tail ratio
 _SWEEP_FAILS = {
-    ("Z3((1,1i / 1,2); (-1,1i / 2,2); (-1 / 1) | (1,1 / 2,1))", 100),  # 7.5
-    ("Z3((1/2,-1 / 1,2); (1,-1 / 1,2); (1i / 2) | (1,1 / 2,1))", 100),  # 9.5
-    ("Z2((1,-1 / 2,2); (-1/2,-1 / 1,2) | (1,1 / 2,1))", 100),  # 6.2
+    ("Z2((1,3/5+4/5i / 2,1); (-1/2,1i / 2,2) | (1 / 1))", 100),  # 1.43
+    ("Z3((1,-1 / 1,1); (1i / 1); (1 / 1) | (1,1 / 1,1))", 100),  # 41.1
+    ("Z3((1,-1 / 1,1); (1i / 1); (1 / 1) | (1,1 / 1,1))", 400),  # 1.96
     ("Z2((-1 / 1); (1,1 / 1,1) | (1 / 1))", 400),  # 1.44
     ("Z2((1,1 / 1,1); (1 / 1) | (1,1 / 1,1))", 1600),  # 1.60
     ("Z2((-1 / 1); (-1/2,1,1 / 1,1,1) | (1 / 1))", 400),  # 1.44
+    ("Z3((1 / 2); (1,-1 / 1,2); (-1 / 2) | (1 / 1))", 100),  # 50.3
+    ("Z3((1 / 2); (1,-1 / 1,2); (-1 / 2) | (1 / 1))", 400),  # 23.4
+    ("Z2((1,-1 / 1,2); (1,3/5+4/5i / 1,2) | (1,1 / 1,1))", 100),  # 6.83
 }
 
 

@@ -336,6 +336,8 @@ def test_multi_term_preconditions():
     # entries are read as a Pair reads its variables: a float is not exact
     with pytest.raises(DomainError, match="0.5 is not an exact rational"):
         multi_term_relations([0.5] * 3)
+    with pytest.raises(DomainError, match="the variables must be a sequence"):
+        multi_term_relations(5)
     assert multi_term_relations([F(-1, 2), "-1/3", F(1, 6)]) == multi_term_relations(
         (sc(F(-1, 2)), sc(F(-1, 3)), sc(F(1, 6))))
 
