@@ -6,13 +6,22 @@ exactly, as Gaussian rationals, up to a truncation, and check the finite
 rearrangement identity behind the reduction.  They mean something only
 while they share no code with the float evaluators they check, so this
 module needs errors, model and scalars alone, and no numpy: a test holds its
-import graph to that.  Every sum runs on the integer-triple kernels of
-scalars (_g_add, _g_mul, _primitive), and one Scalar is built per returned
-value.
+import graph to that.
+
+The partial-sum oracles keep every chain entry as a Gaussian-integer
+numerator over one common denominator, den = Q^bound (bound!)^E (see
+_exact_chain).  The denominator of every partial value divides den: its
+variable powers have exponents summing to at most the bound, and its index
+powers m_j^(e_j) divide a power of m!, m <= bound.  So a chain step is
+integer sums, products and exact divisions with no gcd, and each oracle
+reduces once, with one _primitive, and builds one Scalar.
+telescoping_check sums on the integer-triple kernels of scalars (_g_add,
+_g_mul), which reduce every result.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,105 +59,144 @@ def _connector_form(a: Sequence[int], fact: Sequence[int]) -> tuple[int, int, in
 # exact partial sums (oracles)
 
 
-def _exact_chain(letters, bound: int, kind: str = "strict") -> dict[int, tuple[int, int, int]]:
-    """Exact chain mass by top index: entry m sums, over the chains of the
-    letters whose top index is m <= bound, the slot weights v^gap / m^e.
-    Each entry is the primitive integer form (a, b, d) of its value
-    (a + b i)/d (scalars._make turns it into a Scalar), and a zero entry is
-    left out.
+def _exact_chain(letters, bound: int, kind: str = "strict") -> tuple[dict[int, tuple[int, int]], int]:
+    """Exact chain mass by top index, as (numerators, den): entry m sums,
+    over the chains of the letters whose top index is m <= bound, the slot
+    weights v^gap / m^e.  Its value is (a + b i)/den for the Gaussian
+    integer numerators[m] = (a, b), every entry shares
+
+        den = Q^bound * (bound!)^E,
+
+    Q the product of the letters' denominators and E their largest exponent
+    (kind "weak": the sum of their exponents), and a zero entry is left out.
+    No letters give ({0: (1, 0)}, 1).
 
     kind "strict": indices strictly increase; "weak": every slot after the
     first may repeat the index below it (the bar chain); "harmonic": indices
     strictly increase and each variable is raised to its own index instead of
-    the gap.  Each letter is one pass over m with a running accumulator;
-    entry m of the new layer is acc_m / m^e, with `layer` the one below:
+    the gap.  Each letter v = (p + r i)/q is one pass over m with a running
+    accumulator; entry m of the new layer is acc_m / m^e, with `layer` the
+    one below:
 
         strict:    acc_m = v (acc_{m-1} + layer_{m-1}),  acc_0 = 0;
         weak:      acc_m = v acc_{m-1} + layer_m,        acc_0 = 0;
         harmonic:  acc_m = v^m (layer_0 + ... + layer_{m-1}), a prefix sum
-                   times a running power;
+                   times a running power.
 
-    so a chain costs O(bound * depth) sums and products of integer triples
-    (scalars._g_add, _g_mul), each reduced by one gcd, and builds no Scalar.
-    This is the exact twin of the float path's _scan, but shares no code
-    with it.
+    Every value the passes form, the accumulators included, is a sum of
+    chain terms prod_j v_j^(g_j) / m_j^(e_j) over indices m_1, m_2, ... up to
+    some m <= bound, and den times each term is a Gaussian integer:
+    - v_j^(g_j) has denominator q_j^(g_j); the exponents g_j are the gaps,
+      which sum to at most m (harmonic: the indices, each at most bound),
+      so their product divides Q^bound;
+    - the m_j are distinct (strict, harmonic), so prod m_j^(e_j) divides
+      (prod m_j)^E, which divides (m!)^E; where they may repeat (weak),
+      each m_j^(e_j) divides (m!)^(e_j), so the product divides (m!)^E with
+      E the sum.
+    So every numerator is a Gaussian integer, and each `//` by q (harmonic:
+    q^m) and by m^e divides a multiple of the divisor exactly.  A pass costs
+    O(bound) integer sums, products by p + r i and exact divisions, with no
+    gcd; the callers reduce once.  This is the exact twin of the float
+    path's _scan, but shares no code with it.
     """
-    layer: dict[int, tuple[int, int, int]] = {0: (1, 0, 1)}
-    for i, (v, e) in enumerate(letters):
-        vg = v._g
-        weak = kind == "weak" and i > 0  # so layer has no entry at 0
-        nxt: dict[int, tuple[int, int, int]] = {}
-        acc = (0, 0, 1)
-        vpow = (1, 0, 1)  # v^m, harmonic only
-        for m in range(1, bound + 1):
-            if kind == "harmonic":
+    letters = [(v._g, e) for v, e in letters]
+    exps = [e for _, e in letters]
+    q_all = 1
+    for (_, _, q), _ in letters:
+        q_all *= q
+    den = q_all ** bound * math.factorial(bound) ** (sum(exps) if kind == "weak"
+                                                     else max(exps, default=0))
+    layer: dict[int, tuple[int, int]] = {0: (den, 0)}
+    for i, ((p, r, q), e) in enumerate(letters):
+        nxt: dict[int, tuple[int, int]] = {}
+        acc_a = acc_b = 0
+        if kind == "harmonic":
+            pow_a, pow_b, pow_q = 1, 0, 1  # (p + r i)^m and q^m
+            for m in range(1, bound + 1):
                 low = layer.get(m - 1)
                 if low is not None:
-                    acc = _g_add(acc, low)
-                vpow = _g_mul(vpow, vg)
-                val = _g_mul(acc, vpow)
-            elif weak:
-                acc = _g_mul(vg, acc)
-                low = layer.get(m)
-                if low is not None:
-                    acc = _g_add(acc, low)
-                val = acc
-            else:
-                low = layer.get(m - 1)
-                if low is not None:
-                    acc = _g_add(acc, low)
-                acc = _g_mul(vg, acc)
-                val = acc
-            a, b, d = val
-            if a or b:
-                nxt[m] = _primitive(a, b, d * m ** e)
+                    acc_a += low[0]
+                    acc_b += low[1]
+                pow_a, pow_b = p * pow_a - r * pow_b, p * pow_b + r * pow_a
+                pow_q *= q
+                w = pow_q * m ** e
+                a, b = (pow_a * acc_a - pow_b * acc_b) // w, (pow_a * acc_b + pow_b * acc_a) // w
+                if a or b:
+                    nxt[m] = (a, b)
+        else:
+            weak = kind == "weak" and i > 0  # so layer has no entry at 0
+            for m in range(1, bound + 1):
+                low = layer.get(m if weak else m - 1)
+                if not weak and low is not None:
+                    acc_a += low[0]
+                    acc_b += low[1]
+                acc_a, acc_b = (p * acc_a - r * acc_b) // q, (p * acc_b + r * acc_a) // q
+                if weak and low is not None:
+                    acc_a += low[0]
+                    acc_b += low[1]
+                if acc_a or acc_b:
+                    w = m ** e
+                    nxt[m] = (acc_a // w, acc_b // w)
         layer = nxt
-    return layer
+    return layer, den
 
 
 def eval_zterm_partial_exact(t: ZTerm, bound: int) -> Scalar:
-    """Exact rational-complex partial sum over component tops <= bound."""
-    _integer(bound, 1, DomainError, "truncation bound must be an integer >= 1, got")
+    """Exact rational-complex partial sum over component tops <= bound.
+
+    The components' chains combine by a running convolution: with entry m
+    of each chain weighted by m!, the product of the chains has at total T
+    the sum over tops with sum T of the product of their entries times
+    m_1! m_2! ... , which is T! times the connector-weighted sum.  Scaling
+    total T by top!/T! puts every total over one denominator; each is then
+    multiplied by the bar chain's entry and by T, and the sum is reduced
+    once."""
+    bound = _integer(bound, 1, DomainError, "truncation bound must be an integer >= 1, got")
     if t.is_structurally_zero():
         return ZERO
-    comp_layers = [_exact_chain(p.letters(), bound) for p in t.components]
+    chains = [_exact_chain(p.letters(), bound) for p in t.components]
+    fact = _factorials(sum(max(nums, default=0) for nums, _ in chains))
 
-    totals: dict[int, tuple[int, int, int]] = {}
-    fact = _factorials(sum(max(layer, default=0) for layer in comp_layers))
-
-    def _combine(idx: int, acc: tuple[int, int, int], tops: list[int]) -> None:
-        if idx == len(comp_layers):
-            tot = sum(tops)
-            val = _g_mul(acc, _connector_form(tops, fact))
-            prev = totals.get(tot)
-            totals[tot] = val if prev is None else _g_add(prev, val)
-            return
-        # an empty component keeps its base entry {0: 1} and contributes a
-        # zero top, matching the arity-reduction identity
-        for m, val in comp_layers[idx].items():
-            _combine(idx + 1, _g_mul(acc, val), tops + [m])
-
-    _combine(0, (1, 0, 1), [])
+    # an empty component keeps its base entry {0: 1} and contributes a zero
+    # top, matching the arity-reduction identity
+    totals: dict[int, tuple[int, int]] = {0: (1, 0)}
+    den = 1
+    for nums, d in chains:
+        den *= d
+        nxt: dict[int, tuple[int, int]] = {}
+        for m, (a, b) in nums.items():
+            a, b = a * fact[m], b * fact[m]
+            for s, (x, y) in totals.items():
+                prev = nxt.get(s + m)
+                if prev is None:
+                    nxt[s + m] = (a * x - b * y, a * y + b * x)
+                else:
+                    nxt[s + m] = (prev[0] + a * x - b * y, prev[1] + a * y + b * x)
+        totals = nxt
     if not totals:
         return ZERO
 
-    bar_layer = _exact_chain(t.bar.letters(), max(totals), "weak")
-    out = (0, 0, 1)
-    for tot, val in totals.items():
-        wq = bar_layer.get(tot)
-        if wq is not None:
-            out = _g_add(out, _g_mul(_g_mul(val, wq), (tot, 0, 1)))
-    return _make(*_g_mul(out, (t.coef.numerator, 0, t.coef.denominator)))
+    top = max(totals)
+    bar, bar_den = _exact_chain(t.bar.letters(), top, "weak")
+    out_a = out_b = 0
+    for tot, (a, b) in totals.items():
+        w = bar.get(tot)
+        if w is not None:
+            scale = tot * (fact[top] // fact[tot])
+            out_a += (a * w[0] - b * w[1]) * scale
+            out_b += (a * w[1] + b * w[0]) * scale
+    c = t.coef
+    return _make(*_primitive(out_a * c.numerator, out_b * c.numerator,
+                             den * fact[top] * bar_den * c.denominator))
 
 
 def eval_mpl_partial_exact(m: MplTerm, bound: int) -> Scalar:
     """Exact rational-complex partial sum with outer index <= bound."""
-    _integer(bound, 1, DomainError, "truncation bound must be an integer >= 1, got")
+    bound = _integer(bound, 1, DomainError, "truncation bound must be an integer >= 1, got")
     kind = "harmonic" if m.kind == "harmonic" else "strict"
-    out = (0, 0, 1)
-    for val in _exact_chain(zip(m.z, m.k), bound, kind).values():
-        out = _g_add(out, val)
-    return _make(*out)
+    nums, den = _exact_chain(zip(m.z, m.k), bound, kind)
+    return _make(*_primitive(sum(a for a, _ in nums.values()),
+                             sum(b for _, b in nums.values()), den))
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,13 @@ Letter = Union[_XLetter, Scalar]
 Word = tuple[Letter, ...]
 
 
-def _check_word(w: Word) -> None:
+def _check_word(w: Word) -> Word:
+    """w as a tuple whose letters are each x or an alphabet variable."""
+    w = _as_tuple(w, "a word")
     for letter in w:
         if letter is not X and not (isinstance(letter, Scalar) and in_ball_at_one(letter)):
             raise AlphabetViolation(f"letter {letter!r} is neither x nor an alphabet variable")
+    return w
 
 
 def in_a1(w: Word) -> bool:
@@ -84,7 +87,7 @@ def word_of_pair(p: Pair) -> Word:
 
 
 def pair_of_word(w: Word) -> Pair:
-    _check_word(w)
+    w = _check_word(w)
     if not in_a1(w):
         raise AlphabetViolation("word must be empty or start with a variable letter")
     letters: list[tuple[Scalar, int]] = []
@@ -124,8 +127,7 @@ class HSeries:
 
     @staticmethod
     def from_word(w: Word, order: int) -> "HSeries":
-        _check_word(w)
-        return HSeries.make(order, [((0, tuple(w)), 1)])
+        return HSeries.make(order, [((0, _check_word(w)), 1)])
 
     def __add__(self, other: "HSeries") -> "HSeries":
         return HSeries.make(self.order, itertools.chain(self.terms.items(), other.terms.items()))

@@ -23,7 +23,7 @@ from connsum.exact import (
     eval_zterm_partial_exact,
     telescoping_check,
 )
-from connsum.model import MplExpr, MplTerm, Pair, zterm
+from connsum.model import MplExpr, MplTerm, Pair, ZTerm, zterm
 from connsum.numeric import eval_mpl_auto, eval_zterm, verify_relation
 from connsum.recipe import RecipeData, recipe_relation
 from connsum.records import Relation
@@ -227,6 +227,12 @@ def test_bound_below_one_rejected():
     # the report carries a Python int, which JSON can write
     assert type(eval_zterm(t, np.int64(10)).truncation) is int
     assert eval_zterm_partial_exact(t, np.int64(10)) == eval_zterm_partial_exact(t, 10)
+    # the common denominator is a power with the bound as its exponent; read
+    # as an np.int64 it overflowed silently, so the oracles use the int
+    # that _integer returns
+    for kind in ("shuffle", "harmonic"):
+        term = MplTerm(kind, (2, 1), (sc(F(1, 3)), sc(F(-1, 2), F(1, 2))))
+        assert eval_mpl_partial_exact(term, np.int64(40)) == eval_mpl_partial_exact(term, 40)
     # a component deeper than the bound leaves no index chain: Z1((1,1)|(2)),
     # which is zeta(3), would read 0
     with pytest.raises(DomainError):
@@ -248,6 +254,11 @@ def _nested_sum(letters, bound, kind):
     return {m: val for m, val in out.items() if not val.is_zero()}
 
 
+def _entries(nums, den):
+    """An exact chain's (numerators, den) as Scalars by top index."""
+    return {m: scalars._make(*scalars._primitive(a, b, den)) for m, (a, b) in nums.items()}
+
+
 def test_exact_chain_matches_nested_sum():
     rng = random.Random(808)
     pool = [sc(-1), sc(0, 1), sc(F(3, 5), F(4, 5)), ONE, sc(F(1, 2)), sc(F(-1, 3), F(1, 3))]
@@ -256,40 +267,116 @@ def test_exact_chain_matches_nested_sum():
             for _ in range(4):
                 letters = [(rng.choice(pool), rng.randint(1, 2)) for _ in range(depth)]
                 bound = rng.randint(depth, 8)
-                # the reference sums Scalars; the chain sums integer forms
-                chain = {m: scalars._make(*g)
-                         for m, g in exact._exact_chain(letters, bound, kind).items()}
+                # the reference sums Scalars; the chain sums integer numerators
+                chain = _entries(*exact._exact_chain(letters, bound, kind))
                 assert chain == _nested_sum(letters, bound, kind), (kind, letters, bound)
 
 
-def test_exact_chain_linear_in_bound(monkeypatch):
-    # the running sum does O(bound * depth) multiplications; a pairwise sum
-    # over levels would grow about fourfold when the bound doubles.  Only
-    # the result becomes a Scalar, whatever the bound
-    calls, built = [0], [0]
-    mul, make = exact._g_mul, scalars._make
+def _running_chain(letters, bound, kind):
+    """The recurrences of exact._exact_chain summed in Scalar operators, each
+    value reduced as it is formed: no common denominator, no integer
+    division."""
+    layer = {0: ONE}
+    for i, (v, e) in enumerate(letters):
+        nxt, acc, power = {}, ZERO, ONE
+        for m in range(1, bound + 1):
+            if kind == "harmonic":
+                acc = acc + layer.get(m - 1, ZERO)
+                power = power * v
+                val = power * acc
+            elif kind == "weak" and i > 0:
+                acc = v * acc + layer.get(m, ZERO)
+                val = acc
+            else:
+                acc = v * (acc + layer.get(m - 1, ZERO))
+                val = acc
+            val = val * sc(F(1, m ** e))
+            if not val.is_zero():
+                nxt[m] = val
+        layer = nxt
+    return layer
 
-    def counting_mul(x, y):
-        calls[0] += 1
-        return mul(x, y)
+
+def test_exact_chain_divisions_are_exact():
+    # every // of the chain divides a numerator that the common denominator
+    # makes a multiple of the divisor; were that argument wrong, some //
+    # would round down and its entry differ from the Scalar reference
+    rng = random.Random(3101)
+
+    def letter():
+        q = rng.randint(1, 5)
+        while True:
+            a = rng.randint(-q, q)
+            b = rng.randint(-q, q) if rng.random() < 0.5 else 0
+            if a or b:
+                return sc(F(a, q), F(b, q))
+
+    for kind in ("strict", "weak", "harmonic"):
+        # below a bound of q, bound! holds no factor q to hide a short power
+        # of the denominators
+        for depth, bound in ((1, rng.randint(1, 6)), (2, rng.randint(2, 6)), (3, rng.randint(3, 6)),
+                             (1, rng.randint(1, 200)), (2, rng.randint(2, 200)), (3, 200)):
+            letters = [(letter(), rng.randint(1, 3)) for _ in range(depth)]
+            chain = _entries(*exact._exact_chain(letters, bound, kind))
+            assert chain == _running_chain(letters, bound, kind), (kind, letters, bound)
+
+
+def test_zterm_oracle_matches_tuple_enumeration():
+    # the running convolution over the components against the definition:
+    # every tuple of component tops, its connector weight, and the bar
+    # chain at their total, summed in Scalars
+    rng = random.Random(3102)
+    pool = [sc(F(1, 2)), sc(-1), sc(F(-1, 3), F(2, 3)), ONE, sc(0, 1), sc(F(3, 5), F(4, 5))]
+
+    def pair(least):
+        r = rng.randint(least, 2)
+        return Pair(tuple(rng.randint(1, 3) for _ in range(r)),
+                    tuple(rng.choice(pool) for _ in range(r)))
+
+    bound = 6
+    for _ in range(5):
+        t = ZTerm(F(rng.randint(-3, 3) or 1, rng.randint(1, 4)),
+                  [pair(0), pair(1), pair(1)], pair(1))
+        layers = [_nested_sum(p.letters(), bound, "strict") if p.k else {0: ONE}
+                  for p in t.components]
+        bar = _nested_sum(t.bar.letters(), sum(max(layer) for layer in layers), "weak")
+        ref = ZERO
+        for tops in itertools.product(*(layer.items() for layer in layers)):
+            total = sum(m for m, _ in tops)
+            if total in bar:
+                val = sc(connector([m for m, _ in tops]) * total * t.coef) * bar[total]
+                for _, x in tops:
+                    val = val * x
+                ref = ref + val
+        assert eval_zterm_partial_exact(t, bound) == ref, t
+
+
+def test_exact_chain_linear_in_bound(monkeypatch):
+    # the chains keep integer numerators over one common denominator and
+    # reduce nothing: whatever the bound, each oracle calls _primitive once,
+    # on its result, and builds one Scalar
+    reduced, built = [0], [0]
+    primitive, make = exact._primitive, scalars._make
+
+    def counting_primitive(*args):
+        reduced[0] += 1
+        return primitive(*args)
 
     def counting_make(*args):
         built[0] += 1
         return make(*args)
 
-    monkeypatch.setattr(exact, "_g_mul", counting_mul)
+    monkeypatch.setattr(exact, "_primitive", counting_primitive)
     # every Scalar is built by the one constructor, wherever it is called from
     monkeypatch.setattr(scalars, "_make", counting_make)
     monkeypatch.setattr(exact, "_make", counting_make)
-    term = MplTerm("shuffle", (1, 2, 1), (sc(F(1, 2)), sc(-1), sc(F(3, 5), F(4, 5))))
-    counts, scalars_built = [], []
-    for bound in (30, 60):
-        calls[0] = built[0] = 0
-        eval_mpl_partial_exact(term, bound)
-        counts.append(calls[0])
-        scalars_built.append(built[0])
-    assert 0 < counts[0] and counts[1] <= 2.5 * counts[0], counts
-    assert scalars_built[0] == scalars_built[1] == 1, scalars_built
+    mpl = MplTerm("shuffle", (1, 2, 1), (sc(F(1, 2)), sc(-1), sc(F(3, 5), F(4, 5))))
+    z = zterm([Pair((1, 2), (sc(F(1, 2)), sc(0, 1))), Pair.ones((1,))], Pair.ones((1, 1)))
+    for oracle, term in ((eval_mpl_partial_exact, mpl), (eval_zterm_partial_exact, z)):
+        for bound in (30, 60):
+            reduced[0] = built[0] = 0
+            oracle(term, bound)
+            assert (reduced[0], built[0]) == (1, 1), (oracle.__name__, bound)
 
 
 def _binom_conv_reference(g, a, cap):
@@ -1239,8 +1326,7 @@ def test_side_past_the_loop_threshold_within_its_bound():
             continue
         letters.reverse()
         far = 400
-        ref = sum(complex(scalars._make(*g))
-                  for g in exact._exact_chain(letters, far).values())
+        ref = sum(complex(x) for x in _entries(*exact._exact_chain(letters, far)).values())
         q = len(letters)
         assert abs(value - (-1) ** q * ref) <= err + numeric._remainder(q, y, far), (j, err)
 

@@ -82,6 +82,11 @@ def test_alphabet_violations():
     for word in ((5,), (X, ONE, "x")):
         with pytest.raises(AlphabetViolation, match="neither x nor"):
             HSeries.from_word(word, 2)
+    # so is a word that is not a sequence: it was a bare TypeError
+    with pytest.raises(DomainError, match="a word must be a sequence, got 5"):
+        HSeries.from_word(5, 2)
+    with pytest.raises(DomainError, match="a word must be a sequence, got 5"):
+        pair_of_word(5)
 
 
 def test_membership():
