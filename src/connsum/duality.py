@@ -21,6 +21,7 @@ from .model import (
     MplExpr,
     MplTerm,
     Pair,
+    _tuple_new,
     is_admissible,
 )
 from .records import Relation
@@ -102,10 +103,14 @@ class DualBlocks:
 def decompose(p: Pair) -> DualBlocks:
     if not dual_condition(p):
         raise DualConditionViolated(f"{p} fails the dual condition")
-    letters = list(p.letters())
+    return _blocks(p)
+
+
+def _blocks(p: Pair) -> DualBlocks:
+    """decompose(p) for a pair known to pass the dual condition."""
     blocks: list[tuple[Index, int, Scalar, int]] = []
     seg: list[int] = []  # pending all-ones-variable exponents
-    for v, e in letters:
+    for v, e in p.letters():
         if v.is_one():
             seg.append(e)
             continue
@@ -125,7 +130,17 @@ def decompose(p: Pair) -> DualBlocks:
 
 def dagger(p: Pair) -> tuple[int, Pair]:
     """Explicit dual: returns ((-1)**d, reversed-and-dualized pair)."""
-    blocks = decompose(p)
+    if not dual_condition(p):
+        raise DualConditionViolated(f"{p} fails the dual condition")
+    return _dagger(p)
+
+
+def _dagger(p: Pair) -> tuple[int, Pair]:
+    """dagger(p) for a pair known to pass the dual condition.  The dual is
+    built without validation: its exponents are positive, and each variable
+    is 1 or the Mobius image of a ball-at-one point other than 1, which lies
+    in the closed disk."""
+    blocks = _blocks(p)
     letters: list[tuple[Scalar, int]] = []
     letters.extend((ONE, e) for e in mzv_dual(blocks.tail))
     for l_i, a_i, w_i, b_i in reversed(blocks.blocks):
@@ -133,22 +148,26 @@ def dagger(p: Pair) -> tuple[int, Pair]:
         letters.append((w_i.mobius(), a_i))
         letters.extend((ONE, e) for e in mzv_dual(l_i))
     sign = -1 if blocks.d % 2 else 1
-    return sign, Pair.from_letters(letters)
+    return sign, _tuple_new(Pair, (tuple(e for _, e in letters), tuple(v for v, _ in letters)))
 
 
 def normalize_to_dual_basis(expr: MplExpr) -> MplExpr:
     """Rewrite each term whose variables leave the positive-real ladder via
-    its dual; integral reductions land on leading-1, positive-variable terms."""
+    its dual; integral reductions land on leading-1, positive-variable terms.
+    A shuffle term with a variable off the closed disk is a DomainError."""
     items = []
     for coef, term in expr.terms:
-        nice = all(v.in_unit_interval() for v in term.z)
-        # the kind first: a harmonic term's variables may leave the closed disk
-        p = None if nice or term.kind != "shuffle" else Pair(term.k, term.z)
-        if p is None or not dual_condition(p):
+        # a harmonic term passes through: its variables may leave the closed disk
+        if term.kind != "shuffle" or all(v.in_unit_interval() for v in term.z):
             items.append((coef, term))
             continue
-        sign, dual = dagger(p)
-        items.append((coef * sign, MplTerm("shuffle", dual.k, dual.z)))
+        p = _tuple_new(Pair, (term.k, term.z))
+        if not dual_condition(p):
+            Pair(*p)  # the validating constructor rejects a variable off the disk
+            items.append((coef, term))
+            continue
+        sign, dual = _dagger(p)
+        items.append((coef * sign, _tuple_new(MplTerm, ("shuffle", dual.k, dual.z))))
     return MplExpr.of(items)
 
 

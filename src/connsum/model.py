@@ -260,12 +260,11 @@ class ZTerm(_value_tuple("ZTerm", ("coef", "components", "bar"))):
         """Total weight outside the receiving slot; drops by 1 per rewrite."""
         return sum(p.wt for p in self.components[:-1]) + self.bar.wt
 
-    def sort_key(self):
-        return (
-            len(self.components),
-            tuple(p.sort_key() for p in self.components),
-            self.bar.sort_key(),
-        )
+    def sort_key(self, pair_key=Pair.sort_key):
+        """The order of a ZExpr's terms; pair_key is Pair.sort_key or a memo
+        of it."""
+        return (len(self.components), tuple(map(pair_key, self.components)),
+                pair_key(self.bar))
 
     def __str__(self) -> str:
         comps = "; ".join(str(p) for p in self.components)
@@ -332,8 +331,10 @@ class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
     def key(self):
         return self
 
-    def sort_key(self):
-        return (self.kind, self.k, tuple(v.sort_key() for v in self.z))
+    def sort_key(self, scalar_key=Scalar.sort_key):
+        """The order of an MplExpr's terms; scalar_key is Scalar.sort_key or
+        a memo of it."""
+        return (self.kind, self.k, tuple(map(scalar_key, self.z)))
 
     def __str__(self) -> str:
         name = "Li" if self.kind == "shuffle" else "Li*"
@@ -342,7 +343,24 @@ class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
         return f"{name}[{ks}]({zs})"
 
 
-def _normalize(items, zero_term_pred, term_sort):
+class _Memo(dict):
+    """f(x) for each distinct x, computed on the first lookup ``memo[x]`` and
+    kept as long as the memo: made inside a call, it dies with the call."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, x):
+        out = self[x] = self.f(x)
+        return out
+
+
+def _normalize(items, zero_term_pred, term_sort, part_key):
+    """The (coef, term) items merged by key, zeros dropped, sorted by
+    term_sort(term, key), where key is part_key computed once per distinct
+    part of the terms in this call."""
     acc: dict = {}
     for coef, term in items:
         coef = _coef(coef)
@@ -352,7 +370,8 @@ def _normalize(items, zero_term_pred, term_sort):
         prev = acc.get(key)
         acc[key] = (coef if prev is None else _coef(prev[0] + coef), term)
     out = [(c, t) for c, t in acc.values() if c != 0]
-    out.sort(key=lambda ct: term_sort(ct[1]))
+    key = _Memo(part_key).__getitem__
+    out.sort(key=lambda ct: term_sort(ct[1], key))
     return tuple(out)
 
 
@@ -370,7 +389,8 @@ class ZExpr:
         return ZExpr(tuple(
             t if c == t.coef else t.with_coef(c)
             for c, t in _normalize(((t.coef, t) for t in terms),
-                                   ZTerm.is_structurally_zero, ZTerm.sort_key)))
+                                   ZTerm.is_structurally_zero, ZTerm.sort_key,
+                                   Pair.sort_key)))
 
     def as_terms(self) -> list[ZTerm]:
         return list(self.terms)
@@ -392,11 +412,8 @@ class MplExpr:
 
     @staticmethod
     def of(items: Iterable[tuple[Coef, MplTerm]]) -> "MplExpr":
-        return MplExpr(_normalize(
-            items,
-            lambda t: False,
-            lambda t: t.sort_key(),
-        ))
+        return MplExpr(_normalize(items, lambda t: False, MplTerm.sort_key,
+                                  Scalar.sort_key))
 
     @staticmethod
     def single(term: MplTerm, coef=1) -> "MplExpr":

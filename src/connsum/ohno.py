@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .boundary import boundary_reduce_all
-from .duality import dagger, dual_condition, in_ball_at_one, iota
+from .duality import _dagger, dual_condition, in_ball_at_one, iota
 from .errors import (
     AlphabetViolation,
     DualConditionViolated,
@@ -296,7 +296,7 @@ def ohno_relation(p: Pair, h: int) -> Relation:
         raise DualConditionViolated(f"{p} fails the dual condition")
     lhs = lift_sum(p, h)
     d = iota(p.z)
-    sign, dual = dagger(p)
+    sign, dual = _dagger(p)
     rhs = MplExpr.of(
         (sign * c, term)
         for i in range(h + 1)

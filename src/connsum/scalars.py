@@ -23,7 +23,9 @@ triples themselves and builds one Scalar for its result.
 
 A Scalar is immutable and keeps nothing but ``_g`` (``__slots__``): what is
 derived from it (|z|^2, 1/z, the Mobius image, sort key) is computed on each
-call.  The printed form is that of (re, im).
+call, except that normalization (``MplExpr.of``, ``ZExpr.of``) computes each
+distinct sort key once per call, in a memo that dies with the call.  The
+printed form is that of (re, im).
 
 One value is one object.  ``_make`` hash-conses: it looks the triple up in
 the module table ``_TABLE`` and builds a Scalar only for a triple it has not
@@ -35,9 +37,9 @@ and so return the same object.  The table is a plain dict that lives as long
 as the process: it only grows, by one entry (a Scalar, its triple and the
 triple's integers) per distinct value ever made.  Three benchmark corpora of
 the symbolic workload make 736 values (120 KiB), and the whole test suite
-about 34,000 (9 MB, most of it the integers of exact oracle results of
-thousands of bits).  A weak-valued table measured slower on the symbolic
-workload.
+about 45,000 (11 MB, most of it the integers of exact oracle results of
+thousands of bits and of the tests' references for them).  A weak-valued
+table measured slower on the symbolic workload.
 """
 from __future__ import annotations
 

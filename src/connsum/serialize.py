@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .model import Coef, MplExpr, MplTerm, Pair, ZExpr, ZTerm
+from .model import Coef, MplExpr, MplTerm, Pair, ZExpr, ZTerm, _Memo
 from .records import Relation
 from .scalars import INF, Scalar
 
@@ -115,24 +115,17 @@ def zterm_to_json(t: ZTerm) -> dict:
 
 def trace_to_json(records) -> list[dict]:
     """The JSON of a trace's (rule, premise, conclusions) records, whose
-    premise and conclusions are terms.  The records share one dict per
-    distinct pair and one list per distinct tuple of components."""
-    # both kinds of key share the memo and cannot collide: a Pair is the
-    # tuple (k, z) whose first entry is a tuple of ints, while a tuple of
-    # components has Pairs as entries, and an int never equals a tuple
-    memo: dict = {}
-
-    def pair(p: Pair) -> dict:
-        out = memo.get(p)
-        if out is None:
-            out = memo[p] = pair_to_json(p)
-        return out
+    premise and conclusions are terms.  The records share one object per
+    distinct scalar, coefficient, pair and tuple of components, each made
+    once per call."""
+    scalar = _Memo(scalar_to_json).__getitem__
+    coef = _Memo(frac_to_json).__getitem__
+    pair = _Memo(lambda p: {"k": list(p.k), "z": list(map(scalar, p.z))}).__getitem__
+    components = _Memo(lambda cs: list(map(pair, cs))).__getitem__
 
     def term(t: ZTerm) -> dict:
-        comps = memo.get(t.components)
-        if comps is None:
-            comps = memo[t.components] = [pair(p) for p in t.components]
-        return {"coef": frac_to_json(t.coef), "components": comps, "bar": pair(t.bar)}
+        return {"coef": coef(t.coef), "components": components(t.components),
+                "bar": pair(t.bar)}
 
     return [{"rule": rule, "premise": term(p), "conclusions": [term(c) for c in cs]}
             for rule, p, cs in records]

@@ -209,9 +209,9 @@ def reduce_to_z1(t: ZTerm, j: Optional[int] = None, trace: Optional[Trace] = Non
     several branches of one generation is rewritten once and recorded once
     per branch.  A traced call keeps its records as terms and, when it
     returns or raises, serializes them once into ``trace`` by
-    serialize.trace_to_json, so they share one JSON dict per distinct pair
-    and one list per distinct tuple of components (a trace is to be read, not
-    edited in place), and the records made before an error still reach the
+    serialize.trace_to_json, so they share one JSON object per distinct
+    scalar, coefficient, pair and tuple of components (a trace is to be read,
+    not edited in place), and the records made before an error still reach the
     trace.  A generation of more than FRONTIER_CAP terms raises BudgetExceeded.
     """
     if j is not None:

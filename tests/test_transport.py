@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import canonical_coef
 
-from connsum import boundary, model, scalars, serialize, transport
+from connsum import boundary, duality, model, scalars, serialize, transport
 from connsum.errors import (
     BudgetExceeded,
     DivergentInput,
@@ -463,9 +463,62 @@ def test_traces_share_no_json_between_calls():
     reduce_to_z1(t, trace=second)
     assert first == second
     assert not _json_containers(first, set()) & _json_containers(second, set())
-    # within one call, a repeated pair is one dict
-    pair_dicts = [rec["premise"]["bar"] for rec in first]
-    assert len({id(d) for d in pair_dicts}) == len({json.dumps(d) for d in pair_dicts})
+    # within one call, a repeated pair or scalar is one dict and a repeated
+    # coefficient one list
+    terms = [u for rec in first for u in (rec["premise"], *rec["conclusions"])]
+    pair_dicts = [p for u in terms for p in (*u["components"], u["bar"])]
+    scalar_dicts = [v for p in pair_dicts for v in p["z"]]
+    coef_lists = [u["coef"] for u in terms]
+    for shared in (pair_dicts, scalar_dicts, coef_lists):
+        assert len(shared) > len({json.dumps(x) for x in shared}) > 1
+        assert len({id(x) for x in shared}) == len({json.dumps(x) for x in shared})
+
+
+def _reference_order(items, zero_term, sort_key):
+    """The (coef, term) items merged by key with their zeros dropped, sorted
+    by sort_key: the order that ZExpr.of and MplExpr.of give."""
+    acc = {}
+    for c, u in items:
+        if c != 0 and not zero_term(u):
+            acc[u.key()] = (acc.get(u.key(), (0, u))[0] + c, u)
+    return sorted(((c, u) for c, u in acc.values() if c != 0), key=lambda cu: sort_key(cu[1]))
+
+
+def test_normalized_order_is_the_sort_key_order(monkeypatch):
+    """ZExpr.of and MplExpr.of, which compute each pair's or scalar's key
+    once per call, order their terms as sorting the merged terms by
+    ZTerm.sort_key and MplTerm.sort_key does: on the frontiers of seeded
+    reductions and on the polylog expansions of their results, in shuffled
+    order, where most pairs and scalars recur."""
+    frontiers = []
+    rewrite = transport._rewrite
+
+    def collecting_rewrite(t):
+        out = rewrite(t)
+        frontiers[-1].extend(out)
+        return out
+
+    monkeypatch.setattr(transport, "_rewrite", collecting_rewrite)
+    expansions = []
+    for t in _seeded_reductions():
+        frontiers.append([])
+        ends = reduce_to_z1(t).terms
+        expansions.append([item for u in ends for item in boundary._expansion(u)])
+    rng = random.Random(2021)
+    pairs = scalars_seen = 0
+    for frontier, expansion in zip(frontiers, expansions):
+        for items in (frontier, expansion):
+            rng.shuffle(items)
+        expected = _reference_order(((u.coef, u) for u in frontier),
+                                    ZTerm.is_structurally_zero, ZTerm.sort_key)
+        assert ZExpr.of(frontier).terms == tuple(u.with_coef(c) for c, u in expected)
+        expected = _reference_order(expansion, lambda m: False, MplTerm.sort_key)
+        assert MplExpr.of(expansion).terms == tuple(expected)
+        pairs += len({p for u in frontier for p in u.components + (u.bar,)})
+        scalars_seen += len({v for _, m in expansion for v in m.z})
+    occurrences = sum(len(u.components) + 1 for f in frontiers for u in f)
+    assert occurrences > 5 * pairs and sum(map(len, expansions)) > 500
+    assert sum(len(m.z) for e in expansions for _, m in e) > 10 * scalars_seen
 
 
 def _reference_branches(t):
@@ -568,10 +621,26 @@ def test_rewrite_outputs_are_valid_pairs(monkeypatch):
             expanded.append(m)
             yield c, m
 
+    duals = []  # the argument and output of every _dagger call
+    dagger_of = duality._dagger
+
+    def collecting_dagger(p):
+        sign, d = dagger_of(p)
+        duals.extend((p, d))
+        return sign, d
+
     monkeypatch.setattr(transport, "_rewrite", collecting_rewrite)
     monkeypatch.setattr(boundary, "_expansion", collecting_expansion)
+    monkeypatch.setattr(duality, "_dagger", collecting_dagger)
+    dual_terms = []
     for t in _seeded_reductions():
-        reduce_to_z1(t)
+        dual_terms.extend(m for _, m in normalize_to_dual_basis(reduce_to_mpl(t)).terms)
+    rewritten = len(duals)
+    for w in range(1, 6):
+        for p in _signed_pairs(w):
+            if dual_condition(p):
+                dagger(p)
+    assert rewritten > 100 and len(duals) > rewritten + 100
     polylogs = []
     relations = 0
     for data in _two_component_recipes():
@@ -584,6 +653,7 @@ def test_rewrite_outputs_are_valid_pairs(monkeypatch):
     assert relations == 416
     built = [p for u in terms for p in u.components + (u.bar,)]
     assert len(built) > 10000
+    built += duals
     for p in {id(p): p for p in built}.values():
         checked = Pair(p.k, p.z)
         assert checked == p and hash(checked) == hash(p)
@@ -595,7 +665,7 @@ def test_rewrite_outputs_are_valid_pairs(monkeypatch):
     assert len(terms) > 10000 and len(expanded) > 5000
     for u in terms:
         assert ZTerm(*u) == u and hash(ZTerm(*u)) == hash(u) and canonical_coef(u.coef)
-    for m in expanded:
+    for m in expanded + dual_terms:
         assert MplTerm(*m) == m and hash(MplTerm(*m)) == hash(m)
 
 
