@@ -8,6 +8,7 @@ from .model import (
     MplExpr,
     MplTerm,
     Pair,
+    Relation,
     SignedPair,
     ZExpr,
     ZTerm,
@@ -56,10 +57,9 @@ from .ohno import (
     pair_of_word,
     word_of_pair,
 )
-from .numeric import eval_mpl_auto, eval_zterm, verify_relation
+from .numeric import EvalReport, VerifyReport, eval_mpl_auto, eval_zterm, verify_relation
 from .exact import connector, eval_mpl_partial_exact, eval_zterm_partial_exact, telescoping_check
 from .recipe import RecipeData, check_recipe_assumptions, recipe_relation
-from .records import EvalReport, Relation, VerifyReport
 from .named_examples import EXAMPLE_NAMES, run_example
 
 __version__ = "0.1.0"

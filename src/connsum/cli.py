@@ -1,8 +1,9 @@
 """Command-line surface: reduce, eval, dual, ohno, verify, examples.
 
 Each command is a COMMANDS row whose handler returns (payload, text, exit
-code); main alone maps errors to exit codes and prints, its JSON strict: a
-non-finite float is the string "inf", "-inf" or "nan", as in the scalar codec.
+code); main alone maps errors to exit codes and prints.  A payload is built
+by serialize and the reports' to_json, which spell a non-finite float as a
+string, so main writes strict JSON.
 
 Exit codes: 0 pass, 1 numeric-verification failure, 2 precondition or domain
 error, 3 internal invariant breach.
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import serialize
@@ -83,9 +83,8 @@ def _examples(args):
     results = [run_example(n, bound=args.bound, tol=args.tol) for n in names]
     lines = []
     for res in results:
-        extra = "" if res.report is None else \
-            f"  diff={res.report.difference:.3e} tol={res.report.tol:.1e}"
-        lines.append(f"[{'pass' if res.ok else 'FAIL'}] {res.name}{extra}")
+        lines.append(f"[{'pass' if res.ok else 'FAIL'}] {res.name}"
+                     f"  diff={res.report.difference:.3e} tol={res.report.tol:.1e}")
         lines.extend(f"    {note}" for note in res.notes)
     code = EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
     return [r.to_json() for r in results], "\n".join(lines), code
@@ -127,25 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _strict(obj, done=None):
-    """obj, a container or float, with each non-finite float spelled as its
-    str: "inf", "-inf", "nan".  A container holding none is obj itself, and
-    a shared one (a trace shares its pair records) is walked once: done maps
-    its id to its result."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else str(obj)
-    done = {} if done is None else done
-    if id(obj) not in done:
-        entries = obj.items() if isinstance(obj, dict) else enumerate(obj)
-        fixed = {key: new for key, v in entries if isinstance(v, (dict, list, tuple, float))
-                 and (new := _strict(v, done)) is not v}
-        out = (dict(obj) if isinstance(obj, dict) else list(obj)) if fixed else obj
-        for key, new in fixed.items():
-            out[key] = new
-        done[id(obj)] = out
-    return done[id(obj)]
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -163,6 +143,6 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if args.json:
-        text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     return code

@@ -21,10 +21,10 @@ from .model import (
     MplExpr,
     MplTerm,
     Pair,
+    Relation,
     _tuple_new,
     is_admissible,
 )
-from .records import Relation
 from .scalars import ONE, Scalar
 
 

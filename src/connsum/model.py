@@ -3,8 +3,8 @@
 An index is a plain tuple of positive integers.  A Pair decorates an index
 with same-length unit-disk variables.  A ZTerm is one rational-coefficient
 connected-sum value with n >= 1 components and one bar slot; an MplTerm is
-one polylogarithm.  ZExpr / MplExpr are normalized linear combinations.  All
-values are immutable.
+one polylogarithm.  ZExpr / MplExpr are normalized linear combinations, and
+a Relation equates two of them.  All values are immutable.
 
 A coefficient (``Coef``) has one form: an ``int`` when it is integral, else
 a ``Fraction`` with denominator > 1, so the integer coefficients of transport
@@ -20,10 +20,10 @@ come from valid values.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Any, Iterable, Literal, NamedTuple, Sequence
 
 from .errors import (
     DomainError,
@@ -443,6 +443,18 @@ class MplExpr:
         for c, t in self.terms:
             parts.append(f"{c}*{t}" if c != 1 else str(t))
         return " + ".join(parts)
+
+
+@dataclass(frozen=True)
+class Relation:
+    """A two-sided identity; each side a linear combination of term values."""
+
+    lhs: ZExpr | MplExpr
+    rhs: ZExpr | MplExpr
+    provenance: dict[str, Any] = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        return f"{self.lhs} = {self.rhs}"
 
 
 def swap_components(t: ZTerm, perm: Sequence[int]) -> ZTerm:

@@ -15,11 +15,10 @@ from typing import Callable, Optional
 
 from . import serialize
 from .errors import DomainError, PreconditionViolated
-from .model import MplExpr, MplTerm, Pair, ZExpr, ZTerm, _integer, zterm
-from .numeric import verify_relation
+from .model import MplExpr, MplTerm, Pair, Relation, ZExpr, ZTerm, _integer, zterm
+from .numeric import VerifyReport, verify_relation
 from .ohno import multi_term_relations
 from .recipe import RecipeData, recipe_relation
-from .records import Relation, VerifyReport
 from .scalars import ONE, sc
 from .transport import reduce_to_z1, reduce_to_mpl
 

@@ -47,23 +47,25 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from numbers import Real
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from . import serialize
 from .boundary import boundary_reduce, harmonic_to_shuffle
 from .errors import DivergentInput, DomainError, NotConverged
 from .model import (
     MplTerm,
     Pair,
+    Relation,
     ZExpr,
     ZTerm,
     _integer,
     drop_all_empty_components,
     is_convergent,
 )
-from .records import EvalReport, Relation, VerifyReport
 from .scalars import ONE, ZERO, Scalar
 
 _KERNEL_WINDOW = 20_000  # escape-row window before the telescoped remainder
@@ -394,14 +396,39 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be a finite positive real, got {tol!r}")
 
 
+@dataclass(frozen=True)
+class EvalReport:
+    """Result of a truncated numerical evaluation.
+
+    truncation is the bound argument; an arity-1 term, evaluated through its
+    boundary expansion, does not use it.  tail_estimate is proved for an
+    arity-1 term; at arity >= 2 the escape rows' remainder and drift and a
+    constant rounding term are heuristic.  converged means the estimate is
+    below the caller tolerance.
+    """
+
+    value: complex
+    truncation: int
+    tail_estimate: float
+    converged: bool
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "value": serialize.complex_to_json(self.value),
+            "truncation": self.truncation,
+            "tail_estimate": serialize.float_to_json(self.tail_estimate),
+            "converged": self.converged,
+        }
+
+
 def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     """Evaluate a connected-sum term with every component top capped at bound.
 
     An arity-1 term is the sum of its boundary expansion (boundary_reduce),
-    each polylogarithm by eval_mpl_auto within tol / (4 terms), so its tail is
-    proved and bound is checked but not used.  Otherwise the bar chain runs up
-    to the full component total and the single-escape rows are summed past
-    the cap.
+    each polylogarithm by eval_mpl_auto within tol / (4 max(terms, sum |coef|)),
+    so its tail is proved and bound is checked but not used.  Otherwise the
+    bar chain runs up to the full component total and the single-escape rows
+    are summed past the cap.
     """
     _check_tol(tol)
     bound = _integer(bound, 1, DomainError, "truncation bound must be an integer >= 1, got")
@@ -607,10 +634,37 @@ def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
 # relation verification
 
 
+@dataclass(frozen=True)
+class VerifyReport:
+    """Outcome of checking |lhs - rhs| <= tol for a relation."""
+
+    ok: bool
+    lhs_value: complex
+    rhs_value: complex
+    difference: float
+    tol: float
+    tail_total: float
+    per_term: tuple[tuple[str, complex], ...] = ()
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "ok": self.ok,
+            "lhs": serialize.complex_to_json(self.lhs_value),
+            "rhs": serialize.complex_to_json(self.rhs_value),
+            "difference": serialize.float_to_json(self.difference),
+            "tol": serialize.float_to_json(self.tol),
+            "tail_total": serialize.float_to_json(self.tail_total),
+            "terms": [[name, serialize.complex_to_json(v)] for name, v in self.per_term],
+        }
+
+
 def _sum_terms(items, tol: float, evaluate) -> tuple[complex, float, list[complex]]:
     """(value, tail, per-term values) of sum coef * term over (coef, term)
-    items, each term by evaluate(term, tol / (4 count)) -> (value, tail)."""
-    budget = tol / (4.0 * max(len(items), 1))
+    items, each term by evaluate(term, budget) -> (value, tail).  The budget
+    is tol / (4 max(count, sum |coef|)), so tails within it total at most
+    tol/4 however large the coefficients."""
+    mass = sum(abs(float(coef)) for coef, _ in items)
+    budget = tol / (4.0 * max(len(items), mass, 1))
     val, tails, values = 0j, 0.0, []
     for coef, term in items:
         v, e = evaluate(term, budget)

@@ -24,8 +24,18 @@ from .errors import (
     PreconditionViolated,
     TruncationTooSmall,
 )
-from .model import Coef, MplExpr, MplTerm, Pair, _as_scalar, _as_tuple, _coef, _integer, zterm
-from .records import Relation
+from .model import (
+    Coef,
+    MplExpr,
+    MplTerm,
+    Pair,
+    Relation,
+    _as_scalar,
+    _as_tuple,
+    _coef,
+    _integer,
+    zterm,
+)
 from .scalars import ONE, Scalar, reciprocal_sum
 from .transport import reduce_to_z1
 

@@ -12,8 +12,7 @@ from typing import Optional
 
 from .boundary import boundary_reduce_all
 from .errors import DomainError, PreconditionViolated
-from .model import EMPTY_PAIR, Pair, ZTerm, _as_tuple, is_admissible
-from .records import Relation
+from .model import EMPTY_PAIR, Pair, Relation, ZTerm, _as_tuple, is_admissible
 from .scalars import ZERO, reciprocal_sum
 from .transport import condition_violation, reduce_to_mpl, reduce_to_z1, transport_step
 
@@ -65,19 +64,19 @@ def check_recipe_assumptions(data: RecipeData) -> Optional[str]:
     return None
 
 
-def recipe_relation(data: RecipeData, trace=None) -> Relation:
+def recipe_relation(data: RecipeData) -> Relation:
     """Emit the relation comparing the direct and one-step-first reductions."""
     violation = check_recipe_assumptions(data)
     if violation is not None:
         raise PreconditionViolated(violation)
 
     direct = ZTerm(1, data.components, data.bar)
-    lhs = reduce_to_mpl(direct, trace=trace)
+    lhs = reduce_to_mpl(direct)
 
     appended = ZTerm(1, data.components + (EMPTY_PAIR,), data.bar)
-    first = transport_step(appended, trace)
+    first = transport_step(appended)
     rhs = boundary_reduce_all(
-        u for term in first.as_terms() for u in reduce_to_z1(term, trace=trace).as_terms()
+        u for term in first.as_terms() for u in reduce_to_z1(term).as_terms()
     )
 
     return Relation(lhs=lhs, rhs=rhs, provenance={

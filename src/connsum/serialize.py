@@ -3,17 +3,18 @@
 Rationals travel as [numerator, denominator]; integers too wide for exact
 double round-trips are emitted as decimal strings and both forms are accepted
 on input.  A finite scalar is {"re": [n, d], "im": [n, d]}, infinity is the
-string "inf"; a bare integer is accepted as a scalar shorthand.  A reader
-raises DomainError naming a required field that is missing.
+string "inf"; a bare integer is accepted as a scalar shorthand.  A float that
+is not finite is the string "inf", "-inf" or "nan", so every document is
+RFC 8259 JSON; a complex number is [re, im].  A reader raises DomainError
+naming a required field that is missing.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd
 
 from .errors import DomainError
-from .model import Coef, MplExpr, MplTerm, Pair, ZExpr, ZTerm, _Memo
-from .records import Relation
+from .model import Coef, MplExpr, MplTerm, Pair, Relation, ZExpr, ZTerm, _Memo
 from .scalars import INF, Scalar
 
 _SAFE = 1 << 53
@@ -21,6 +22,15 @@ _SAFE = 1 << 53
 
 def _int_out(v: int):
     return v if abs(v) < _SAFE else str(v)
+
+
+def float_to_json(x: float):
+    """x, or its str ("inf", "-inf", "nan") when JSON has no number for it."""
+    return x if math.isfinite(x) else str(x)
+
+
+def complex_to_json(z: complex) -> list:
+    return [float_to_json(z.real), float_to_json(z.imag)]
 
 
 def _int_in(v) -> int:
@@ -70,17 +80,10 @@ def frac_from_json(obj) -> Fraction:
     raise DomainError(f"expected [num, den], got {obj!r}")
 
 
-def _lowest_json(n: int, d: int) -> list:
-    g = gcd(n, d)
-    return [_int_out(n // g), _int_out(d // g)]
-
-
 def scalar_to_json(z: Scalar):
-    """Each part read from the primitive triple (a, b, d) in lowest terms."""
-    if z._g is None:
+    if z.is_inf:
         return "inf"
-    a, b, d = z._g
-    return {"re": _lowest_json(a, d), "im": _lowest_json(b, d)}
+    return {"re": frac_to_json(z.re), "im": frac_to_json(z.im)}
 
 
 def scalar_from_json(obj) -> Scalar:
@@ -93,8 +96,17 @@ def scalar_from_json(obj) -> Scalar:
     raise DomainError(f"cannot parse scalar from {obj!r}")
 
 
+def _pair_layout(p, scalar) -> dict:
+    """The "k" and "z" fields of a Pair or an MplTerm; scalar writes each variable."""
+    return {"k": list(p.k), "z": list(map(scalar, p.z))}
+
+
+def _term_layout(t: ZTerm, coef, pair, components) -> dict:
+    return {"coef": coef(t.coef), "components": components(t.components), "bar": pair(t.bar)}
+
+
 def pair_to_json(p: Pair) -> dict:
-    return {"k": list(p.k), "z": [scalar_to_json(v) for v in p.z]}
+    return _pair_layout(p, scalar_to_json)
 
 
 def pair_from_json(obj) -> Pair:
@@ -109,8 +121,7 @@ def pair_from_json(obj) -> Pair:
 
 
 def zterm_to_json(t: ZTerm) -> dict:
-    return {"coef": frac_to_json(t.coef), "components": [pair_to_json(p) for p in t.components],
-            "bar": pair_to_json(t.bar)}
+    return _term_layout(t, frac_to_json, pair_to_json, lambda cs: list(map(pair_to_json, cs)))
 
 
 def trace_to_json(records) -> list[dict]:
@@ -120,12 +131,11 @@ def trace_to_json(records) -> list[dict]:
     once per call."""
     scalar = _Memo(scalar_to_json).__getitem__
     coef = _Memo(frac_to_json).__getitem__
-    pair = _Memo(lambda p: {"k": list(p.k), "z": list(map(scalar, p.z))}).__getitem__
+    pair = _Memo(lambda p: _pair_layout(p, scalar)).__getitem__
     components = _Memo(lambda cs: list(map(pair, cs))).__getitem__
 
     def term(t: ZTerm) -> dict:
-        return {"coef": coef(t.coef), "components": components(t.components),
-                "bar": pair(t.bar)}
+        return _term_layout(t, coef, pair, components)
 
     return [{"rule": rule, "premise": term(p), "conclusions": [term(c) for c in cs]}
             for rule, p, cs in records]
@@ -148,7 +158,7 @@ def zexpr_from_json(obj) -> ZExpr:
 
 
 def mplterm_to_json(t: MplTerm, coef: Coef | None = None) -> dict:
-    out = {"kind": t.kind, "k": list(t.k), "z": [scalar_to_json(v) for v in t.z]}
+    out = {"kind": t.kind, **_pair_layout(t, scalar_to_json)}
     if coef is not None:
         out["coef"] = frac_to_json(coef)
     return out

@@ -55,17 +55,14 @@ FRONTIER_CAP = 50_000
 BALL_TESTS_CAP = 10_000
 
 
-def transport_step(t: ZTerm, trace: Optional[Trace] = None) -> ZExpr:
+def transport_step(t: ZTerm) -> ZExpr:
     """Apply one transport rewrite to a term of arity >= 2.
 
     Components 1..n-1 and the bar must all be peelable; the receiving slot is
     the last component.  Raises NotTransportableStep naming the violated
     precondition.
     """
-    out = _rewrite(t)
-    if trace is not None:
-        trace.extend(serialize.trace_to_json([("transport-step", t, out)]))
-    return ZExpr.of(out)
+    return ZExpr.of(_rewrite(t))
 
 
 def _peel_slot(p: Pair, slot: str, name: str):

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,8 +13,8 @@ import pytest
 import connsum
 from connsum import boundary, cli, serialize, transport
 from connsum.cli import main
-from connsum.model import MplExpr, MplTerm, Pair, ZExpr, zterm
-from connsum.records import Relation
+from connsum.model import MplExpr, MplTerm, Pair, Relation, ZExpr, zterm
+from connsum.named_examples import ExampleResult
 from connsum.scalars import ONE, sc
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -272,6 +273,24 @@ def test_every_command_is_documented_and_writes_strict_json(tmp_path, capsys):
         assert re.search(rf"^ +{name} ", help_text, re.M), name
         assert main(["--json", name, *argv[name]]) == 0, name
         json.loads(capsys.readouterr().out, parse_constant=reject)
+
+
+def test_reports_spell_non_finite_floats_as_strings():
+    # each float and complex part of a report is spelled where the report
+    # writes its JSON, so the JSON is strict
+    rel = Relation(lhs=MplExpr.single(MplTerm("shuffle", (2,), (ONE,))), rhs=MplExpr.zero())
+    for x in (math.inf, -math.inf, math.nan):
+        s, z = str(x), complex(x, x)
+        evaluated = connsum.EvalReport(z, 1, x, False)
+        verified = connsum.VerifyReport(False, z, z, x, x, x, (("t", z),))
+        example = ExampleResult("e", False, verified, rel, ())
+        out = [json.loads(json.dumps(r.to_json(), allow_nan=False))
+               for r in (evaluated, verified, example)]
+        assert out[0] == {"value": [s, s], "truncation": 1, "tail_estimate": s,
+                          "converged": False}
+        assert out[1] == out[2]["report"] == {
+            "ok": False, "lhs": [s, s], "rhs": [s, s], "difference": s, "tol": s,
+            "tail_total": s, "terms": [["t", [s, s]]]}
 
 
 def test_malformed_relation_is_a_domain_error(tmp_path, capsys):

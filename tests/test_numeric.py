@@ -23,10 +23,9 @@ from connsum.exact import (
     eval_zterm_partial_exact,
     telescoping_check,
 )
-from connsum.model import MplExpr, MplTerm, Pair, ZTerm, zterm
+from connsum.model import MplExpr, MplTerm, Pair, Relation, ZTerm, zterm
 from connsum.numeric import eval_mpl_auto, eval_zterm, verify_relation
 from connsum.recipe import RecipeData, recipe_relation
-from connsum.records import Relation
 from connsum.scalars import ONE, ZERO, Scalar, sc
 from connsum.transport import reduce_to_mpl, transportable_pick
 
@@ -1119,6 +1118,17 @@ def test_zeta_1112_certifies_zeta5():
     rel = _single(MplTerm("shuffle", (1, 1, 1, 2), (ONE,) * 4), MplTerm("shuffle", (5,), (ONE,)))
     report = verify_relation(rel, tol=1e-12)
     assert report.ok and report.tail_total <= 1e-12
+
+
+def test_heavy_coefficient_side_certifies():
+    # each term's budget shrinks with the side's coefficient mass: with
+    # tol / (4 terms), 24 Li[1,1,1,2](1, 1/2, 1/3, 1/4) against itself had
+    # tails past tol (1.6e-9 at 1e-9) and raised NotConverged
+    term = MplTerm("shuffle", (1, 1, 1, 2), (ONE, sc(F(1, 2)), sc(F(1, 3)), sc(F(1, 4))))
+    side = MplExpr.single(term, 24)
+    for tol in (1e-9, 1e-10, 1e-12):
+        report = verify_relation(Relation(lhs=side, rhs=side, provenance={}), tol=tol)
+        assert report.ok and report.tail_total <= tol / 2, (tol, report.tail_total)
 
 
 def test_eval_mpl_auto_error_within_tail():

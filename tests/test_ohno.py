@@ -15,7 +15,7 @@ from connsum.errors import (
     PreconditionViolated,
     TruncationTooSmall,
 )
-from connsum.model import MplExpr, MplTerm, Pair
+from connsum.model import MplExpr, MplTerm, Pair, Relation
 from connsum.numeric import eval_zterm, verify_relation
 from connsum.ohno import (
     HSeries,
@@ -34,7 +34,6 @@ from connsum.ohno import (
     word_of_pair,
     words_to_mpl,
 )
-from connsum.records import Relation
 from connsum.scalars import ONE, sc
 from connsum.model import zterm
 

@@ -718,7 +718,7 @@ def test_coefficients_are_canonical(monkeypatch):
                 seen.extend(_coefs(apply_map(name, HSeries.from_word(w, 3).scaled(c))))
     for data in itertools.islice(_two_component_recipes(max_weight=4), 0, None, 5):
         try:
-            seen.extend(_coefs(recipe_relation(data, trace=[])))
+            seen.extend(_coefs(recipe_relation(data)))
         except PreconditionViolated:
             continue
     for zs in ((F(-1, 2), F(-1, 3), F(1, 6)), (F(-1, 2), F(-1, 2), F(-1, 3), F(1, 8))):
