@@ -24,9 +24,10 @@ enter the tail through proved bounds.
 Every chain above, and every polylogarithm, comes from one kernel, _chain:
 one first-order recurrence per letter (_scan, with a proved rounding bound
 on each of its three paths), in float64 when every variable is real and
-complex128 otherwise.  The module needs numpy alone: reciprocal binomials
-come from running products.  The one float polylogarithm evaluator,
-eval_mpl_auto, is a Hölder convolution.  With
+complex128 otherwise; a chain of at most _LOOP_MAX entries in Python lists,
+a longer one in numpy arrays.  The module needs numpy alone: reciprocal
+binomials come from running products.  The one float polylogarithm
+evaluator, eval_mpl_auto, is a Hölder convolution.  With
 letters (z_i, k_i) innermost first, the value is (-1)^r G(b; 1) for the
 word b = (0^(k_r-1), 1/z_r, ..., 0^(k_1-1), 1/z_1), and
 
@@ -79,19 +80,20 @@ _BLOCK = 1024  # the width of the weight blocks past 1024 totals
 _BLOCKS_MAX = 32  # weight blocks kept per process: totals below 30,720
 _CAP = 1 << 21  # outer index past which no Hölder piece is summed
 _U = 2.0 ** -53  # unit roundoff of float64
-_LOOP_MAX = 128  # longest _scan run as a Python loop; numpy passes win past it
+_LOOP_MAX = 128  # longest chain kept in Python lists, one loop per letter; numpy wins past it
 
 
-def _scan(x: np.ndarray, z, weak: bool) -> np.ndarray:
+def _scan(x: list | np.ndarray, z, weak: bool) -> list | np.ndarray:
     """The first-order recurrence over x: y[m] = z y[m-1] + x[m] (weak) or
     y[m] = z (y[m-1] + x[m-1]) (strict), from y[-1] = x[-1] = 0.  So
     y[m] = sum_j z^j x[m-j], over j >= 0 (weak) or j >= 1 (strict).  float64
     when x and z are real, complex128 otherwise.
 
-    Three paths, by z and the length n of x:
+    Three paths, by x and z (n the length of x):
 
-    - z = 1: the running sum of x, shifted by one index when strict;
-    - n <= _LOOP_MAX: a Python loop, each strict step z*y + z*x in that order;
+    - x a list (a layer of at most _LOOP_MAX entries, from _chain): a Python
+      loop, each strict step z*y + z*x in that order, returning a list;
+    - z = 1: the running sum of the array x, shifted by one index when strict;
     - otherwise doubling: y starts as x (weak) or z x[m-1] (strict), and pass
       k = 1, 2, 4, ... < n adds z^k y[m-k] to y[m], z^k by squaring (it stops
       early once z^k is 0).
@@ -109,8 +111,14 @@ def _scan(x: np.ndarray, z, weak: bool) -> np.ndarray:
       2^s sqrt 5 u per bit.  Strict term j is weak term j - 1 of the start
       z x[m-1], whose product adds sqrt 5 u.
 
-    For real x and z each sqrt 5 above is 1.
+    For real x and z each sqrt 5 above is 1.  At z = 1 the loop's products
+    are exact, so it errs as the running sum does.
     """
+    if isinstance(x, list):  # Python floats or complexes in and out, no array
+        acc = 0.0
+        if weak:
+            return [acc := v + z * acc for v in x]
+        return [acc := z * acc + z * v for v in [0.0, *x[:-1]]]
     n = x.size
     dtype = np.result_type(x, z)
     if z == 1:
@@ -119,14 +127,6 @@ def _scan(x: np.ndarray, z, weak: bool) -> np.ndarray:
             y[1:] = y[:-1]
             y[:1] = 0.0
         return y
-    if n <= _LOOP_MAX:
-        zz = z.item() if isinstance(z, np.generic) else z  # Python arithmetic
-        acc = 0.0
-        if weak:
-            out = [acc := v + zz * acc for v in x.tolist()]
-        else:
-            out = [acc := zz * acc + zz * v for v in [0.0, *x.tolist()[:-1]]]
-        return np.array(out, dtype)
     if weak:
         y = x.astype(dtype)
     else:
@@ -154,18 +154,44 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
     With sums, it returns instead one list per layer: the sums over m of the
     layer's scan divided by m^t, t = 1..e.  Entry t is the total of the same
     chain with the outermost exponent t in place of e.
+
+    A chain of at most _LOOP_MAX entries holds each layer as a Python list,
+    from the first letter to the return (_scan's loop path).  Each division
+    is by the exact integer m^t rounded once to float64 (inf past its
+    range), so it errs by at most 2u; each sum is math.fsum, of the real
+    and imaginary parts apart, within u of the sum of the absolute layer.
+    Without sums the two layers return as arrays, as from a longer chain.
     """
     letters = list(letters)
-    zs = np.array([complex(v) for v, _ in letters], dtype=np.complex128)
-    if not np.any(zs.imag):
-        zs = zs.real
+    zs = [complex(v) for v, _ in letters]
+    exps = [e for _, e in letters]
+    real = not any(z.imag for z in zs)
+    if real:
+        zs = [z.real for z in zs]
+    totals = []
+    if bound + 1 <= _LOOP_MAX:
+        total = math.fsum if real else lambda xs: complex(
+            math.fsum([v.real for v in xs]), math.fsum([v.imag for v in xs]))
+        layer = below = [1.0] + [0.0] * bound  # index 0 holds the empty chain
+        for i, (z, e) in enumerate(zip(zs, exps)):
+            below = layer
+            layer = _scan(below, z, weak and i > 0)
+            cuts = [[v / p for v, p in zip(layer, _powers(t))]
+                    for t in range(1 if sums else e, e + 1)]
+            layer = cuts[-1]
+            if sums:
+                totals.append([total(x) for x in cuts])
+        if sums:
+            return totals
+        dtype = np.float64 if real else np.complex128
+        return np.array(layer, dtype), np.array(below, dtype)
+    zs = np.array(zs)
     layer = np.zeros(bound + 1, dtype=zs.dtype)
     ms = np.arange(bound + 1, dtype=np.float64)
     layer[0] = ms[0] = 1.0  # index 0 holds the empty chain; every later layer is 0 there
     below = layer
-    totals = []
     pows = [None, ms]  # pows[t] = ms ** t, each computed once per call
-    for i, (z, (_, e)) in enumerate(zip(zs, letters)):
+    for i, (z, e) in enumerate(zip(zs, exps)):
         below = layer
         layer = _scan(below, z, weak and i > 0)
         while len(pows) <= e:
@@ -177,6 +203,20 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
         if sums:
             totals[-1].append(layer.sum())
     return totals if sums else (layer, below)
+
+
+@functools.cache
+def _powers(t: int) -> tuple[float, ...]:
+    """m^t for m < _LOOP_MAX, 1 at m = 0: each the exact integer rounded once
+    to float64, inf past its range.  Kept for every exponent t in use."""
+    out = [1.0]
+    for m in range(1, _LOOP_MAX):
+        try:
+            out.append(float(m ** t))
+        except OverflowError:  # and so does every larger m
+            out += [math.inf] * (_LOOP_MAX - m)
+            break
+    return tuple(out)
 
 
 def _least(holds, lo: int, hi: int) -> int:
@@ -539,17 +579,20 @@ def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[comple
     it, sums nothing: its pieces return 0 with the bound
     sum_(n>=1) C(n-1, q-1) rho^n = (rho / (1 - rho))^q on all of them, or an
     infinite one for rho >= 1.
-    Every letter has |a| < 1, so _scan runs its loop or, for N + 1 >
-    _LOOP_MAX, its doubling path.  In the loop each recurrence step errs by
-    at most 12u of the absolute chain through it (the letter's rounding and
-    division, two products, one sum), decaying like the letter's powers:
-    letter a adds 12u/(1 - |a|) of the absolute chain's total.  Doubling in L
-    passes (L the bit length of N) errs by (L + sqrt(5) j)u on term j of a
-    layer, where the loop errs by (1 + sqrt(5))(j + 1)u (_scan), and the
-    letter's rounding adds the same to both: the 12u per step covers all but
-    L u, so each letter adds L u more of the total.  Each division by m^e adds
-    3u, numpy's blocked pairwise sum (log2 N + 19)u.  An unbounded piece whose
-    bound passes float64's range is infinite.
+    Every letter has |a| < 1, so _scan runs its loop on Python lists or, for
+    N + 1 > _LOOP_MAX, its doubling path on arrays.  In the loop each
+    recurrence step errs by at most 12u of the absolute chain through it
+    (the letter's rounding and division, two products, one sum), decaying
+    like the letter's powers: letter a adds 12u/(1 - |a|) of the absolute
+    chain's total.  Doubling in L passes (L the bit length of N) errs by
+    (L + sqrt(5) j)u on term j of a layer, where the loop errs by
+    (1 + sqrt(5))(j + 1)u (_scan), and the letter's rounding adds the same
+    to both: the 12u per step covers all but L u, so each letter adds L u
+    more of the total.  Each division by m^e adds 3u (on lists, the exact
+    integer m^e rounded once and one quotient: 2u).  Each sum is budgeted
+    (log2 N + 19)u, what numpy's blocked pairwise sum needs on arrays;
+    math.fsum on lists errs by at most u.  An unbounded piece whose bound
+    passes float64's range is infinite.
     """
     zs: list[complex] = []
     exps: list[int] = []

@@ -200,6 +200,29 @@ def test_eval_mpl_auto_work_bound(monkeypatch):
     assert counted[0] <= 10 ** 5, counted[0]
 
 
+def test_zeta_11112_is_zeta6_in_one_scan_per_letter(monkeypatch):
+    # README's figure: at tol 1e-12, zeta(1,1,1,1,2) runs its two sides to
+    # N = 45 and N = 65, one _scan call per letter c of each side's two
+    # chains, 12 calls over 752 elements, and matches pi^6/945 within its
+    # tail.  Both cuts are below _LOOP_MAX, so the chains stay Python lists
+    # from the first letter to the sums: no numpy attribute is read
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} read on a short chain")
+
+    scanned, scan = [], numeric._scan
+
+    def recording_scan(x, z, weak):
+        scanned.append(len(x))
+        return scan(x, z, weak)
+
+    monkeypatch.setattr(numeric, "_scan", recording_scan)
+    monkeypatch.setattr(numeric, "np", NoNumpy())
+    value, tail = eval_mpl_auto(MplTerm("shuffle", (1, 1, 1, 1, 2), (ONE,) * 5), 1e-12)
+    assert sorted(scanned) == [45 + 1] * 2 + [65 + 1] * 10 and sum(scanned) == 752
+    assert abs(value - PI ** 6 / 945) <= tail <= 1e-12, (value, tail)
+
+
 def test_divergent_inputs_rejected():
     with pytest.raises(DivergentInput):
         eval_zterm(zterm([Pair.ones((1, 1))], Pair.ones((1, 1))), 50)
@@ -1314,31 +1337,48 @@ def test_side_pieces_meet_their_target():
             assert abs(value - ref) <= err + ref_err, (word, j)
 
 
-def test_side_past_the_loop_threshold_within_its_bound():
-    # a cut N past _LOOP_MAX runs _side's chains on _scan's doubling path;
-    # every piece stays within its bound of the exact chain of the same
-    # (float-exact) letters, summed far enough that its remainder is negligible
-    y, target = 0.875, 1e-13
-    word = [1, 0, -1, 1j, 0, 0, 2]
+def _side_within_its_bound(word, y, target, far):
+    # every piece of _side within its bound of the exact chain of the same
+    # letters y/c (each exact in float64), summed to far, where its remainder
+    # is negligible
     pieces = numeric._side([complex(c) for c in word], y, target)
-    inverse = {1: ONE, -1: sc(-1), 1j: sc(0, -1), 2: sc(F(1, 2))}  # y/c over y
-    assert numeric._cut(4, y * (1 + 4 * numeric._U), target)[0] + 1 > numeric._LOOP_MAX
     for j, (value, err) in enumerate(pieces):
         letters, s = [], 1
         for c in word[j:]:
             if c == 0:
                 s += 1
             else:
-                letters.append((inverse[c] * sc(F(7, 8)), s))
+                letters.append((sc(F(y)) / sc(F(c.real), F(c.imag)), s))
                 s = 1
         if not letters:
             assert (value, err) == (1, 0.0)
             continue
         letters.reverse()
-        far = 400
         ref = sum(complex(x) for x in _entries(*exact._exact_chain(letters, far)).values())
         q = len(letters)
         assert abs(value - (-1) ** q * ref) <= err + numeric._remainder(q, y, far), (j, err)
+
+
+def test_side_past_the_loop_threshold_within_its_bound():
+    # a cut N past _LOOP_MAX runs _side's chains on _scan's doubling path
+    y, target = 0.875, 1e-13
+    assert numeric._cut(4, y * (1 + 4 * numeric._U), target)[0] + 1 > numeric._LOOP_MAX
+    _side_within_its_bound([1, 0, -1, 1j, 0, 0, 2], y, target, 400)
+
+
+def test_side_below_the_loop_threshold_within_its_bound(monkeypatch):
+    # a cut N + 1 <= _LOOP_MAX runs _side's chains on lists from the first
+    # letter to the sums, here with complex letters
+    scanned, scan = [], numeric._scan
+
+    def recording_scan(x, z, weak):
+        scanned.append(x)
+        return scan(x, z, weak)
+
+    monkeypatch.setattr(numeric, "_scan", recording_scan)
+    _side_within_its_bound([1 + 1j, 0, -1, 2j, 0, 0, 1 - 1j], 0.5, 1e-13, 200)
+    assert scanned and all(isinstance(x, list) and len(x) <= numeric._LOOP_MAX
+                           for x in scanned)
 
 
 def test_split_at_one_is_not_converged():
@@ -1387,26 +1427,30 @@ def _scan_bound(x, z, weak, path):
 
 def test_scan_within_its_rounding_bound():
     # every path of the one float kernel against the exact chain of its
-    # inputs, weak and strict: the running sum at z = 1, short and long; the
-    # loop and the doubling scan at z = -1, i and (3+4i)/5; and short and
-    # long |z| < 1, real and complex
+    # inputs, weak and strict: the running sum at z = 1, short and long, and
+    # the loop there, as a short chain runs it; the loop and the doubling
+    # scan at z = -1, i and (3+4i)/5; and short and long |z| < 1, real and
+    # complex.  Each loop case passes a list, as _chain does below
+    # _LOOP_MAX entries
     rng = np.random.default_rng(1616)
     short, long_ = numeric._LOOP_MAX, numeric._LOOP_MAX + 172
     cases = [(0.6, short, "loop"), (-0.3 + 0.7j, short - 40, "loop"),
-             (1.0, short, "sum"), (1.0, long_, "sum"),
+             (1.0, short, "sum"), (1.0, long_, "sum"), (1.0, short, "loop"),
              (-1.0, short, "loop"), (-1.0, long_, "doubling"),
              (1j, 60, "loop"), (1j, long_, "doubling"),
              (0.6 + 0.8j, 60, "loop"), (0.6 + 0.8j, long_, "doubling"),
              (1 - 2.0 ** -7, long_, "doubling"), (-0.625, long_, "doubling"),
              (0.96875 - 0.1875j, long_, "doubling")]
     for z, n, path in cases:
-        assert (z == 1) == (path == "sum"), z
+        assert (z == 1) == (path == "sum") or path == "loop", z
         assert (n <= numeric._LOOP_MAX) == (path == "loop") or z == 1, (z, n)
         for weak in (False, True):
             x = rng.uniform(-1, 1, n)
             if isinstance(z, complex):
                 x = x + 1j * rng.uniform(-1, 1, n)
-            got = numeric._scan(x, z, weak)
+            got = numeric._scan(x.tolist() if path == "loop" else x, z, weak)
+            assert isinstance(got, list) == (path == "loop"), (z, n)
+            got = np.asarray(got)
             assert got.dtype == (np.complex128 if isinstance(z, complex) else np.float64)
             bound = _scan_bound(x, z, weak, path)
             for m, ((er, ei), v) in enumerate(zip(_exact_scan(x, z, weak), got.tolist())):
@@ -1417,14 +1461,20 @@ def test_scan_within_its_rounding_bound():
 
 def test_chain_sums_are_inner_layers():
     # layer i of a chain, its outermost exponent cut to t, is the chain of its
-    # first i letters with that exponent
-    letters = [(sc(F(1, 2)), 2), (sc(F(3, 5), F(4, 5)), 1), (sc(-1), 3)]
-    sums = numeric._chain(letters, 50, sums=True)
-    assert [len(row) for row in sums] == [2, 1, 3]
-    for i, row in enumerate(sums):
-        for t, total in enumerate(row, 1):
-            ref = np.sum(numeric._chain(letters[:i] + [(letters[i][0], t)], 50)[0])
-            assert abs(total - ref) <= 1e-15 * (1 + abs(ref)), (i, t)
+    # first i letters with that exponent: on lists at bounds 50 and
+    # _LOOP_MAX - 1, on arrays at _LOOP_MAX, one entry past the threshold.
+    # m^150 passes float64's range from m = 114 on, where it divides as inf
+    # on lists and on arrays (numpy's overflow warning is silenced)
+    letters = [(sc(F(1, 2)), 2), (sc(F(3, 5), F(4, 5)), 1), (sc(-1), 3), (sc(F(1, 3)), 150)]
+    for bound in (50, numeric._LOOP_MAX - 1, numeric._LOOP_MAX):
+        with np.errstate(over="ignore"):
+            sums = numeric._chain(letters, bound, sums=True)
+            refs = [[np.sum(numeric._chain(letters[:i] + [(letters[i][0], t)], bound)[0])
+                     for t in range(1, letters[i][1] + 1)] for i in range(len(letters))]
+        assert [len(row) for row in sums] == [2, 1, 3, 150]
+        for i, (row, ref_row) in enumerate(zip(sums, refs)):
+            for t, (total, ref) in enumerate(zip(row, ref_row), 1):
+                assert abs(total - ref) <= 1e-15 * (1 + abs(ref)), (bound, i, t)
 
 
 def test_two_chain_passes_per_side(monkeypatch):
