@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, DivergentInput, GuardViolation, ZeroVariable
-from .model import Coef, MplExpr, MplTerm, ZTerm, _tuple_new, is_convergent
+from .model import Coef, MplExpr, MplTerm, ZTerm, _suffix_products, _tuple_new, is_convergent
 from .scalars import ONE, ZERO, Scalar
 
 Chain = tuple[tuple[Scalar, int], ...]
@@ -43,15 +43,7 @@ def harmonic_to_shuffle(m: MplTerm) -> MplTerm:
     """Re-express with suffix-product variables z_j = prod_{i>=j} xi_i."""
     if m.kind != "harmonic":
         raise GuardViolation("expected a harmonic-type term")
-    r = m.dep
-    if r == 0:
-        return MplTerm("shuffle", (), ())
-    zs: list[Scalar] = [ONE] * r
-    acc = ONE
-    for j in range(r - 1, -1, -1):
-        acc = acc * m.z[j]
-        zs[j] = acc
-    out = _tuple_new(MplTerm, ("shuffle", m.k, tuple(zs)))
+    out = _tuple_new(MplTerm, ("shuffle", m.k, _suffix_products(m.z)))
     if not out.guard_ok():
         raise GuardViolation(f"{out} violates the shuffle-kind guard")
     return out

@@ -59,7 +59,7 @@ def _connector_form(a: Sequence[int], fact: Sequence[int]) -> tuple[int, int, in
 # exact partial sums (oracles)
 
 
-def _exact_chain(letters, bound: int, kind: str = "strict") -> tuple[dict[int, tuple[int, int]], int]:
+def _exact_chain(letters, bound: int, weak: bool = False) -> tuple[dict[int, tuple[int, int]], int]:
     """Exact chain mass by top index, as (numerators, den): entry m sums,
     over the chains of the letters whose top index is m <= bound, the slot
     weights v^gap / m^e.  Its value is (a + b i)/den for the Gaussian
@@ -68,75 +68,54 @@ def _exact_chain(letters, bound: int, kind: str = "strict") -> tuple[dict[int, t
         den = Q^bound * (bound!)^E,
 
     Q the product of the letters' denominators and E their largest exponent
-    (kind "weak": the sum of their exponents), and a zero entry is left out.
-    No letters give ({0: (1, 0)}, 1).
+    (weak: the sum of their exponents), and a zero entry is left out.  No
+    letters give ({0: (1, 0)}, 1).
 
-    kind "strict": indices strictly increase; "weak": every slot after the
-    first may repeat the index below it (the bar chain); "harmonic": indices
-    strictly increase and each variable is raised to its own index instead of
-    the gap.  Each letter v = (p + r i)/q is one pass over m with a running
-    accumulator; entry m of the new layer is acc_m / m^e, with `layer` the
-    one below:
+    Indices strictly increase; weak lets every slot after the first repeat
+    the index below it (the bar chain).  Each letter v = (p + r i)/q is one
+    pass over m with a running accumulator; entry m of the new layer is
+    acc_m / m^e, with `layer` the one below:
 
-        strict:    acc_m = v (acc_{m-1} + layer_{m-1}),  acc_0 = 0;
-        weak:      acc_m = v acc_{m-1} + layer_m,        acc_0 = 0;
-        harmonic:  acc_m = v^m (layer_0 + ... + layer_{m-1}), a prefix sum
-                   times a running power.
+        strict:  acc_m = v (acc_{m-1} + layer_{m-1}),  acc_0 = 0;
+        weak:    acc_m = v acc_{m-1} + layer_m,        acc_0 = 0.
 
     Every value the passes form, the accumulators included, is a sum of
     chain terms prod_j v_j^(g_j) / m_j^(e_j) over indices m_1, m_2, ... up to
     some m <= bound, and den times each term is a Gaussian integer:
     - v_j^(g_j) has denominator q_j^(g_j); the exponents g_j are the gaps,
-      which sum to at most m (harmonic: the indices, each at most bound),
-      so their product divides Q^bound;
-    - the m_j are distinct (strict, harmonic), so prod m_j^(e_j) divides
-      (prod m_j)^E, which divides (m!)^E; where they may repeat (weak),
-      each m_j^(e_j) divides (m!)^(e_j), so the product divides (m!)^E with
-      E the sum.
-    So every numerator is a Gaussian integer, and each `//` by q (harmonic:
-    q^m) and by m^e divides a multiple of the divisor exactly.  A pass costs
-    O(bound) integer sums, products by p + r i and exact divisions, with no
-    gcd; the callers reduce once.  This is the exact twin of the float
-    path's _scan, but shares no code with it.
+      which sum to at most m, so their product divides Q^bound;
+    - the m_j are distinct (strict), so prod m_j^(e_j) divides (prod m_j)^E,
+      which divides (m!)^E; where they may repeat (weak), each m_j^(e_j)
+      divides (m!)^(e_j), so the product divides (m!)^E with E the sum.
+    So every numerator is a Gaussian integer, and each `//` by q and by m^e
+    divides a multiple of the divisor exactly.  A pass costs O(bound)
+    integer sums, products by p + r i and exact divisions, with no gcd; the
+    callers reduce once.  This is the exact twin of the float path's _scan,
+    but shares no code with it.
     """
     letters = [(v._g, e) for v, e in letters]
     exps = [e for _, e in letters]
     q_all = 1
     for (_, _, q), _ in letters:
         q_all *= q
-    den = q_all ** bound * math.factorial(bound) ** (sum(exps) if kind == "weak"
-                                                     else max(exps, default=0))
+    den = q_all ** bound * math.factorial(bound) ** (sum(exps) if weak else max(exps, default=0))
     layer: dict[int, tuple[int, int]] = {0: (den, 0)}
     for i, ((p, r, q), e) in enumerate(letters):
         nxt: dict[int, tuple[int, int]] = {}
         acc_a = acc_b = 0
-        if kind == "harmonic":
-            pow_a, pow_b, pow_q = 1, 0, 1  # (p + r i)^m and q^m
-            for m in range(1, bound + 1):
-                low = layer.get(m - 1)
-                if low is not None:
-                    acc_a += low[0]
-                    acc_b += low[1]
-                pow_a, pow_b = p * pow_a - r * pow_b, p * pow_b + r * pow_a
-                pow_q *= q
-                w = pow_q * m ** e
-                a, b = (pow_a * acc_a - pow_b * acc_b) // w, (pow_a * acc_b + pow_b * acc_a) // w
-                if a or b:
-                    nxt[m] = (a, b)
-        else:
-            weak = kind == "weak" and i > 0  # so layer has no entry at 0
-            for m in range(1, bound + 1):
-                low = layer.get(m if weak else m - 1)
-                if not weak and low is not None:
-                    acc_a += low[0]
-                    acc_b += low[1]
-                acc_a, acc_b = (p * acc_a - r * acc_b) // q, (p * acc_b + r * acc_a) // q
-                if weak and low is not None:
-                    acc_a += low[0]
-                    acc_b += low[1]
-                if acc_a or acc_b:
-                    w = m ** e
-                    nxt[m] = (acc_a // w, acc_b // w)
+        repeat = weak and i > 0  # so layer has no entry at 0
+        for m in range(1, bound + 1):
+            low = layer.get(m if repeat else m - 1)
+            if not repeat and low is not None:
+                acc_a += low[0]
+                acc_b += low[1]
+            acc_a, acc_b = (p * acc_a - r * acc_b) // q, (p * acc_b + r * acc_a) // q
+            if repeat and low is not None:
+                acc_a += low[0]
+                acc_b += low[1]
+            if acc_a or acc_b:
+                w = m ** e
+                nxt[m] = (acc_a // w, acc_b // w)
         layer = nxt
     return layer, den
 
@@ -177,7 +156,7 @@ def eval_zterm_partial_exact(t: ZTerm, bound: int) -> Scalar:
         return ZERO
 
     top = max(totals)
-    bar, bar_den = _exact_chain(t.bar.letters(), top, "weak")
+    bar, bar_den = _exact_chain(t.bar.letters(), top, weak=True)
     out_a = out_b = 0
     for tot, (a, b) in totals.items():
         w = bar.get(tot)
@@ -191,10 +170,15 @@ def eval_zterm_partial_exact(t: ZTerm, bound: int) -> Scalar:
 
 
 def eval_mpl_partial_exact(m: MplTerm, bound: int) -> Scalar:
-    """Exact rational-complex partial sum with outer index <= bound."""
+    """Exact rational-complex partial sum with outer index <= bound.  A
+    harmonic term is summed as the strict chain of its suffix products
+    z_j = prod_(i>=j) x_i: prod_j x_j^(m_j) = prod_j z_j^(m_j - m_(j-1)),
+    term by term."""
     bound = _integer(bound, 1, DomainError, "truncation bound must be an integer >= 1, got")
-    kind = "harmonic" if m.kind == "harmonic" else "strict"
-    nums, den = _exact_chain(zip(m.z, m.k), bound, kind)
+    z = m.z
+    if m.kind == "harmonic":
+        z = list(itertools.accumulate(reversed(z), operator.mul))[::-1]
+    nums, den = _exact_chain(zip(z, m.k), bound)
     return _make(*_primitive(sum(a for a, _ in nums.values()),
                              sum(b for _, b in nums.values()), den))
 

@@ -19,6 +19,8 @@ come from valid values.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -282,6 +284,12 @@ def zterm(components: Sequence[Pair], bar: Pair | None = None, coef=1) -> ZTerm:
 MplKind = Literal["shuffle", "harmonic"]
 
 
+def _suffix_products(z: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """(z_1 z_2 ... z_r, z_2 ... z_r, ..., z_r): the variables of the shuffle
+    form of a harmonic term with variables z, term by term the same series."""
+    return tuple(itertools.accumulate(reversed(z), operator.mul))[::-1]
+
+
 class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
     """A polylogarithm value of one of the two series shapes, the tuple
     (kind, k, z).
@@ -299,6 +307,8 @@ class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
             raise DomainError("index/variable length mismatch")
         if kind not in ("shuffle", "harmonic"):
             raise DomainError(f"unknown polylog kind {kind!r}")
+        if INF in z:  # a Scalar's == is identity
+            raise DomainError("polylog variables must be finite, got inf")
         return _tuple_new(cls, (kind, k, z))
 
     @property
@@ -310,23 +320,12 @@ class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
         return weight(self.k)
 
     def guard_ok(self) -> bool:
-        """Absolute-convergence guard for this term's kind."""
-        if self.dep == 0:
-            return True
-        if self.kind == "shuffle":
-            if any(not v.in_closed_disk() for v in self.z):
-                return False
-            if not is_admissible(self.k) and not self.z[-1].in_open_disk():
-                return False
-            return True
-        suffix = ONE
-        for j in range(self.dep - 1, -1, -1):
-            suffix = suffix * self.z[j]
-            if not suffix.in_closed_disk():
-                return False
-        if self.k[-1] == 1 and not self.z[-1].in_open_disk():
-            return False
-        return True
+        """Absolute-convergence guard: every variable of the shuffle form in
+        the closed disk, and the last in the open disk when k ends in 1.  A
+        harmonic term's shuffle form has its suffix products as variables."""
+        z = self.z if self.kind == "shuffle" else _suffix_products(self.z)
+        return (all(v.in_closed_disk() for v in z)
+                and (is_admissible(self.k) or z[-1].in_open_disk()))
 
     def key(self):
         return self

@@ -55,7 +55,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import serialize
-from .boundary import boundary_reduce, harmonic_to_shuffle
+from .boundary import boundary_reduce
 from .errors import DivergentInput, DomainError, NotConverged
 from .model import (
     MplTerm,
@@ -64,6 +64,8 @@ from .model import (
     ZExpr,
     ZTerm,
     _integer,
+    _suffix_products,
+    _tuple_new,
     drop_all_empty_components,
     is_convergent,
 )
@@ -149,18 +151,21 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
     layer[m] sums the chains of the letters so far whose top index is m, each
     slot weighted by v^gap / m^e.  Indices strictly increase; weak lets every
     slot after the first repeat the index below it (the bar chain).  Each
-    letter is one _scan of the layer below.
+    letter is one _scan of the layer below, then one division by m^e.
 
     With sums, it returns instead one list per layer: the sums over m of the
     layer's scan divided by m^t, t = 1..e.  Entry t is the total of the same
     chain with the outermost exponent t in place of e.
 
-    A chain of at most _LOOP_MAX entries holds each layer as a Python list,
-    from the first letter to the return (_scan's loop path).  Each division
-    is by the exact integer m^t rounded once to float64 (inf past its
-    range), so it errs by at most 2u; each sum is math.fsum, of the real
-    and imaginary parts apart, within u of the sum of the absolute layer.
-    Without sums the two layers return as arrays, as from a longer chain.
+    One loop runs over the letters; _LOOP_MAX chooses how the layer starts,
+    divides and sums.  A chain of at most _LOOP_MAX entries holds each layer
+    as a Python list (_scan's loop path), divides by the exact integer m^t
+    rounded once to float64 (inf past its range), within 2u, and sums by
+    math.fsum, of the real and imaginary parts apart, within u of the sum of
+    the absolute layer.  A longer one holds numpy arrays, divides by ms ** t
+    (inf past float64's range, without numpy's overflow warning), the last
+    cut in place, and sums by np.sum.  Without sums the two layers return
+    as arrays.
     """
     letters = list(letters)
     zs = [complex(v) for v, _ in letters]
@@ -168,41 +173,40 @@ def _chain(letters, bound: int, weak: bool = False, sums: bool = False):
     real = not any(z.imag for z in zs)
     if real:
         zs = [z.real for z in zs]
-    totals = []
     if bound + 1 <= _LOOP_MAX:
+        layer = [1.0] + [0.0] * bound  # index 0 holds the empty chain
+
+        def divide(x, t, last):
+            return [v / p for v, p in zip(x, _powers(t))]
+
         total = math.fsum if real else lambda xs: complex(
             math.fsum([v.real for v in xs]), math.fsum([v.imag for v in xs]))
-        layer = below = [1.0] + [0.0] * bound  # index 0 holds the empty chain
-        for i, (z, e) in enumerate(zip(zs, exps)):
-            below = layer
-            layer = _scan(below, z, weak and i > 0)
-            cuts = [[v / p for v, p in zip(layer, _powers(t))]
-                    for t in range(1 if sums else e, e + 1)]
-            layer = cuts[-1]
-            if sums:
-                totals.append([total(x) for x in cuts])
-        if sums:
-            return totals
-        dtype = np.float64 if real else np.complex128
-        return np.array(layer, dtype), np.array(below, dtype)
-    zs = np.array(zs)
-    layer = np.zeros(bound + 1, dtype=zs.dtype)
-    ms = np.arange(bound + 1, dtype=np.float64)
-    layer[0] = ms[0] = 1.0  # index 0 holds the empty chain; every later layer is 0 there
+    else:
+        zs = np.array(zs)
+        layer = np.zeros(bound + 1, dtype=zs.dtype)
+        ms = np.arange(bound + 1, dtype=np.float64)
+        layer[0] = ms[0] = 1.0  # index 0 holds the empty chain; every later layer is 0 there
+        with np.errstate(over="ignore"):  # an m^t past float64's range is inf and divides to 0
+            pows = [None, ms] + [ms ** t for t in range(2, max(exps, default=0) + 1)]
+
+        def divide(x, t, last):  # the last cut in place: no further full-length array
+            return np.divide(x, pows[t], out=x if last else None)
+
+        total = np.sum
+    totals = []
     below = layer
-    pows = [None, ms]  # pows[t] = ms ** t, each computed once per call
     for i, (z, e) in enumerate(zip(zs, exps)):
         below = layer
         layer = _scan(below, z, weak and i > 0)
-        while len(pows) <= e:
-            pows.append(ms ** len(pows))
         if sums:
-            totals.append([(layer / pows[t]).sum() for t in range(1, e)])
-        # divided in place: no further full-length array, although below stays alive
-        np.divide(layer, pows[e], out=layer)
+            totals.append([total(divide(layer, t, False)) for t in range(1, e)])
+        layer = divide(layer, e, True)
         if sums:
-            totals[-1].append(layer.sum())
-    return totals if sums else (layer, below)
+            totals[-1].append(total(layer))
+    if sums:
+        return totals
+    dtype = np.float64 if real else np.complex128
+    return np.asarray(layer, dtype), np.asarray(below, dtype)
 
 
 @functools.cache
@@ -642,10 +646,11 @@ def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[comple
 def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
     """(value, proved error bound) by the Hölder convolution of the module docstring."""
     _check_tol(tol)
+    term = m
+    if m.kind == "harmonic":  # its guard is its shuffle form's
+        m = _tuple_new(MplTerm, ("shuffle", m.k, _suffix_products(m.z)))
     if not m.guard_ok():
-        raise DivergentInput(f"{m} violates its convergence guard")
-    if m.kind == "harmonic":
-        m = harmonic_to_shuffle(m)
+        raise DivergentInput(f"{term} violates its convergence guard")
     if ZERO in m.z:  # every gap power of a zero variable is 0
         return 0j, 0.0
     exact: list[Scalar] = []

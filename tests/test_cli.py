@@ -99,6 +99,13 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     assert "truncation bound" in capsys.readouterr().err
 
 
+def test_verify_infinite_polylog_variable_exit_code(tmp_path, capsys):
+    side = {"type": "mpl", "terms": [{"kind": "harmonic", "k": [1, 1], "z": [0, "inf"]}]}
+    rel = _write(tmp_path, "inf.json", {"lhs": side, "rhs": {"type": "mpl", "terms": []}})
+    assert main(["verify", "--relation", rel]) == 2
+    assert capsys.readouterr().err.startswith("error: polylog variables must be finite, got inf")
+
+
 def test_verify_unbounded_piece_exit_code(tmp_path, capsys):
     # a piece bounded past float64's range (it ended in OverflowError and a
     # traceback) is not converged: exit 1

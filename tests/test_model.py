@@ -57,6 +57,14 @@ def test_pair_invariants():
             Pair((bad,), (ONE,))
     with pytest.raises(DomainError, match="integers: 2.5"):
         MplTerm("shuffle", (2.5,), (ONE,))
+    # an infinite polylog variable is named: the exact oracle met it as a bare
+    # TypeError, the suffix products of a harmonic term as 0 * inf
+    for kind, z in (("shuffle", (INF,)), ("harmonic", (ZERO, INF))):
+        with pytest.raises(DomainError, match="polylog variables must be finite, got inf"):
+            MplTerm(kind, (1,) * len(z), z)
+        with pytest.raises(DomainError, match="polylog variables must be finite, got inf"):
+            serialize.mplterm_from_json({"kind": kind, "k": [1] * len(z),
+                                         "z": ["inf" if v.is_inf else 0 for v in z]})
     assert Pair((np.int64(2),), (ONE,)) == Pair.ones((2,))
     assert EMPTY_PAIR.is_empty()
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import types
+import warnings
 from bisect import bisect_left
 from fractions import Fraction as F
 
@@ -284,35 +285,47 @@ def _entries(nums, den):
 def test_exact_chain_matches_nested_sum():
     rng = random.Random(808)
     pool = [sc(-1), sc(0, 1), sc(F(3, 5), F(4, 5)), ONE, sc(F(1, 2)), sc(F(-1, 3), F(1, 3))]
-    for kind in ("strict", "weak", "harmonic"):
+    for weak in (False, True):
         for depth in (1, 2, 3):
             for _ in range(4):
                 letters = [(rng.choice(pool), rng.randint(1, 2)) for _ in range(depth)]
                 bound = rng.randint(depth, 8)
                 # the reference sums Scalars; the chain sums integer numerators
-                chain = _entries(*exact._exact_chain(letters, bound, kind))
+                chain = _entries(*exact._exact_chain(letters, bound, weak))
+                kind = "weak" if weak else "strict"
                 assert chain == _nested_sum(letters, bound, kind), (kind, letters, bound)
 
 
-def _running_chain(letters, bound, kind):
+def test_harmonic_oracle_matches_nested_sum():
+    # a harmonic term enters the exact oracle as the strict chain of its
+    # suffix products; term by term that is the harmonic series, so each
+    # partial sum equals the brute-force one exactly, for variables outside
+    # the disk too
+    rng = random.Random(3103)
+    pool = [sc(3), sc(F(-5, 2), 1), sc(-1), sc(0, 1), sc(F(1, 2)), sc(F(-1, 3), F(2, 3)),
+            sc(F(3, 5), F(4, 5)), ONE, ZERO]
+    for _ in range(60):
+        depth = rng.randint(1, 3)
+        letters = [(rng.choice(pool), rng.randint(1, 3)) for _ in range(depth)]
+        bound = rng.randint(depth, 9)
+        term = MplTerm("harmonic", [e for _, e in letters], [v for v, _ in letters])
+        ref = sum(_nested_sum(letters, bound, "harmonic").values(), ZERO)
+        assert eval_mpl_partial_exact(term, bound) == ref, (str(term), bound)
+
+
+def _running_chain(letters, bound, weak):
     """The recurrences of exact._exact_chain summed in Scalar operators, each
     value reduced as it is formed: no common denominator, no integer
     division."""
     layer = {0: ONE}
     for i, (v, e) in enumerate(letters):
-        nxt, acc, power = {}, ZERO, ONE
+        nxt, acc = {}, ZERO
         for m in range(1, bound + 1):
-            if kind == "harmonic":
-                acc = acc + layer.get(m - 1, ZERO)
-                power = power * v
-                val = power * acc
-            elif kind == "weak" and i > 0:
+            if weak and i > 0:
                 acc = v * acc + layer.get(m, ZERO)
-                val = acc
             else:
                 acc = v * (acc + layer.get(m - 1, ZERO))
-                val = acc
-            val = val * sc(F(1, m ** e))
+            val = acc * sc(F(1, m ** e))
             if not val.is_zero():
                 nxt[m] = val
         layer = nxt
@@ -333,14 +346,14 @@ def test_exact_chain_divisions_are_exact():
             if a or b:
                 return sc(F(a, q), F(b, q))
 
-    for kind in ("strict", "weak", "harmonic"):
+    for weak in (False, True):
         # below a bound of q, bound! holds no factor q to hide a short power
         # of the denominators
         for depth, bound in ((1, rng.randint(1, 6)), (2, rng.randint(2, 6)), (3, rng.randint(3, 6)),
                              (1, rng.randint(1, 200)), (2, rng.randint(2, 200)), (3, 200)):
             letters = [(letter(), rng.randint(1, 3)) for _ in range(depth)]
-            chain = _entries(*exact._exact_chain(letters, bound, kind))
-            assert chain == _running_chain(letters, bound, kind), (kind, letters, bound)
+            chain = _entries(*exact._exact_chain(letters, bound, weak))
+            assert chain == _running_chain(letters, bound, weak), (weak, letters, bound)
 
 
 def test_zterm_oracle_matches_tuple_enumeration():
@@ -1464,17 +1477,27 @@ def test_chain_sums_are_inner_layers():
     # first i letters with that exponent: on lists at bounds 50 and
     # _LOOP_MAX - 1, on arrays at _LOOP_MAX, one entry past the threshold.
     # m^150 passes float64's range from m = 114 on, where it divides as inf
-    # on lists and on arrays (numpy's overflow warning is silenced)
+    # on lists and on arrays, with no warning on either
     letters = [(sc(F(1, 2)), 2), (sc(F(3, 5), F(4, 5)), 1), (sc(-1), 3), (sc(F(1, 3)), 150)]
     for bound in (50, numeric._LOOP_MAX - 1, numeric._LOOP_MAX):
-        with np.errstate(over="ignore"):
-            sums = numeric._chain(letters, bound, sums=True)
-            refs = [[np.sum(numeric._chain(letters[:i] + [(letters[i][0], t)], bound)[0])
-                     for t in range(1, letters[i][1] + 1)] for i in range(len(letters))]
+        sums = numeric._chain(letters, bound, sums=True)
+        refs = [[np.sum(numeric._chain(letters[:i] + [(letters[i][0], t)], bound)[0])
+                 for t in range(1, letters[i][1] + 1)] for i in range(len(letters))]
         assert [len(row) for row in sums] == [2, 1, 3, 150]
         for i, (row, ref_row) in enumerate(zip(sums, refs)):
             for t, (total, ref) in enumerate(zip(row, ref_row), 1):
                 assert abs(total - ref) <= 1e-15 * (1 + abs(ref)), (bound, i, t)
+
+
+def test_long_chain_powers_overflow_silently():
+    # a component chain past _LOOP_MAX whose exponent's powers pass float64's
+    # range divides by inf, to 0, as the list path does, without numpy's
+    # overflow warning; raised as an error, it failed the call
+    t = zterm([Pair((200,), (sc(F(1, 2)),)), Pair((2,), (sc(F(1, 2)),))], Pair.ones((1,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = eval_zterm(t, 300)
+    assert math.isfinite(report.value.real) and report.converged
 
 
 def test_two_chain_passes_per_side(monkeypatch):
