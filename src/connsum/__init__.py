@@ -23,7 +23,7 @@ from .model import (
     weight,
     zterm,
 )
-from .boundary import boundary_reduce, harmonic_to_shuffle, quasi_shuffle, shuffle_to_harmonic
+from .boundary import boundary_reduce, quasi_shuffle
 from .duality import (
     DualBlocks,
     dagger,

@@ -4,8 +4,8 @@ For Z_1((z,k) | (w,l)) the series factors for each top level n into a strict
 chain below n (ratio variables z_i/z_{i+1}, exponents k_i), a weak chain whose
 entries may touch n (ratios w_i/w_{i+1}, exponents l_i), and a merged top
 carrying z_r*w_s with exponent k_r + l_s - 1.  Expanding the product of the
-two truncated chains by the harmonic product rule gives harmonic-type terms,
-converted to shuffle type for output.
+two truncated chains by the harmonic product rule gives harmonic sums, each
+stored in its shuffle form (the suffix products of its variables).
 """
 from __future__ import annotations
 
@@ -21,32 +21,6 @@ Chain = tuple[tuple[Scalar, int], ...]
 # output the test suite and the benchmark pools reach.  The count grows
 # exponentially with the lengths of the two chains.
 QUASI_SHUFFLE_CAP = 20_000
-
-
-def shuffle_to_harmonic(m: MplTerm) -> MplTerm:
-    """Re-express with per-index variables xi_i = z_i/z_{i+1}, xi_r = z_r."""
-    if m.kind != "shuffle":
-        raise GuardViolation("expected a shuffle-type term")
-    r = m.dep
-    if r == 0:
-        return MplTerm("harmonic", (), ())
-    if ZERO in m.z:
-        raise ZeroVariable("ratio change of variables needs nonzero variables")
-    xs = tuple(m.z[i] / m.z[i + 1] for i in range(r - 1)) + (m.z[-1],)
-    out = MplTerm("harmonic", m.k, xs)
-    if not out.guard_ok():
-        raise GuardViolation(f"{out} violates the harmonic-kind guard")
-    return out
-
-
-def harmonic_to_shuffle(m: MplTerm) -> MplTerm:
-    """Re-express with suffix-product variables z_j = prod_{i>=j} xi_i."""
-    if m.kind != "harmonic":
-        raise GuardViolation("expected a harmonic-type term")
-    out = _tuple_new(MplTerm, ("shuffle", m.k, _suffix_products(m.z)))
-    if not out.guard_ok():
-        raise GuardViolation(f"{out} violates the shuffle-kind guard")
-    return out
 
 
 def _merge(letters: Chain) -> tuple[Scalar, int]:
@@ -89,7 +63,7 @@ def quasi_shuffle(strict: Chain, weak: Chain) -> list[Chain]:
 
 
 def _expansion(t: ZTerm) -> Iterator[tuple[Coef, MplTerm]]:
-    """The (coefficient, shuffle-type term) items of an arity-1 term's
+    """The (coefficient, polylog term) items of an arity-1 term's
     polylog expansion, not yet merged: boundary_reduce normalises them."""
     if t.arity != 1:
         raise DivergentInput("boundary reduction applies to arity-1 terms only")
@@ -114,9 +88,11 @@ def _expansion(t: ZTerm) -> Iterator[tuple[Coef, MplTerm]]:
         top = (top_v * merged_v, top_e + merged_e)
         for chain in quasi_shuffle(strict, weak[:len(weak) - j]):
             full = chain + (top,)
-            term = _tuple_new(MplTerm, ("harmonic", tuple(e for _, e in full),
-                                        tuple(v for v, _ in full)))
-            yield t.coef, harmonic_to_shuffle(term)
+            term = _tuple_new(MplTerm, (tuple(e for _, e in full),
+                                        _suffix_products(tuple(v for v, _ in full))))
+            if not term.guard_ok():
+                raise GuardViolation(f"{term} violates the convergence guard")
+            yield t.coef, term
 
 
 def boundary_reduce(t: ZTerm) -> MplExpr:

@@ -154,11 +154,10 @@ def _dagger(p: Pair) -> tuple[int, Pair]:
 def normalize_to_dual_basis(expr: MplExpr) -> MplExpr:
     """Rewrite each term whose variables leave the positive-real ladder via
     its dual; integral reductions land on leading-1, positive-variable terms.
-    A shuffle term with a variable off the closed disk is a DomainError."""
+    A term with a variable off the closed disk is a DomainError."""
     items = []
     for coef, term in expr.terms:
-        # a harmonic term passes through: its variables may leave the closed disk
-        if term.kind != "shuffle" or all(v.in_unit_interval() for v in term.z):
+        if all(v.in_unit_interval() for v in term.z):
             items.append((coef, term))
             continue
         p = _tuple_new(Pair, (term.k, term.z))
@@ -167,7 +166,7 @@ def normalize_to_dual_basis(expr: MplExpr) -> MplExpr:
             items.append((coef, term))
             continue
         sign, dual = _dagger(p)
-        items.append((coef * sign, _tuple_new(MplTerm, ("shuffle", dual.k, dual.z))))
+        items.append((coef * sign, _tuple_new(MplTerm, (dual.k, dual.z))))
     return MplExpr.of(items)
 
 

@@ -50,7 +50,7 @@ class DivergentInput(ConnsumError):
 
 
 class GuardViolation(ConnsumError):
-    """A converted or constructed term violates its kind's convergence invariant."""
+    """A constructed term violates its convergence guard."""
 
 
 class AlphabetViolation(ConnsumError, ValueError):

@@ -14,7 +14,10 @@ _exact_chain).  The denominator of every partial value divides den: its
 variable powers have exponents summing to at most the bound, and its index
 powers m_j^(e_j) divide a power of m!, m <= bound.  So a chain step is
 integer sums, products and exact divisions with no gcd, and each oracle
-reduces once, with one _primitive, and builds one Scalar.
+reduces once, with one _primitive, and builds one Scalar.  A polylogarithm
+is summed as the strict chain of its stored shuffle form: model forms a
+harmonic spelling's suffix products exactly when the term is made, so no
+oracle converts a term.
 telescoping_check sums on the integer-triple kernels of scalars (_g_add,
 _g_mul), which reduce every result.
 """
@@ -27,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, HypothesisViolated
-from .model import MplTerm, ZTerm, _integer
+from .model import MplTerm, ZTerm, _as_scalar, _as_tuple, _integer
 from .scalars import ZERO, Scalar, _g_add, _g_mul, _make, _primitive, reciprocal_sum
 
 
@@ -170,15 +173,10 @@ def eval_zterm_partial_exact(t: ZTerm, bound: int) -> Scalar:
 
 
 def eval_mpl_partial_exact(m: MplTerm, bound: int) -> Scalar:
-    """Exact rational-complex partial sum with outer index <= bound.  A
-    harmonic term is summed as the strict chain of its suffix products
-    z_j = prod_(i>=j) x_i: prod_j x_j^(m_j) = prod_j z_j^(m_j - m_(j-1)),
-    term by term."""
+    """Exact rational-complex partial sum with outer index <= bound: the
+    strict chain of the term's shuffle form."""
     bound = _integer(bound, 1, DomainError, "truncation bound must be an integer >= 1, got")
-    z = m.z
-    if m.kind == "harmonic":
-        z = list(itertools.accumulate(reversed(z), operator.mul))[::-1]
-    nums, den = _exact_chain(zip(z, m.k), bound)
+    nums, den = _exact_chain(zip(m.z, m.k), bound)
     return _make(*_primitive(sum(a for a, _ in nums.values()),
                              sum(b for _, b in nums.values()), den))
 
@@ -193,10 +191,14 @@ def telescoping_check(d: int, n: int, m_minus: Sequence[int], m_plus: Sequence[i
 
     In exact arithmetic, the two capped double sums must differ by precisely
     the explicit boundary shell at total = bound (0**0 counted as 1).  A
-    float or bool d, n, q, bound or m-/m+ entry is a HypothesisViolated.
+    float or bool d, n, q, bound or m-/m+ entry is a HypothesisViolated; an
+    m-, m+ or vs that is not a sequence, or a v or t that is not a number,
+    is a DomainError, as in Pair.
     """
     d = _integer(d, 1, HypothesisViolated, "d must be an integer >= 1, got")
     n = _integer(n, d, HypothesisViolated, "n must be an integer >= d, got")
+    m_minus, m_plus = _as_tuple(m_minus, "m-"), _as_tuple(m_plus, "m+")
+    vs, t = _as_tuple(vs, "vs", _as_scalar), _as_scalar(t)
     if len(m_minus) != d or len(m_plus) != n - d:
         raise HypothesisViolated("parameter lengths do not match d, n")
     m_minus = [_integer(x, 0, HypothesisViolated, "m- entries must be integers >= 0:")

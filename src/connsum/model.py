@@ -3,8 +3,9 @@
 An index is a plain tuple of positive integers.  A Pair decorates an index
 with same-length unit-disk variables.  A ZTerm is one rational-coefficient
 connected-sum value with n >= 1 components and one bar slot; an MplTerm is
-one polylogarithm.  ZExpr / MplExpr are normalized linear combinations, and
-a Relation equates two of them.  All values are immutable.
+one polylogarithm, stored in its shuffle form.  ZExpr / MplExpr are
+normalized linear combinations, and a Relation equates two of them.  All
+values are immutable.
 
 A coefficient (``Coef``) has one form: an ``int`` when it is integral, else
 a ``Fraction`` with denominator > 1, so the integer coefficients of transport
@@ -281,26 +282,22 @@ def zterm(components: Sequence[Pair], bar: Pair | None = None, coef=1) -> ZTerm:
     return ZTerm(coef, components, bar)
 
 
-MplKind = Literal["shuffle", "harmonic"]
-
-
 def _suffix_products(z: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """(z_1 z_2 ... z_r, z_2 ... z_r, ..., z_r): the variables of the shuffle
     form of a harmonic term with variables z, term by term the same series."""
     return tuple(itertools.accumulate(reversed(z), operator.mul))[::-1]
 
 
-class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
-    """A polylogarithm value of one of the two series shapes, the tuple
-    (kind, k, z).
-
-    shuffle: variables enter through consecutive differences of the summation
-    indices; harmonic: each variable is raised to its own index.
+class MplTerm(_value_tuple("MplTerm", ("k", "z"))):
+    """A polylogarithm, the tuple (k, z) of its shuffle form: variables enter
+    through consecutive differences of the summation indices.  The harmonic
+    spelling MplTerm("harmonic", k, x), each x_j raised to its own index,
+    stores the shuffle form of that series, z = _suffix_products(x).
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: MplKind, k: Iterable[int], z: Iterable):
+    def __new__(cls, kind: Literal["shuffle", "harmonic"], k: Iterable[int], z: Iterable):
         k = _as_index(k)
         z = _as_tuple(z, "polylog variables", _as_scalar)
         if len(k) != len(z):
@@ -309,7 +306,13 @@ class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
             raise DomainError(f"unknown polylog kind {kind!r}")
         if INF in z:  # a Scalar's == is identity
             raise DomainError("polylog variables must be finite, got inf")
-        return _tuple_new(cls, (kind, k, z))
+        return _tuple_new(cls, (k, z if kind == "shuffle" else _suffix_products(z)))
+
+    # the stored fields are the shuffle spelling's
+    _make = classmethod(lambda cls, fields: cls("shuffle", *fields))
+
+    def __getnewargs__(self):
+        return ("shuffle", *self)
 
     @property
     def dep(self) -> int:
@@ -320,12 +323,10 @@ class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
         return weight(self.k)
 
     def guard_ok(self) -> bool:
-        """Absolute-convergence guard: every variable of the shuffle form in
-        the closed disk, and the last in the open disk when k ends in 1.  A
-        harmonic term's shuffle form has its suffix products as variables."""
-        z = self.z if self.kind == "shuffle" else _suffix_products(self.z)
-        return (all(v.in_closed_disk() for v in z)
-                and (is_admissible(self.k) or z[-1].in_open_disk()))
+        """Absolute-convergence guard: every variable in the closed disk, and
+        the last in the open disk when k ends in 1."""
+        return (all(v.in_closed_disk() for v in self.z)
+                and (is_admissible(self.k) or self.z[-1].in_open_disk()))
 
     def key(self):
         return self
@@ -333,13 +334,12 @@ class MplTerm(_value_tuple("MplTerm", ("kind", "k", "z"))):
     def sort_key(self, scalar_key=Scalar.sort_key):
         """The order of an MplExpr's terms; scalar_key is Scalar.sort_key or
         a memo of it."""
-        return (self.kind, self.k, tuple(map(scalar_key, self.z)))
+        return (self.k, tuple(map(scalar_key, self.z)))
 
     def __str__(self) -> str:
-        name = "Li" if self.kind == "shuffle" else "Li*"
         ks = ",".join(str(e) for e in self.k)
         zs = ", ".join(str(v) for v in self.z)
-        return f"{name}[{ks}]({zs})"
+        return f"Li[{ks}]({zs})"
 
 
 class _Memo(dict):

@@ -27,9 +27,9 @@ on each of its three paths), in float64 when every variable is real and
 complex128 otherwise; a chain of at most _LOOP_MAX entries in Python lists,
 a longer one in numpy arrays.  The module needs numpy alone: reciprocal
 binomials come from running products.  The one float polylogarithm
-evaluator, eval_mpl_auto, is a Hölder convolution.  With
-letters (z_i, k_i) innermost first, the value is (-1)^r G(b; 1) for the
-word b = (0^(k_r-1), 1/z_r, ..., 0^(k_1-1), 1/z_1), and
+evaluator, eval_mpl_auto, is a Hölder convolution.  With the letters
+(z_i, k_i) of the term's shuffle form innermost first, the value is
+(-1)^r G(b; 1) for the word b = (0^(k_r-1), 1/z_r, ..., 0^(k_1-1), 1/z_1), and
 
   G(b; 1) = sum_j (-1)^j G(1-b_j, ..., 1-b_1; 1-lam) G(b_(j+1), ..., b_w; lam).
 
@@ -64,8 +64,6 @@ from .model import (
     ZExpr,
     ZTerm,
     _integer,
-    _suffix_products,
-    _tuple_new,
     drop_all_empty_components,
     is_convergent,
 )
@@ -646,11 +644,8 @@ def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[comple
 def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
     """(value, proved error bound) by the Hölder convolution of the module docstring."""
     _check_tol(tol)
-    term = m
-    if m.kind == "harmonic":  # its guard is its shuffle form's
-        m = _tuple_new(MplTerm, ("shuffle", m.k, _suffix_products(m.z)))
     if not m.guard_ok():
-        raise DivergentInput(f"{term} violates its convergence guard")
+        raise DivergentInput(f"{m} violates its convergence guard")
     if ZERO in m.z:  # every gap power of a zero variable is 0
         return 0j, 0.0
     exact: list[Scalar] = []

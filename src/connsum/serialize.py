@@ -34,14 +34,17 @@ def complex_to_json(z: complex) -> list:
 
 
 def _int_in(v) -> int:
+    """An int, or a string as _int_out writes one: an optional "-" and ASCII
+    digits."""
     if isinstance(v, bool):
         raise DomainError("booleans are not integers here")
     if isinstance(v, int):
         return v
-    if isinstance(v, str):
+    digits = v.removeprefix("-") if isinstance(v, str) else ""
+    if digits.isascii() and digits.isdigit():
         try:
-            return int(v, 10)
-        except ValueError:
+            return int(v)
+        except ValueError:  # past int's limit on decimal digits
             pass
     raise DomainError(f"expected an integer, got {v!r}")
 
@@ -158,7 +161,7 @@ def zexpr_from_json(obj) -> ZExpr:
 
 
 def mplterm_to_json(t: MplTerm, coef: Coef | None = None) -> dict:
-    out = {"kind": t.kind, **_pair_layout(t, scalar_to_json)}
+    out = {"kind": "shuffle", **_pair_layout(t, scalar_to_json)}
     if coef is not None:
         out["coef"] = frac_to_json(coef)
     return out

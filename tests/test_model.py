@@ -1,12 +1,15 @@
 import copy
+import inspect
 import pickle
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import canonical_coef
 
+import connsum
 from connsum import serialize
 from connsum.errors import (
     DomainError,
@@ -210,6 +213,14 @@ def test_json_big_integers_as_strings():
     out = serialize.frac_to_json(big)
     assert isinstance(out[0], str)
     assert serialize.frac_from_json(out) == big
+    # a string integer is read only in the form written: an optional "-"
+    # and ASCII digits, so no underscore, space, "+" or non-ASCII digit
+    assert serialize.frac_from_json([str(-2 ** 80), "3"]) == F(-2 ** 80, 3)
+    for bad in ("1_0", " 7 ", "+5", "\u0663", "-", "", "--5"):
+        for read in (lambda v: serialize.pair_from_json({"k": [v]}),
+                     lambda v: serialize.frac_from_json([v, 1])):
+            with pytest.raises(DomainError, match="expected an integer"):
+                read(bad)
 
 
 def test_pair_and_key_hash_read_no_fraction(monkeypatch):
@@ -251,7 +262,7 @@ def test_pair_is_the_tuple_of_its_fields():
         (t, (F(-2, 7), (p, EMPTY_PAIR), bar), ZTerm("-4/14", [p, EMPTY_PAIR], bar),
          [(F(1), (), bar), (0.5, (p,), bar), ("x", (p,), bar),
           (1, (((1,), (ONE,)),), bar), (1, (p,), ((1,), (ONE,)))]),
-        (m, ("shuffle", (1, 2), z), MplTerm("shuffle", [1, 2], [z[0], "-2/5"]),
+        (m, ((1, 2), z), MplTerm("shuffle", [1, 2], [z[0], "-2/5"]),
          [("shuffle", (1,), ()), ("stuffle", (1,), (ONE,)), ("harmonic", (0,), (ONE,))]),
     ]
     for value, fields, coerced, bad in cases:
@@ -283,8 +294,34 @@ def test_pair_is_the_tuple_of_its_fields():
     assert m.key() is m and t.key() == ((p, EMPTY_PAIR), bar)
     assert str(t) == "-2/7*Z2((1/3-1/3i,-2/5 / 1,2); () | (1,1 / 1,1))"
     assert str(m) == "Li[1,2](1/3-1/3i, -2/5)"
+    # "harmonic" spells a term by its per-index variables; the value is the
+    # shuffle form, with their suffix products
+    assert MplTerm("harmonic", (1, 2), (sc(F(1, 2)), sc(F(1, 3)))) == \
+        MplTerm("shuffle", (1, 2), (sc(F(1, 6)), sc(F(1, 3))))
     assert serialize.zterm_from_json(serialize.zterm_to_json(t)) == t
     assert serialize.mplterm_from_json(serialize.mplterm_to_json(m)) == m
+
+
+def test_one_polylog_shape():
+    # a polylogarithm is stored in one shape, its shuffle form; "harmonic" is
+    # only a spelling, which MplTerm's constructor alone reads
+    assert MplTerm._fields == ("k", "z")
+
+    def readers(code):
+        flat = [x for c in code.co_consts
+                for x in (c if isinstance(c, (tuple, frozenset)) else (c,))]
+        out = {code.co_qualname} if "harmonic" in flat else set()
+        for c in code.co_consts:
+            if inspect.iscode(c):
+                out |= readers(c)
+        return out
+
+    found = set()
+    for path in Path(connsum.__file__).parent.glob("*.py"):
+        found |= readers(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+    assert found == {"MplTerm.__new__"}, found
+    for name in ("harmonic_to_shuffle", "shuffle_to_harmonic"):
+        assert not hasattr(connsum, name) and not hasattr(connsum.boundary, name), name
 
 
 _M = MplTerm("shuffle", (2,), (ONE,))
@@ -319,7 +356,7 @@ _MAKE_CASES = {
              Pair((2,), ("1/2",)), {"k": [2], "z": ["1/2"]}),
     "ZTerm": (_T, ("1/2", (), P1), {"coef": 0.5, "components": ()},
               ZTerm(3, (P1,), P1), {"coef": F(6, 2)}),
-    "MplTerm": (_M, ("shuffle", (2,), (ONE, ONE)), {"kind": "stuffle"},
+    "MplTerm": (_M, ((2,), (ONE, ONE)), {"z": (INF,)},
                 MplTerm("shuffle", (3,), ("-1",)), {"k": [3], "z": ["-1"]}),
 }
 

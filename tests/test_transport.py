@@ -661,12 +661,12 @@ def test_rewrite_outputs_are_valid_pairs(monkeypatch):
         assert all(isinstance(v, Scalar) and not v.is_inf and v.in_closed_disk()
                    for v in p.z)
     for m in polylogs:
-        assert MplTerm(m.kind, m.k, m.z) == m and m.guard_ok()
+        assert MplTerm("shuffle", m.k, m.z) == m and m.guard_ok()
     assert len(terms) > 10000 and len(expanded) > 5000
     for u in terms:
         assert ZTerm(*u) == u and hash(ZTerm(*u)) == hash(u) and canonical_coef(u.coef)
     for m in expanded + dual_terms:
-        assert MplTerm(*m) == m and hash(MplTerm(*m)) == hash(m)
+        assert MplTerm._make(m) == m and hash(MplTerm._make(m)) == hash(m)
 
 
 def _coefs(value):
