@@ -9,14 +9,16 @@ arity n >= 2 is summed by dynamic programming over per-component top values
 and closed with the bar-chain weight.  The single-escape rows past the cap
 of a top letter on the unit circle are one recursion in r per distinct top
 letter, in closed form or over a window with a telescoped remainder, folded
-into the value and their residuals into the tail.  The convolution keeps
-only the connector weights 1/C(T, j) near its two edges (rows j <= B), and
-each row only up to the total where its weight falls to 1/C(2B+2, B+1), the
-weight of the first split with both parts past the band.  The weights are
-running products (no factorial, no log-gamma), cached in blocks of totals
-from 0, each one matrix-vector product per edge; a block is computed whole
-and then cut, so a convolution cut to any size is the head of the full one,
-bit for bit.  Each split it drops weighs at most that much; the mass it
+into the value and their residuals into the tail.  The bar chain runs past
+the capped totals only for a window, and the rows weigh the product of the
+other components, one convolution per distinct tuple of them.  The
+convolution keeps only the connector weights 1/C(T, j) near its two edges
+(rows j <= B), and each row only up to the total where its weight falls to
+1/C(2B+2, B+1), the weight of the first split with both parts past the
+band.  The weights are running products (no factorial, no log-gamma),
+cached in blocks of totals from 0, each one matrix-vector product per edge;
+a block is computed whole and then cut, so a convolution cut to any size is
+the head of the full one, bit for bit.  Each split it drops weighs at most that much; the mass it
 drops, and that of the rows no escape correction covers (two tops past the
 cap, or one past it while the others total more than the escape cut-off),
 enter the tail through proved bounds.
@@ -37,14 +39,18 @@ lam = d0/(d0+d1), with d0 = min |b| over b != 0 and d1 = min |1-b| over
 b != 1, gives every piece a ratio of at most 1/(d0+d1) < 1.  The pieces at
 lam are the suffixes of b, and those at 1-lam the suffixes of the reversed
 reflected word, so each is an inner layer of its side's chain: one value
-chain and one absolute chain per side give every piece (_side).  A side's
-chain runs to one cut N, the least at which every piece's proved remainder
-is within tol / (4 (w+1)), found by a search over the integers (_cut).
-Each piece carries a proved rounding bound from the absolute chain; one that
-would need more than 2^21 terms sums nothing and is bounded as a whole.
+chain per side, and one absolute chain where a letter is negative or
+complex (for the others it is the value chain), give every piece (_side).
+A side's chain runs to one cut N, the least at which every piece's proved
+remainder is within tol / (4 (w+1)), found by a search over the integers
+(_cut).  Each piece carries a proved rounding bound from the absolute
+chain; one that would need more than 2^21 terms sums nothing and is bounded
+as a whole.  A verify_relation call evaluates each distinct side once.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -63,6 +69,7 @@ from .model import (
     Relation,
     ZExpr,
     ZTerm,
+    _Memo,
     _integer,
     drop_all_empty_components,
     is_convergent,
@@ -81,6 +88,9 @@ _BLOCKS_MAX = 32  # weight blocks kept per process: totals below 30,720
 _CAP = 1 << 21  # outer index past which no Hölder piece is summed
 _U = 2.0 ** -53  # unit roundoff of float64
 _LOOP_MAX = 128  # longest chain kept in Python lists, one loop per letter; numpy wins past it
+# the Hölder sides of the open verify_relation or eval_zterm call, by
+# (word, y, target): a memo made inside the call that dies with it
+_SIDES: contextvars.ContextVar[Optional[_Memo]] = contextvars.ContextVar("sides", default=None)
 
 
 def _scan(x: list | np.ndarray, z, weak: bool) -> list | np.ndarray:
@@ -345,26 +355,32 @@ def _connect(tops: Sequence[np.ndarray], cap: int,
     return out, k
 
 
+def _closed_form_rows(bar: Pair, k_top: int, z: complex) -> bool:
+    """Whether the escape rows of top letter (z, k_top) under bar have an exact
+    closed form, which reads W only up to cap + 1 + r_max: z = 1, k = 1 and
+    the all-ones bar (1) or (1,1)."""
+    return z == 1 and k_top == 1 and bar.k in ((1,), (1, 1)) and all(v.is_one() for v in bar.z)
+
+
 def _escape_rows(bar: Pair, w: np.ndarray, cap: int, r_max: int, k_top: int,
                  z: complex) -> tuple[np.ndarray, np.ndarray]:
     """(value, residual bound) at r = 1..r_max (entry r-1) of sum_{m>cap}
     P_r(m) z^m W(m+r)/m^(k-1), P_r(m) = r! (m-1)!/(m+r)!, by one recursion in
     r, P_r(m) = P_(r-1)(m) r/(m+r) from 1/m, each row one dot with W.
 
-    For z = 1 the all-ones bars of shapes (1) and (1,1) with k = 1 have exact
-    closed forms; every other case is a phase-carrying window plus a frozen-W
-    telescoped remainder (added to the value only when z = 1, where the
-    remainder terms share one sign), with sum_{m>c} P_r(m) = (r-1)! c!/(c+r)!.
+    The cases of _closed_form_rows are exact; every other case is a
+    phase-carrying window plus a frozen-W telescoped remainder (added to the
+    value only when z = 1, where the remainder terms share one sign), with
+    sum_{m>c} P_r(m) = (r-1)! c!/(c+r)!.
     """
     rs = np.arange(1, r_max + 1)
 
     def past(c: int) -> np.ndarray:  # A_r(c): 1/(c+1) at r = 1, then times (r-1)/(c+r)
         return np.cumprod(np.maximum(rs - 1, 1) / (c + rs))
 
-    ones = all(v.is_one() for v in bar.z)
-    if z == 1 and k_top == 1 and ones and bar.k == (1,):
-        return past(cap), np.zeros(r_max)
-    if z == 1 and k_top == 1 and ones and bar.k == (1, 1):
+    if _closed_form_rows(bar, k_top, z):
+        if bar.k == (1,):
+            return past(cap), np.zeros(r_max)
         h = w[cap + 1 + rs]  # W[T] = H_T for this bar
         return past(cap) * h + past(cap + 1) / rs, np.zeros(r_max)
     b = cap + _KERNEL_WINDOW
@@ -484,17 +500,24 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
         raise DivergentInput(f"{t} does not converge absolutely")
     if t.arity == 1:
         expansion = boundary_reduce(_merge_zero_bar_letters(t))
-        value, tail, _ = _sum_terms(expansion.terms, tol, eval_mpl_auto)
+        with _shared_sides():
+            value, tail, _ = _sum_terms(expansion.terms, tol, eval_mpl_auto)
         return EvalReport(value, bound, tail, tail <= tol)
     coef = complex(float(t.coef))
     n = t.arity
     cap = bound
     r_cut = max(2, int(45.0 / max(math.log(cap), 1.0))) + n
     reach = n * cap + 1  # the capped sum's totals
-    # W[T] = T * (bar-chain mass ending exactly at T); the escape rows of a
-    # top letter on the unit circle read it past reach, through their window
-    on_circle = [abs(complex(p.z[-1])) >= 1.0 - 1e-12 for p in t.components]
-    t_ext = n * cap + _KERNEL_WINDOW + r_cut + 2 if any(on_circle) else reach
+    # W[T] = T * (bar-chain mass ending exactly at T).  The capped sum reads it
+    # up to reach, and so do the closed-form escape rows (up to cap + 1 + r,
+    # r <= (n-1) cap); the other escape rows of a top letter on the unit
+    # circle read it past reach, through their window.  A closed form's
+    # all-ones bar chain is bitwise the head of a longer one
+    z_tops = [complex(p.z[-1]) for p in t.components]
+    on_circle = [abs(z) >= 1.0 - 1e-12 for z in z_tops]
+    window = any(c and not _closed_form_rows(t.bar, p.k[-1], z)
+                 for c, p, z in zip(on_circle, t.components, z_tops))
+    t_ext = reach + _KERNEL_WINDOW + r_cut + 1 if window else reach
     w = _chain(t.bar.letters(), t_ext, weak=True)[0]
     w = w * np.arange(w.size, dtype=np.float64)
 
@@ -504,10 +527,12 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
     value = complex(np.sum(g * w[:g.size]))
     tail = k * _DELTA * float(np.sum(np.abs(w[_EDGE:g.size])))
     tail += _uncovered_bound(t, cap, r_cut)
-    rows = {}  # escape rows by top letter (k, z), shared by the components
+    # escape rows by top letter (k, z), the others' product by the tuple of the
+    # other components: the components with equal keys share them
+    rows, others = {}, {}
     for j, p in enumerate(t.components):
         z_top, k_top = p.z[-1], p.k[-1]
-        az = complex(z_top)
+        az = z_tops[j]
         if not on_circle[j]:
             tail += abs(az) ** cap
             continue
@@ -517,7 +542,10 @@ def eval_zterm(t: ZTerm, bound: int, tol: float = 1e-6) -> EvalReport:
         ghat_half = complex(np.sum(inner[:cap // 2] * zpow[:cap // 2]))
         drift = abs(ghat - ghat_half)
         # the escape rows read the others' product (0 below n-1) only up to r_cut
-        o, k_o = _connect(tops[:j] + tops[j + 1:], cap, r_cut + 1)
+        rest = t.components[:j] + t.components[j + 1:]
+        if rest not in others:
+            others[rest] = _connect(tops[:j] + tops[j + 1:], cap, r_cut + 1)
+        o, k_o = others[rest]
         if (k_top, z_top) not in rows:
             rows[k_top, z_top] = _escape_rows(t.bar, w, cap, o.size - 1, k_top, az)
         kv, kr = rows[k_top, z_top]
@@ -580,7 +608,12 @@ def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[comple
     needs more.  A layer whose own cut would pass _CAP, and every layer above
     it, sums nothing: its pieces return 0 with the bound
     sum_(n>=1) C(n-1, q-1) rho^n = (rho / (1 - rho))^q on all of them, or an
-    infinite one for rho >= 1.
+    infinite one for rho >= 1.  A pure function of its arguments, so
+    eval_mpl_auto shares it by key.
+
+    The rounding bounds come from the absolute chain over the letters |y/c|.
+    When every letter is real and nonnegative that is the value chain itself
+    (abs returns those floats unchanged), so the side runs one chain.
     Every letter has |a| < 1, so _scan runs its loop on Python lists or, for
     N + 1 > _LOOP_MAX, its doubling path on arrays.  In the loop each
     recurrence step errs by at most 12u of the absolute chain through it
@@ -622,7 +655,10 @@ def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[comple
                     for i in range(1, live + 1) if trunc[i - 1] > target)
             trunc = [_remainder(i, rhos[i - 1], n) for i in range(1, live + 1)]
         totals = _chain(zip(zs[:live], exps), n, sums=True)
-        masses = _chain(zip(moduli[:live], exps), n, sums=True)
+        if all(not z.imag and z.real >= 0 for z in zs[:live]):
+            masses = totals  # abs leaves these letters as they are: the same chain
+        else:
+            masses = _chain(zip(moduli[:live], exps), n, sums=True)
         passes = n.bit_length() if n + 1 > _LOOP_MAX else 0  # _scan's doubling passes
         steps = list(itertools.accumulate(12.0 / (1.0 - a) + 3.0 + passes
                                           for a in moduli[:live]))
@@ -641,8 +677,27 @@ def _side(word: Sequence[complex], y: float, target: float) -> list[tuple[comple
     return out
 
 
+def _side_of(key: tuple) -> list[tuple[complex, float]]:
+    return _side(*key)
+
+
+@contextlib.contextmanager
+def _shared_sides():
+    """Within the block every _side call of eval_mpl_auto goes through one
+    memo, the one already open or one made here that dies with the block."""
+    memo = _SIDES.get()
+    token = _SIDES.set(_Memo(_side_of) if memo is None else memo)
+    try:
+        yield
+    finally:
+        _SIDES.reset(token)
+
+
 def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
-    """(value, proved error bound) by the Hölder convolution of the module docstring."""
+    """(value, proved error bound) by the Hölder convolution of the module
+    docstring.  _side is a pure function of (word, y, target), so each
+    distinct side is computed once within the open verify_relation or
+    eval_zterm call (_SIDES), or within this call when none is open."""
     _check_tol(tol)
     if not m.guard_ok():
         raise DivergentInput(f"{m} violates its convergence guard")
@@ -660,8 +715,11 @@ def eval_mpl_auto(m: MplTerm, tol: float) -> tuple[complex, float]:
     target = tol / (4.0 * (len(word) + 1))
     # at j: G(1-b_j, ..., 1-b_1; 1-lam), the suffixes of the reversed reflected
     # word, and G(b_(j+1), ..., b_w; lam), the suffixes of the word
-    left = _side(reflected[::-1], 1.0 - lam, target)[::-1]
-    right = _side(word, lam, target)
+    sides = _SIDES.get()
+    if sides is None:  # a call of its own: a memo for its two sides
+        sides = _Memo(_side_of)
+    left = sides[tuple(reflected[::-1]), 1.0 - lam, target][::-1]
+    right = sides[tuple(word), lam, target]
     value, tail, scale = 0j, 0.0, 0.0
     for j, ((a, e_a), (b, e_b)) in enumerate(zip(left, right)):
         value += (-1) ** j * a * b
@@ -735,8 +793,9 @@ def verify_relation(rel: Relation, bound: int = 400, tol: float = 1e-6) -> Verif
     bound must be >= 1 even when neither side has a connected-sum term."""
     _check_tol(tol)
     _integer(bound, 1, DomainError, "truncation bound must be an integer >= 1, got")
-    lv, lt, lp = _eval_side(rel.lhs, bound, tol)
-    rv, rt, rp = _eval_side(rel.rhs, bound, tol)
+    with _shared_sides():
+        lv, lt, lp = _eval_side(rel.lhs, bound, tol)
+        rv, rt, rp = _eval_side(rel.rhs, bound, tol)
     tail_total = lt + rt
     diff = abs(lv - rv)
     if tail_total > tol:

@@ -200,10 +200,11 @@ def test_eval_mpl_auto_work_bound(monkeypatch):
 
 def test_zeta_11112_is_zeta6_in_one_scan_per_letter(monkeypatch):
     # README's figure: at tol 1e-12, zeta(1,1,1,1,2) runs its two sides to
-    # N = 45 and N = 65, one _scan call per letter c of each side's two
-    # chains, 12 calls over 752 elements, and matches pi^6/945 within its
-    # tail.  Both cuts are below _LOOP_MAX, so the chains stay Python lists
-    # from the first letter to the sums: no numpy attribute is read
+    # N = 45 and N = 65, one _scan call per letter c of each side's one
+    # chain (every letter is 1/2, so the absolute chain is the value chain),
+    # 6 calls over 376 elements, and matches pi^6/945 within its tail.  Both
+    # cuts are below _LOOP_MAX, so the chains stay Python lists from the
+    # first letter to the sums: no numpy attribute is read
     class NoNumpy:
         def __getattr__(self, name):
             raise AssertionError(f"np.{name} read on a short chain")
@@ -217,7 +218,7 @@ def test_zeta_11112_is_zeta6_in_one_scan_per_letter(monkeypatch):
     monkeypatch.setattr(numeric, "_scan", recording_scan)
     monkeypatch.setattr(numeric, "np", NoNumpy())
     value, tail = eval_mpl_auto(MplTerm("shuffle", (1, 1, 1, 1, 2), (ONE,) * 5), 1e-12)
-    assert sorted(scanned) == [45 + 1] * 2 + [65 + 1] * 10 and sum(scanned) == 752
+    assert sorted(scanned) == [45 + 1] + [65 + 1] * 5 and sum(scanned) == 376
     assert abs(value - PI ** 6 / 945) <= tail <= 1e-12, (value, tail)
 
 
@@ -811,6 +812,48 @@ def test_bar_weight_covers_every_read(monkeypatch):
     windows = [t.arity * b + numeric._KERNEL_WINDOW for t in terms for b in bounds]
     assert len(asked) == len(windows)
     assert all(a < end for a, end in zip(asked, windows)), asked
+
+
+def test_all_ones_bar_chain_head_is_the_same_at_any_length():
+    # the closed-form escape rows read W only inside the capped totals, so
+    # their bar chain stops there; for the all-ones bars (1) and (1,1) its
+    # head is bitwise that of a chain past _LOOP_MAX (list loop and cumsum
+    # add in the same order, both divide by m)
+    for bar in ((1,), (1, 1)):
+        letters = Pair.ones(bar).letters()
+        short = numeric._chain(letters, 60, weak=True)[0]
+        long = numeric._chain(letters, 20_100, weak=True)[0]
+        assert short.tobytes() == long[:61].tobytes(), bar
+
+
+def test_closed_form_escape_rows_build_only_what_they_read(monkeypatch):
+    # Z5((1/1) x 5 | (1/1)) at bound 200: every top takes a closed form, so
+    # the bar chain stops with the capped totals, within the 5 * 200 +
+    # r_cut + 2 entries the closed forms may read, and the five equal
+    # components share one escape convolution of the others; a (2,1) bar
+    # takes the window path and gets its 20,000 rows
+    chain, connect, bars, escapes = numeric._chain, numeric._connect, [], []
+
+    def recording_chain(letters, bound, weak=False, sums=False):
+        if weak:
+            bars.append(bound + 1)
+        return chain(letters, bound, weak, sums)
+
+    def recording_connect(tops, cap, size=None):
+        if size is not None:
+            escapes.append(len(tops))
+        return connect(tops, cap, size)
+
+    monkeypatch.setattr(numeric, "_chain", recording_chain)
+    monkeypatch.setattr(numeric, "_connect", recording_connect)
+    cap, n = 200, 5
+    r_cut = max(2, int(45.0 / math.log(cap))) + n
+    eval_zterm(zterm([Pair.ones((1,))] * n, Pair.ones((1,))), cap)
+    assert bars == [n * cap + 2] and bars[0] <= n * cap + r_cut + 2, bars
+    assert escapes == [n - 1], escapes
+    bars.clear()
+    eval_zterm(zterm([Pair.ones((1,))] * n, Pair.ones((2, 1))), cap)
+    assert bars == [n * cap + numeric._KERNEL_WINDOW + r_cut + 3], bars
 
 
 def test_zterm_tail_covers_the_error():
@@ -1511,33 +1554,85 @@ def test_long_chain_powers_overflow_silently():
 
 
 def test_two_chain_passes_per_side(monkeypatch):
-    # one value and one absolute pass per side of the convolution, one _scan
-    # call per letter c in each: at most 4 passes and 2 (q_word + q_reflected)
+    # one value pass per side of the convolution, and one absolute pass only
+    # when a letter y/c of the value pass is negative or complex (abs leaves
+    # the others as they are, so it would be the same chain); one _scan call
+    # per letter c in each: at most 4 passes and 2 (q_word + q_reflected)
     # _scan calls, where summing each piece on its own took up to 4 (w+1)
-    passes, filtered = [0], [0]
-    chain, scan = numeric._chain, numeric._scan
+    sides, filtered = [], [0]  # per _side call: whether each pass has a signed letter
+    chain, scan, side = numeric._chain, numeric._scan, numeric._side
 
-    def counting_chain(*args, **kwargs):
-        passes[0] += 1
-        return chain(*args, **kwargs)
+    def counting_side(*args):
+        sides.append([])
+        return side(*args)
+
+    def counting_chain(letters, *args, **kwargs):
+        letters = list(letters)
+        sides[-1].append(any(complex(v).imag or complex(v).real < 0 for v, _ in letters))
+        return chain(letters, *args, **kwargs)
 
     def counting_scan(*args, **kwargs):
         filtered[0] += 1
         return scan(*args, **kwargs)
 
+    monkeypatch.setattr(numeric, "_side", counting_side)
     monkeypatch.setattr(numeric, "_chain", counting_chain)
     monkeypatch.setattr(numeric, "_scan", counting_scan)
-    terms = _seeded_terms(3333, 60, 4, 3) + [
-        MplTerm("shuffle", (1,) * (k - 2) + (2,), (ONE,) * (k - 1)) for k in range(2, 9)]
-    weights = set()
-    for term in terms:
+    mzvs = [MplTerm("shuffle", (1,) * (k - 2) + (2,), (ONE,) * (k - 1)) for k in range(2, 9)]
+    weights, shapes = set(), set()
+    for term in _seeded_terms(3333, 60, 4, 3) + mzvs:
         letters = [v.inv() for v in term.z]
         q_word = len(letters)
         q_reflected = sum(1 for b in letters if not b.is_one()) + \
             sum(e - 1 for e in term.k)
-        passes[0] = filtered[0] = 0
+        sides.clear()
+        filtered[0] = 0
         eval_mpl_auto(term, 1e-9)
-        assert passes[0] <= 4, (str(term), passes[0])
+        passes = sum(map(len, sides))
+        assert passes <= (2 if term in mzvs else 4), (str(term), sides)
         assert filtered[0] <= 2 * (q_word + q_reflected), (str(term), filtered[0])
+        # none (no layer meets the target), the value pass alone, or the
+        # value pass with a signed letter and then the absolute one
+        for flags in sides:
+            assert flags in ([], [False], [True, False]), (str(term), sides)
+            shapes.add(tuple(flags))
         weights.add(sum(term.k))
     assert weights >= set(range(1, 9))
+    assert shapes >= {(False,), (True, False)}
+
+
+def test_verify_computes_each_side_once(monkeypatch):
+    # within one verify_relation call each distinct Hölder side (word, y,
+    # target) is computed once, and sharing it changes no term's value: each
+    # equals the term evaluated alone, at the side's budget, bit for bit
+    from connsum.named_examples import run_example
+
+    keys, lookups, side, auto = [], [0], numeric._side, numeric.eval_mpl_auto
+
+    def recording_side(word, y, target):
+        keys.append((tuple(word), y, target))
+        return side(word, y, target)
+
+    def counting_auto(term, tol):
+        lookups[0] += 2
+        return auto(term, tol)
+
+    for name in ("dilcher:6", "eight-term"):
+        rel = run_example(name, bound=20).relation
+        keys.clear()
+        lookups[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(numeric, "_side", recording_side)
+            patch.setattr(numeric, "eval_mpl_auto", counting_auto)
+            report = verify_relation(rel, 400, 1e-6)
+        assert keys and len(keys) == len(set(keys)), name
+        if name == "eight-term":  # 7 terms, 14 sides, 10 of them distinct
+            assert len(keys) < lookups[0], (len(keys), lookups[0])
+        alone = []  # both sides are polylogarithms, (coef, term) pairs
+        for items in (rel.lhs.terms, rel.rhs.terms):
+            mass = sum(abs(float(c)) for c, _ in items)
+            budget = 1e-6 / (4.0 * max(len(items), mass, 1))
+            alone += [eval_mpl_auto(t, budget)[0] for _, t in items]
+        got = [v for _, v in report.per_term]
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == \
+            [(v.real.hex(), v.imag.hex()) for v in alone], name
